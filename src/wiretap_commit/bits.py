@@ -8,6 +8,8 @@ a byte boundary.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DimensionError
@@ -40,9 +42,12 @@ class BitVector:
     @classmethod
     def from_int(cls, value: int, n: int) -> "BitVector":
         """Big-endian expansion of an integer: bit 0 is the MSB."""
+        value = operator.index(value)
         if value < 0 or value >> n:
             raise DimensionError(f"{value} does not fit in {n} bits")
-        return cls([(value >> (n - 1 - i)) & 1 for i in range(n)])
+        # left-align in whole bytes, so the first n unpacked bits are the word
+        data = (value << (-n % 8)).to_bytes((n + 7) // 8, "big")
+        return cls(np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:n])
 
     @classmethod
     def from_hex(cls, hexstr: str, n: int) -> "BitVector":
@@ -64,10 +69,8 @@ class BitVector:
         return np.packbits(self._bits).tobytes().hex()
 
     def to_int(self) -> int:
-        out = 0
-        for b in self._bits:
-            out = (out << 1) | int(b)
-        return out
+        """Big-endian integer value: inverse of from_int."""
+        return int.from_bytes(np.packbits(self._bits).tobytes(), "big") >> (-len(self) % 8)
 
     def weight(self) -> int:
         """Hamming weight."""

@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from .errors import WiretapCommitError
+from .errors import ConfigError, WiretapCommitError
 from .harness import CONFIG_VERSION, ExperimentConfig, run_experiment, run_replay
 
 EXIT_OK = 0
@@ -83,6 +83,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_path = args.out
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         doc = _load_json(args.config)
         if args.command == "replay":
             table = run_replay(doc)

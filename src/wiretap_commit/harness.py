@@ -242,6 +242,8 @@ class ExperimentConfig:
 
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.kind == "capacity-grid":
             _grid_axes(self.grid)
         elif self.kind == "sweep":

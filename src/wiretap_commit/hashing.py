@@ -7,6 +7,15 @@ l x n Toeplitz matrix T: T[i][j] = seed[i + n - 1 - j], so row i reads
 the seed window [i, i + n) right-to-left.  Evaluation is T @ x over
 GF(2); the map is linear in x, and over a uniform seed any fixed pair
 x != x' collides with probability exactly 2^-l.
+
+Because T[i][j] depends only on i - j, the integer product T @ x is
+entries n-1 .. n+l-2 of the linear convolution seed * x (Krawczyk,
+"LFSR-based hashing and authentication", CRYPTO 1994).  hash_evaluate
+computes that convolution with one real FFT at a power-of-two length,
+in O((n+l) log(n+l)) time and O(n+l) memory instead of the O(l n) of
+the matrix.  The convolution entries are integer counts in [0, n], so
+rounding the float64 result recovers them exactly; a residual check
+guards that.  HashSpec.as_matrix keeps the matrix as the reference.
 """
 
 from __future__ import annotations
@@ -65,15 +74,43 @@ def sample_hash(rng: np.random.Generator, n: int, l: int) -> HashSpec:
 
 
 def hash_evaluate(h: HashSpec, x: BitVector) -> BitVector:
-    """Toeplitz matrix-vector product over GF(2)."""
-    if len(x) != h.input_bits:
-        raise DimensionError(
-            f"input length {len(x)} != input_bits {h.input_bits}"
+    """Toeplitz matrix-vector product over GF(2), by FFT convolution.
+
+    Output bit i is the parity of sum_j seed[i + n - 1 - j] * x[j], the
+    (i + n - 1)-th entry of the convolution seed * x.  Both operands are
+    zero-padded to a power-of-two length >= n + l - 1 and transformed in
+    one rfft call; entries n-1 .. n+l-2 of the cyclic convolution do not
+    wrap, since the linear one ends at index 2n + l - 3 < (n - 1) + size.
+    A power of two keeps pocketfft on its fast radix path: n + l - 1 can
+    be prime (2099 at n=2000, l=100), which is about 4x slower.
+
+    Each entry is an integer count in [0, n], and the float64 round-off
+    of the transform is about 1e-10 at n = 8000, so rounding to the
+    nearest integer recovers it exactly and the bits equal the matrix
+    product's.  The largest rounding residual is still checked: at 0.25
+    or above the counts are not trustworthy and FloatingPointError is
+    raised instead of returning bits.
+
+    Cost: O((n+l) log(n+l)) time and O(n+l) memory, a few float arrays
+    of the padded length (under 1 MB at n=8000, l=2951).
+    """
+    n, l = h.input_bits, h.output_bits
+    if len(x) != n:
+        raise DimensionError(f"input length {len(x)} != input_bits {n}")
+    size = 1 << (n + l - 2).bit_length()  # least power of two >= n + l - 1
+    operands = np.zeros((2, size))
+    operands[0, : n + l - 1] = h.seed.bits
+    operands[1, :n] = x.bits
+    spectra = np.fft.rfft(operands)
+    counts = np.fft.irfft(spectra[0] * spectra[1], size)[n - 1 : n + l - 1]
+    rounded = np.rint(counts)
+    residual = float(np.abs(counts - rounded).max())
+    if not residual < 0.25:  # also catches NaN
+        raise FloatingPointError(
+            f"FFT Toeplitz product inexact: rounding residual {residual:.3g} "
+            f"at n={n}, l={l}"
         )
-    windows = sliding_window_view(h.seed.bits, h.input_bits)[: h.output_bits]
-    # row i of T is the window reversed, so pair it with x reversed
-    out = (windows @ x.bits[::-1].astype(np.int64)) & 1
-    return BitVector(out.astype(np.uint8))
+    return BitVector((rounded.astype(np.int64) & 1).astype(np.uint8))
 
 
 def hash_all_inputs(h: HashSpec) -> np.ndarray:

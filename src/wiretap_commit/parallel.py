@@ -7,21 +7,43 @@ list and concatenates per-trial outputs in order.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+
+from .errors import DomainError
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def pool_size(threads: int, trials: int, cpus: int) -> int:
+    """Worker processes for a run: min(threads, cpus, trials), at least 1.
+
+    More workers than CPUs only adds process start-up and contention, and
+    more than trials leaves workers idle; neither changes the results.
+    """
+    if threads < 1:
+        raise DomainError(f"threads must be >= 1, got {threads}")
+    return max(1, min(threads, cpus, trials))
 
 
 def map_trials(worker, payload, seeds, threads: int = 1) -> np.ndarray:
     """Run worker(payload, seed_chunk) over chunks of per-trial seeds.
 
     The worker must return an ndarray whose leading axis indexes trials
-    within its chunk; chunks are concatenated in trial order.
+    within its chunk; chunks are concatenated in trial order.  The pool
+    has pool_size(threads, len(seeds), usable_cpus()) workers.
     """
-    if threads is None or threads <= 1 or len(seeds) <= 1:
+    workers = pool_size(threads, len(seeds), usable_cpus())
+    if workers == 1:
         return worker(payload, seeds)
-    chunks = [list(c) for c in np.array_split(np.asarray(seeds, dtype=object), threads)
-              if len(c)]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = list(pool.map(worker, [payload] * len(chunks), chunks))
+    chunks = [list(c) for c in np.array_split(np.asarray(seeds, dtype=object), workers)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        parts = list(pool.map(worker, [payload] * workers, chunks))
     return np.concatenate(parts, axis=0)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bits import BitVector
 from .channel import WiretapChannel, transmit
-from .errors import CouplingError, DimensionError, RateError
+from .errors import ConfigError, CouplingError, DimensionError, RateError
 from .hashing import HashSpec, hash_evaluate, sample_hash
 from .measures import CrossoverPair, capacity_one_private, capacity_two_private
 
@@ -326,11 +326,20 @@ def session_from_config(doc: dict):
     """Rebuild (params, transcript, bob_view?, claim?) from a document.
 
     Returns a dict with whatever the document contained; replay needs
-    at least y plus the stored secrets x and c.
+    at least y plus the stored secrets x and c.  The hash dimensions must
+    match the params (G: n -> challenge_bits, Ext: n -> commit_bits), or
+    ConfigError is raised.
     """
     params = params_from_config(doc["params"])
     challenge = HashSpec.from_config(doc["G"])
     extractor = HashSpec.from_config(doc["Ext"])
+    for name, spec, out_bits in (("G", challenge, params.challenge_bits),
+                                 ("Ext", extractor, params.commit_bits)):
+        if (spec.input_bits, spec.output_bits) != (params.n, out_bits):
+            raise ConfigError(
+                f"transcript {name} maps {spec.input_bits} -> {spec.output_bits} bits, "
+                f"but the params need {params.n} -> {out_bits}"
+            )
     transcript = Transcript(
         challenge=challenge,
         challenge_value=BitVector.from_hex(doc["g_bar"], challenge.output_bits),

@@ -20,11 +20,6 @@ def make_rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def split(rng: np.random.Generator, n: int):
-    """n independent child generators of rng."""
-    return rng.spawn(n)
-
-
 def trial_seeds(seed: int, trials: int):
     """Per-trial SeedSequences, independent of any chunking."""
     return np.random.SeedSequence(seed).spawn(trials)

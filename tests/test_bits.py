@@ -37,6 +37,23 @@ def test_int_roundtrip():
         BitVector.from_int(16, 4)
 
 
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 2000])
+def test_int_roundtrip_sizes(n):
+    rng = make_rng(n)
+    words = [BitVector.zeros(n), BitVector(np.ones(n, dtype=np.uint8))]
+    words += [BitVector.random(rng, n) for _ in range(20)]
+    for v in words:
+        value = 0
+        for b in v:  # big-endian reference: bit 0 is the MSB
+            value = (value << 1) | b
+        assert v.to_int() == value
+        assert BitVector.from_int(value, n) == v
+    with pytest.raises(DimensionError):
+        BitVector.from_int(1 << n, n)
+    with pytest.raises(DimensionError):
+        BitVector.from_int(-1, n)
+
+
 def test_xor_and_distance():
     a = BitVector([1, 0, 1, 1])
     b = BitVector([0, 0, 1, 0])

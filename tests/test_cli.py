@@ -121,6 +121,13 @@ def test_replay_roundtrip(tmp_path):
     assert row["metric"] == "replay_bob_test"
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_rejected(soundness_config, capsys, threads):
+    assert main(["soundness", "--config", str(soundness_config),
+                 "--threads", threads]) == EXIT_BAD_CONFIG
+    assert "--threads must be >= 1" in capsys.readouterr().err
+
+
 def test_stdout_emission(soundness_config, capsys):
     assert main(["soundness", "--config", str(soundness_config),
                  "--threads", "1"]) == EXIT_OK

@@ -6,7 +6,9 @@ import math
 import pytest
 
 from wiretap_commit.channel import make_channel
+from wiretap_commit.cli import EXIT_BAD_CONFIG, main
 from wiretap_commit.errors import ConfigError, RateError
+from wiretap_commit.hashing import sample_hash
 from wiretap_commit.harness import (
     ExperimentConfig,
     ResultTable,
@@ -134,6 +136,12 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(soundness_doc(typo_field=1))
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        config = ExperimentConfig.from_dict(soundness_doc(threads=threads))
+        with pytest.raises(ConfigError):
+            config.validate()
+
     def test_validation_runs_module_preconditions(self):
         bad = soundness_doc()
         bad["params"]["beta2"] = binary_entropy(0.1)  # rate collapses to 0
@@ -253,3 +261,23 @@ class TestReplay:
         del doc["y"]
         with pytest.raises(ConfigError):
             run_replay(doc)
+
+    @pytest.mark.parametrize("field", ["params.beta1", "G.n", "G.l", "Ext.n", "Ext.l"])
+    def test_hash_dimensions_checked_against_params(self, field, tmp_path):
+        # the honest session has n=200, challenge_bits=10 and a commit_bits
+        # of its own; each edit breaks exactly one of the three equalities
+        doc = self.make_doc()
+        rng = make_rng(4)
+        l_ext = doc["Ext"]["l"]
+        if field == "params.beta1":
+            doc["params"]["beta1"] = 0.02  # challenge_bits 10 -> 4, G.l stays 10
+        else:
+            name, dim = field.split(".")
+            n, l = (200, 10) if name == "G" else (200, l_ext)
+            n, l = (n - 1, l) if dim == "n" else (n, l - 1)
+            doc[name] = sample_hash(rng, n, l).to_config()
+        with pytest.raises(ConfigError):
+            run_replay(doc)
+        path = tmp_path / "session.json"
+        path.write_text(json.dumps(doc))
+        assert main(["replay", "--config", str(path)]) == EXIT_BAD_CONFIG

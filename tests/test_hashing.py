@@ -131,6 +131,50 @@ class TestHashEvaluate:
                 assert int(table[i]) == hash_evaluate(h, BitVector.from_int(i, 6)).to_int()
 
 
+def matrix_eval(spec: HashSpec, x: BitVector) -> np.ndarray:
+    """Reference product (as_matrix() @ x) mod 2, in row blocks so the
+    int64 product stays small at n = 8000."""
+    m = spec.as_matrix()
+    xs = x.bits.astype(np.int64)
+    blocks = [(m[i : i + 512].astype(np.int64) @ xs) & 1 for i in range(0, len(m), 512)]
+    return np.concatenate(blocks).astype(np.uint8)
+
+
+GRID_SIZES = sorted({(n, l) for n in (1, 2, 63, 64, 65, 2000, 8000)
+                     for l in (1, n // 3, n) if l >= 1})
+PROTOCOL_SIZES = [(2000, 100), (2000, 737), (8000, 400), (8000, 2951)]
+
+
+class TestFFTProduct:
+    """hash_evaluate's FFT convolution against the matrix, bit for bit."""
+
+    @pytest.mark.parametrize("n,l", GRID_SIZES + PROTOCOL_SIZES)
+    def test_random_matches_matrix(self, n, l):
+        rng = make_rng(n * 10_007 + l)
+        for _ in range(2):
+            h = sample_hash(rng, n, l)
+            x = BitVector.random(rng, n)
+            assert np.array_equal(hash_evaluate(h, x).bits, matrix_eval(h, x))
+
+    @pytest.mark.parametrize("n,l", GRID_SIZES + PROTOCOL_SIZES)
+    def test_all_ones_matches_matrix(self, n, l):
+        # every count is n, the largest possible value and the hardest
+        # case for rounding the float result
+        h = HashSpec(n, l, BitVector(np.ones(n + l - 1, dtype=np.uint8)))
+        x = BitVector(np.ones(n, dtype=np.uint8))
+        out = hash_evaluate(h, x)
+        assert np.array_equal(out.bits, matrix_eval(h, x))
+        assert out == BitVector(np.full(l, n & 1, dtype=np.uint8))
+
+    @pytest.mark.parametrize("noise", [0.3, np.nan])
+    def test_inexact_transform_raises(self, monkeypatch, noise):
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + noise)
+        h = sample_hash(make_rng(13), 64, 21)
+        with pytest.raises(FloatingPointError):
+            hash_evaluate(h, BitVector.random(make_rng(14), 64))
+
+
 def exact_extractor_distance(n, l, subset):
     """SD of (seed, h(X)) from (seed, uniform), X uniform on subset.
 
