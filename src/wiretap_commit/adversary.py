@@ -11,9 +11,10 @@ Four measurements back the protocol's guarantees at desk scale:
                    oracle for the union-bound ceiling |A|^2 2^-l;
 * concealment    — exact statistical distance and mutual information
                    between the commit bit and a view (Bob's, Eve's, or
-                   their union), by full enumeration at tiny n, with a
-                   leftover-hash reference bound from the exact
-                   conditional min-entropy;
+                   their union) at tiny n, summed over the kernel coset
+                   of each challenge hash, with a leftover-hash
+                   reference bound from the exact conditional
+                   min-entropy;
 * concealment MC — a sampled lower bound on the same distance via the
                    advantage of a MAP distinguisher trained on an
                    independent sample, for sizes beyond enumeration.
@@ -357,12 +358,20 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
                       uniform_pad: bool = False) -> dict:
     """Exact leakage of the commit bit into each requested view.
 
-    Enumerates every word, noise pattern and hash seed, and reports per
-    view the statistical distance between the conditional view
-    distributions under c=0 and c=1 and the mutual information between
-    the commit bit and the view.  The reference bound on the distance
+    Reports per view the statistical distance between the conditional
+    view distributions under c=0 and c=1 and the mutual information
+    between the commit bit and the view, averaged exactly over x, the
+    noise and every G and Ext seed.  The reference bound on the distance
     is twice the leftover-hash bound at the exact conditional
     min-entropy of x given the view without the pad.
+
+    G and Ext are linear and the noise is additive, so no coset loop is
+    needed.  For one G, each non-empty coset {x : G(x) = gamma} is
+    x0 XOR ker G; moving from ker G to it shifts every channel output by
+    x0 and at most flips the sign of the pad difference (by Ext(x0)).
+    Both leave the SD term, the MI term and the maximum posterior
+    unchanged, so each G seed evaluates ker G alone and weights its SD
+    and MI terms by the number of non-empty cosets, 2^rank(G).
 
     With uniform_pad=True the pad is one-time-padded with a fresh
     uniform bit instead of the extractor output; every view then
@@ -406,28 +415,27 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
 
     for gs in range(g_seeds):
         values = g_hash[gs]
-        for gamma in range(1 << lg):
-            idx = np.nonzero(values == gamma)[0]
-            if idx.size == 0:
-                continue
-            sub_sign = sign[:, idx] * x_weight
-            for v in views:
-                k_sub = kernels[v][idx]
-                s_vec = k_sub.sum(axis=0) * x_weight
-                d_mat = sub_sign @ k_sub
-                sd_acc[v] += float(np.abs(d_mat).sum())
-                m0 = 0.5 * (s_vec[None, :] + d_mat)
-                m1 = 0.5 * (s_vec[None, :] - d_mat)
-                np.clip(m0, 0.0, None, out=m0)
-                np.clip(m1, 0.0, None, out=m1)
-                mi_acc[v] += _mi_term(m0, m1)
-                # worst-case posterior of x given the pad-free view
-                colsum = k_sub.sum(axis=0)
-                colmax = k_sub.max(axis=0)
-                pos = colsum > 0.0
-                if pos.any():
-                    ratio = float((colmax[pos] / colsum[pos]).max())
-                    max_posterior[v] = max(max_posterior[v], ratio)
+        # every non-empty coset {x : G(x) = gamma} adds what ker G adds
+        cosets = np.unique(values).size
+        idx = np.nonzero(values == 0)[0]
+        sub_sign = sign[:, idx] * x_weight
+        for v in views:
+            k_sub = kernels[v][idx]
+            colsum = k_sub.sum(axis=0)
+            d_mat = sub_sign @ k_sub
+            sd_acc[v] += cosets * float(np.abs(d_mat).sum())
+            s_vec = colsum * x_weight
+            m0 = 0.5 * (s_vec[None, :] + d_mat)
+            m1 = 0.5 * (s_vec[None, :] - d_mat)
+            np.clip(m0, 0.0, None, out=m0)
+            np.clip(m1, 0.0, None, out=m1)
+            mi_acc[v] += cosets * _mi_term(m0, m1)
+            # worst-case posterior of x given the pad-free view
+            colmax = k_sub.max(axis=0)
+            pos = colsum > 0.0
+            if pos.any():
+                ratio = float((colmax[pos] / colsum[pos]).max())
+                max_posterior[v] = max(max_posterior[v], ratio)
 
     reports = {}
     context = _report_context(params)

@@ -60,13 +60,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as e:
         raise WiretapCommitError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise WiretapCommitError(
             f"config parse error in {path} at line {e.lineno} column {e.colno}: {e.msg}"
         ) from e
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must be a JSON object, "
+                          f"not {type(doc).__name__}")
+    return doc
 
 
 def _emit(table, fmt: str, out_path):

@@ -24,7 +24,7 @@ from .adversary import (
     estimate_soundness,
 )
 from .bits import BitVector
-from .channel import channel_from_config, degradation_check, make_channel
+from .channel import degradation_check, make_channel
 from .errors import ConfigError
 from .measures import (
     CrossoverPair,
@@ -36,6 +36,7 @@ from .measures import (
 from .protocol import (
     bob_test,
     commit_phase,
+    config_field,
     params_from_config,
     session_from_config,
 )
@@ -205,20 +206,24 @@ class ExperimentConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+
+        def field(key, kind, default):
+            return config_field(doc, key, kind, "config", default)
+
         return cls(
             kind=kind,
-            seed=int(doc.get("seed", 0)),
-            trials=int(doc.get("trials", 1000)),
-            threads=int(doc.get("threads", 1)),
-            fmt=doc.get("format", "csv"),
-            out=doc.get("out"),
-            params=doc.get("params"),
-            channel=doc.get("channel"),
-            grid=doc.get("grid"),
-            mode=doc.get("mode", "alone"),
-            method=doc.get("method", "exact"),
-            views=tuple(doc.get("views", ("bob", "eve", "joint"))),
-            sweep=doc.get("sweep"),
+            seed=field("seed", int, 0),
+            trials=field("trials", int, 1000),
+            threads=field("threads", int, 1),
+            fmt=field("format", str, "csv"),
+            out=field("out", str, None),
+            params=field("params", dict, None),
+            channel=field("channel", dict, None),
+            grid=field("grid", dict, None),
+            mode=field("mode", str, "alone"),
+            method=field("method", str, "exact"),
+            views=tuple(field("views", list, ["bob", "eve", "joint"])),
+            sweep=field("sweep", dict, None),
         )
 
     def build_params(self):
@@ -226,15 +231,24 @@ class ExperimentConfig:
             raise ConfigError(f"experiment kind {self.kind!r} requires a params block")
         return params_from_config(self.params)
 
-    def build_channel(self, params=None):
-        cfg = dict(self.channel or {})
-        if params is not None:
-            cfg.setdefault("p", params.pq.p)
-            cfg.setdefault("q", params.pq.q)
-            cfg.setdefault("coupling", params.coupling)
-            if params.coupling_r is not None:
-                cfg.setdefault("r", params.coupling_r)
-        return channel_from_config(cfg)
+    def build_channel(self, params):
+        """The channel the params describe.
+
+        The params carry the whole channel (p, q, coupling, r).  A
+        channel block may repeat any of those fields, but a field that
+        differs from the params, or any other field, raises ConfigError.
+        """
+        own = {"p": params.pq.p, "q": params.pq.q,
+               "coupling": params.coupling, "r": params.coupling_r}
+        for key, value in (self.channel or {}).items():
+            if key not in own:
+                raise ConfigError(f"unknown channel field {key!r}; expected one of "
+                                  f"{sorted(own)}")
+            if value != own[key]:
+                raise ConfigError(f"channel.{key} = {value!r} conflicts with the "
+                                  f"params, which give {own[key]!r}")
+        return make_channel(params.pq.p, params.pq.q, params.coupling,
+                            r=params.coupling_r)
 
     def validate(self):
         """Run all parameter preconditions without simulating."""
@@ -244,12 +258,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.kind == "capacity-grid":
             _grid_axes(self.grid)
         elif self.kind == "sweep":
             if not self.sweep or "experiment" not in self.sweep:
                 raise ConfigError("sweep requires a sweep block with an inner experiment")
-            _sweep_spec(self.sweep)
+            for _, sub in _sweep_points(self)[1]:
+                sub.validate()
         else:
             if self.trials < 1:
                 raise ConfigError("trials must be >= 1")
@@ -276,12 +293,9 @@ class ExperimentConfig:
 def _grid_axes(grid):
     if not grid:
         raise ConfigError("capacity-grid requires a grid block")
-    try:
-        p_lo, p_hi = float(grid["p_min"]), float(grid["p_max"])
-        q_lo, q_hi = float(grid["q_min"]), float(grid["q_max"])
-        steps = int(grid["steps"])
-    except KeyError as e:
-        raise ConfigError(f"grid block missing {e}") from None
+    p_lo, p_hi, q_lo, q_hi = (config_field(grid, key, float, "grid")
+                              for key in ("p_min", "p_max", "q_min", "q_max"))
+    steps = config_field(grid, "steps", int, "grid")
     for v in (p_lo, p_hi, q_lo, q_hi):
         if not 0.0 < v < 0.5:
             raise ConfigError(f"grid bounds must lie inside (0, 1/2), got {v}")
@@ -409,12 +423,15 @@ def _set_dotted(doc: dict, path: str, value):
     node = doc
     for k in keys[:-1]:
         node = node.setdefault(k, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"sweep.variable {path!r} runs through a non-object field")
     node[keys[-1]] = value
 
 
-def _run_sweep(config: ExperimentConfig) -> ResultTable:
+def _sweep_points(config: ExperimentConfig):
+    """The sweep variable and one (value, inner config) pair per point."""
     variable, values, inner = _sweep_spec(config.sweep)
-    table = None
+    points = []
     for v in values:
         doc = json.loads(json.dumps(inner))  # deep copy
         doc.setdefault("version", CONFIG_VERSION)
@@ -422,7 +439,14 @@ def _run_sweep(config: ExperimentConfig) -> ResultTable:
         doc.setdefault("trials", config.trials)
         doc.setdefault("threads", config.threads)
         _set_dotted(doc, variable, v)
-        sub = ExperimentConfig.from_dict(doc)
+        points.append((v, ExperimentConfig.from_dict(doc)))
+    return variable, points
+
+
+def _run_sweep(config: ExperimentConfig) -> ResultTable:
+    variable, points = _sweep_points(config)
+    table = None
+    for v, sub in points:
         sub_table = run_experiment(sub)
         if table is None:
             table = ResultTable(

@@ -14,8 +14,11 @@ crossover p and Eve crossover q:
 * one-private capacity  min{H(p), H(q)}
 * two-private capacity  H(p) + H(q) - H(p*q)   (binary convolution)
 
-and the corresponding converse rate bounds max_{P_X} H(X|Y) /
-max_{P_X} H(X|Y,Z) computed from one-shot joint distributions.
+and the corresponding converse rate bounds max_{P_X} H(X|Y) and
+max_{P_X} H(X|Y,Z).  Both are closed forms, not searches: the noise is
+additive, so the conditional entropy of the input given the outputs is
+concave and symmetric in the input bias and peaks at P_X(1) = 1/2,
+where the two-private bound is H(N_B, N_E) - h(p + q - 2r).
 """
 
 from __future__ import annotations
@@ -29,9 +32,6 @@ import numpy as np
 from .errors import CoordinateError, DomainError, OutcomeSpaceError
 
 PROB_TOL = 1e-12
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 def binary_entropy(p: float) -> float:
     """H(p) = -p log2 p - (1-p) log2(1-p), in bits."""
@@ -276,58 +276,23 @@ class RateBound(NamedTuple):
     input_bias: float  # argmax P_X(1)
 
 
-def _cond_entropy_xyz(noise_pmf: np.ndarray, t):
-    """H(X|Y,Z) for input bias t and 4-vector noise pmf over (N_B,N_E).
-
-    Vectorized in t.  For outputs (y,z) the two joint cells are
-    (1-t) * pi(y, z) for x=0 and t * pi(1^y, 1^z) for x=1.
-    """
-    t = np.asarray(t, dtype=float)
-    pi = noise_pmf.reshape(2, 2)
-    total = np.zeros_like(t)
-    for y in (0, 1):
-        for z in (0, 1):
-            a = (1.0 - t) * pi[y, z]
-            b = t * pi[1 - y, 1 - z]
-            s = a + b
-            with np.errstate(divide="ignore", invalid="ignore"):
-                term = np.where(a > 0, -a * np.log2(np.where(a > 0, a, 1.0) / np.where(s > 0, s, 1.0)), 0.0)
-                term = term + np.where(b > 0, -b * np.log2(np.where(b > 0, b, 1.0) / np.where(s > 0, s, 1.0)), 0.0)
-            total = total + term
-    return total
-
-
 def rate_bound_two_private(channel) -> RateBound:
     """Converse rate bound under 2-privacy: max over P_X of H(X|Y,Z).
 
-    The exact one-shot joint is evaluated on a uniform 1001-point grid
-    of P_X(1) and refined by golden-section search around the best grid
-    point (the objective is concave in the input bias).
+    The noise is additive, so for input bias t = P_X(1)
+
+        H(X|Y,Z) = H(X,Y,Z) - H(Y,Z) = h(t) + H(N_B,N_E) - H(Y,Z).
+
+    It is concave in t (conditional entropy of the input is concave in
+    the input law) and symmetric under t <-> 1-t (complementing x, y and
+    z maps one law onto the other), so the maximum is at t = 1/2.  There
+    Y XOR Z = N_B XOR N_E is independent of Y and has crossover
+    p + q - 2r, so H(Y,Z) = 1 + h(p + q - 2r) and
+
+        max H(X|Y,Z) = H(N_B,N_E) - h(p + q - 2r),
+
+    with H(N_B,N_E) summed over the non-zero cells of the noise pmf.
     """
-    noise = np.asarray(channel.noise_pair_pmf(), dtype=float)
-
-    def f(t):
-        return float(_cond_entropy_xyz(noise, t))
-
-    grid = np.linspace(0.0, 1.0, 1001)
-    values = _cond_entropy_xyz(noise, grid)
-    k = int(np.argmax(values))
-    lo = grid[max(k - 1, 0)]
-    hi = grid[min(k + 1, len(grid) - 1)]
-
-    # Golden-section search for the maximum on [lo, hi].
-    a, b = lo, hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > 1e-12:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    t_star = 0.5 * (a + b)
-    return RateBound(value=f(t_star), input_bias=t_star)
+    noise_entropy = sum(-w * math.log2(w) for w in channel.noise_pair_pmf() if w > 0.0)
+    xor_flip = channel.p + channel.q - 2.0 * channel.r
+    return RateBound(value=noise_entropy - binary_entropy(xor_flip), input_bias=0.5)

@@ -281,17 +281,72 @@ def honest_run(params: ProtocolParams, channel: WiretapChannel,
     return result.accepted, session
 
 
+_REQUIRED = object()
+
+# JSON type accepted for each config value type; bool is not a number here
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false",
+               str: "a string", dict: "an object", list: "a list"}
+
+
+def config_field(block: dict, key: str, kind: type, where: str, default=_REQUIRED):
+    """block[key], checked to be a JSON value of the given type.
+
+    A missing key returns default, or raises ConfigError when there is
+    none; so does a value of another type.  Where the default is None an
+    explicit null counts as missing.  Integers count as numbers (and come
+    back as floats), booleans count as neither.
+    """
+    if key not in block or (default is None and block[key] is None):
+        if default is _REQUIRED:
+            raise ConfigError(f"{where} is missing {key!r}")
+        return default
+    value = block[key]
+    if kind is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif kind is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    else:
+        ok = isinstance(value, kind)
+    if not ok:
+        raise ConfigError(f"{where}.{key} must be {_JSON_TYPES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
+_PARAM_FIELDS = {
+    "n", "p", "q", "privacy", "alpha1", "beta1", "beta2", "rate",
+    "commit_bits", "challenge_bits", "coupling", "r", "achievable",
+}
+
+
 def params_from_config(cfg: dict) -> ProtocolParams:
-    """Inverse of ProtocolParams.to_config."""
-    pq = CrossoverPair(cfg["p"], cfg["q"])
+    """Inverse of ProtocolParams.to_config.
+
+    Raises ConfigError for a block that is not an object, has a field
+    ProtocolParams.to_config never writes, lacks a field the params
+    need, or has a field of the wrong JSON type.  `rate`, and the slacks
+    of explicit params, are outputs and are not read.
+    """
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"params must be an object, got {cfg!r}")
+    unknown = set(cfg) - _PARAM_FIELDS
+    if unknown:
+        raise ConfigError(f"unknown params fields: {sorted(unknown)}")
+
+    def field(key, kind, default=_REQUIRED):
+        return config_field(cfg, key, kind, "params", default)
+
+    pq = CrossoverPair(field("p", float), field("q", float))
     common = dict(
-        n=int(cfg["n"]), pq=pq, privacy=cfg["privacy"], alpha1=cfg["alpha1"],
-        coupling=cfg.get("coupling", "independent"), coupling_r=cfg.get("r"),
+        n=field("n", int), pq=pq, privacy=field("privacy", str),
+        alpha1=field("alpha1", float),
+        coupling=field("coupling", str, "independent"),
+        coupling_r=field("r", float, None),
     )
-    if cfg.get("achievable", True):
-        return derive_params(beta1=cfg["beta1"], beta2=cfg["beta2"], **common)
-    return explicit_params(challenge_bits=int(cfg["challenge_bits"]),
-                           commit_bits=int(cfg["commit_bits"]), **common)
+    if field("achievable", bool, True):
+        return derive_params(beta1=field("beta1", float), beta2=field("beta2", float),
+                             **common)
+    return explicit_params(challenge_bits=field("challenge_bits", int),
+                           commit_bits=field("commit_bits", int), **common)
 
 
 def session_to_config(session: SessionState, params: ProtocolParams,
@@ -330,6 +385,9 @@ def session_from_config(doc: dict):
     match the params (G: n -> challenge_bits, Ext: n -> commit_bits), or
     ConfigError is raised.
     """
+    missing = {"params", "G", "g_bar", "Ext", "Q"} - set(doc)
+    if missing:
+        raise ConfigError(f"session document is missing {sorted(missing)}")
     params = params_from_config(doc["params"])
     challenge = HashSpec.from_config(doc["G"])
     extractor = HashSpec.from_config(doc["Ext"])

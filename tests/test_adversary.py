@@ -10,6 +10,10 @@ import numpy as np
 import pytest
 
 from wiretap_commit.adversary import (
+    VIEWS,
+    _bsc_kernel,
+    _mi_term,
+    _pair_kernel,
     _soundness_worker,
     binding_attack,
     concealment_exact,
@@ -21,7 +25,7 @@ from wiretap_commit.adversary import (
 from wiretap_commit.bits import BitVector
 from wiretap_commit.channel import make_channel
 from wiretap_commit.errors import DomainError, ScaleError
-from wiretap_commit.hashing import HashSpec, hash_evaluate
+from wiretap_commit.hashing import HashSpec, hash_all_inputs, hash_evaluate, lhl_bound
 from wiretap_commit.measures import CrossoverPair
 from wiretap_commit.protocol import (
     RevealClaim,
@@ -297,6 +301,53 @@ def dict_mi(d0, d1):
     return total
 
 
+def _all_seed_hashes(n: int, l: int) -> np.ndarray:
+    """Row s: the (n -> l) Toeplitz hash with seed s, on every word."""
+    return np.array([hash_all_inputs(HashSpec(n, l, BitVector.from_int(s, n + l - 1)))
+                     for s in range(1 << (n + l - 1))])
+
+
+def _reference_concealment_exact(params, channel, uniform_pad=False):
+    """The exact-concealment kernel with the full loop over every coset
+    {x : G(x) = gamma} of every G seed.  Returns view -> (sd, mi, bound)."""
+    n, lg = params.n, params.challenge_bits
+    g_hash = _all_seed_hashes(n, lg)
+    e_bit = _all_seed_hashes(n, 1).astype(np.float64)
+    sign = np.zeros_like(e_bit) if uniform_pad else 1.0 - 2.0 * e_bit
+    kernels = {
+        "bob": _bsc_kernel(n, params.pq.p),
+        "eve": _bsc_kernel(n, params.pq.q),
+        "joint": _pair_kernel(n, channel.noise_pair_pmf()),
+    }
+    x_weight = 1.0 / (1 << n)
+    seed_weight = 1.0 / (g_hash.shape[0] * e_bit.shape[0])
+    out = {}
+    for v, kernel in kernels.items():
+        sd_acc = mi_acc = max_posterior = 0.0
+        for values in g_hash:
+            for gamma in range(1 << lg):
+                idx = np.nonzero(values == gamma)[0]
+                if idx.size == 0:
+                    continue
+                sub_sign = sign[:, idx] * x_weight
+                k_sub = kernel[idx]
+                s_vec = k_sub.sum(axis=0) * x_weight
+                d_mat = sub_sign @ k_sub
+                sd_acc += float(np.abs(d_mat).sum())
+                m0 = np.clip(0.5 * (s_vec[None, :] + d_mat), 0.0, None)
+                m1 = np.clip(0.5 * (s_vec[None, :] - d_mat), 0.0, None)
+                mi_acc += _mi_term(m0, m1)
+                colsum = k_sub.sum(axis=0)
+                pos = colsum > 0.0
+                if pos.any():
+                    ratio = float((k_sub.max(axis=0)[pos] / colsum[pos]).max())
+                    max_posterior = max(max_posterior, ratio)
+        k_hat = -math.log2(max_posterior) if max_posterior > 0 else math.inf
+        bound = min(1.0, 2.0 * lhl_bound(k_hat, 1))
+        out[v] = (seed_weight * sd_acc, seed_weight * mi_acc, bound)
+    return out
+
+
 class TestConcealmentExact:
     @pytest.mark.parametrize("coupling,r", [
         ("independent", None),
@@ -315,6 +366,35 @@ class TestConcealmentExact:
             mi = dict_mi(oracle[v][0], oracle[v][1])
             assert reports[f"sd_{v}"].estimate == pytest.approx(sd, abs=1e-12)
             assert reports[f"mi_{v}"].estimate == pytest.approx(mi, abs=1e-12)
+
+    @pytest.mark.parametrize("uniform_pad", [False, True])
+    @pytest.mark.parametrize("coupling,r", [
+        ("independent", None),
+        ("degraded", None),
+        ("custom", 0.05),
+    ])
+    @pytest.mark.parametrize("n,lg", [(n, lg) for n in (3, 4, 5) for lg in (1, 2, 3)])
+    def test_kernel_coset_matches_coset_loop(self, n, lg, coupling, r, uniform_pad):
+        p, q = 0.2, 0.3
+        params = explicit_params(n, CrossoverPair(p, q), "one", alpha1=0.3,
+                                 challenge_bits=lg, commit_bits=1,
+                                 coupling=coupling, coupling_r=r)
+        channel = make_channel(p, q, coupling, r=r)
+        reports = concealment_exact(params, channel, uniform_pad=uniform_pad)
+        reference = _reference_concealment_exact(params, channel, uniform_pad)
+        for v in VIEWS:
+            sd, mi, bound = reference[v]
+            assert abs(reports[f"sd_{v}"].estimate - sd) <= 1e-12
+            assert abs(reports[f"mi_{v}"].estimate - mi) <= 1e-12
+            assert abs(reports[f"sd_{v}"].reference_bound - bound) <= 1e-12
+
+    def test_coset_counts_vary_across_challenge_seeds(self):
+        # the weight must be per seed: seed 0 is the zero map (one coset),
+        # and some non-zero seeds are rank-deficient
+        n, lg = 4, 3
+        cosets = [np.unique(values).size for values in _all_seed_hashes(n, lg)]
+        assert cosets[0] == 1
+        assert {1, 2, 4, 8} <= set(cosets)
 
     def test_uniform_pad_leaks_nothing(self):
         params = explicit_params(4, CrossoverPair(0.25, 0.25), "two", alpha1=0.2,

@@ -146,3 +146,46 @@ def test_config_out_path_used_when_flag_absent(tmp_path):
     }))
     assert main(["soundness", "--config", str(cfg), "--threads", "1"]) == EXIT_OK
     assert out.exists()
+
+
+def _soundness_doc(**changes):
+    doc = {
+        "version": 1, "kind": "soundness", "seed": 3, "trials": 20,
+        "params": {"n": 200, "p": 0.1, "q": 0.2, "privacy": "one",
+                   "alpha1": 0.05, "beta1": 0.05, "beta2": 0.1},
+    }
+    doc.update(changes)
+    return doc
+
+
+def _without(block: dict, key: str) -> dict:
+    return {k: v for k, v in block.items() if k != key}
+
+
+_PARAMS = _soundness_doc()["params"]
+
+
+@pytest.mark.parametrize("doc,message", [
+    (_soundness_doc(seed=-1), "seed must be >= 0"),
+    (_soundness_doc(params=_without(_PARAMS, "q")), "missing 'q'"),
+    (_soundness_doc(params=dict(_PARAMS, p="0.1")), "params.p must be a number"),
+    ([_soundness_doc()], "must be a JSON object"),
+    (_soundness_doc(params=dict(_without(_PARAMS, "beta1"), achievable=False,
+                                commit_bits=1)), "missing 'challenge_bits'"),
+    (_soundness_doc(trials=10.5), "config.trials must be an integer"),
+], ids=["negative-seed", "missing-q", "string-p", "top-level-array",
+        "explicit-without-challenge-bits", "fractional-trials"])
+def test_malformed_config_is_a_config_error(tmp_path, capsys, doc, message):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["soundness", "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_conflicting_channel_block_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "conflict.json"
+    cfg.write_text(json.dumps(_soundness_doc(
+        channel={"p": 0.3, "coupling": "custom", "r": 0.05})))
+    assert main(["soundness", "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
+    assert "conflicts with the params" in capsys.readouterr().err

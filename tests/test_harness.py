@@ -142,6 +142,52 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             config.validate()
 
+    @pytest.mark.parametrize("channel", [
+        {"p": 0.3},
+        {"q": 0.2},
+        {"coupling": "custom", "r": 0.05},
+        {"r": 0.01},
+        {"theta": 0.1},
+    ])
+    def test_conflicting_channel_block_rejected(self, channel):
+        config = ExperimentConfig.from_dict(soundness_doc(channel=channel))
+        with pytest.raises(ConfigError):
+            config.validate()
+
+    @pytest.mark.parametrize("channel,coupling", [
+        (None, {}),
+        ({"coupling": "independent"}, {}),
+        ({"p": 0.1, "q": 0.1, "coupling": "independent"}, {}),
+        ({"coupling": "custom", "r": 0.05}, {"coupling": "custom", "r": 0.05}),
+    ])
+    def test_agreeing_channel_block_accepted(self, channel, coupling):
+        doc = soundness_doc(channel=channel)
+        doc["params"].update(coupling)
+        config = ExperimentConfig.from_dict(doc).validate()
+        built = config.build_channel(config.build_params())
+        assert (built.p, built.q) == (0.1, 0.1)
+        assert built.coupling == coupling.get("coupling", "independent")
+        assert built.r == pytest.approx(coupling.get("r", 0.01), abs=1e-15)
+
+    def test_sweep_points_validated_before_work(self):
+        inner = soundness_doc(channel={"p": 0.1})
+        config = ExperimentConfig.from_dict({
+            "version": 1, "kind": "sweep", "trials": 10 ** 9,
+            "sweep": {"variable": "params.p", "values": [0.1, 0.2],
+                      "experiment": inner},
+        })
+        with pytest.raises(ConfigError, match="conflicts"):
+            config.validate()  # the second point conflicts; nothing has run
+
+    def test_sweep_variable_through_a_value_rejected(self):
+        config = ExperimentConfig.from_dict({
+            "version": 1, "kind": "sweep",
+            "sweep": {"variable": "params.n.bits", "values": [4],
+                      "experiment": soundness_doc()},
+        })
+        with pytest.raises(ConfigError, match="non-object"):
+            config.validate()
+
     def test_validation_runs_module_preconditions(self):
         bad = soundness_doc()
         bad["params"]["beta2"] = binary_entropy(0.1)  # rate collapses to 0

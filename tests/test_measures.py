@@ -5,6 +5,8 @@ the defining formulas (entropy sums, binary convolution) and frozen
 here; the implementation must agree to near machine precision.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,97 @@ class TestRateBounds:
             0.0, abs=1e-12)
         assert conditional_entropy(one_shot_joint(ch, 1.0), (0,), (1, 2)) == pytest.approx(
             0.0, abs=1e-12)
+
+
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _cond_entropy_xyz(noise_pmf: np.ndarray, t):
+    """H(X|Y,Z) for input bias t and 4-vector noise pmf over (N_B,N_E).
+
+    Vectorized in t.  For outputs (y,z) the two joint cells are
+    (1-t) * pi(y, z) for x=0 and t * pi(1^y, 1^z) for x=1.
+    """
+    t = np.asarray(t, dtype=float)
+    pi = noise_pmf.reshape(2, 2)
+    total = np.zeros_like(t)
+    for y in (0, 1):
+        for z in (0, 1):
+            a = (1.0 - t) * pi[y, z]
+            b = t * pi[1 - y, 1 - z]
+            s = a + b
+            with np.errstate(divide="ignore", invalid="ignore"):
+                term = np.where(a > 0, -a * np.log2(np.where(a > 0, a, 1.0) / np.where(s > 0, s, 1.0)), 0.0)
+                term = term + np.where(b > 0, -b * np.log2(np.where(b > 0, b, 1.0) / np.where(s > 0, s, 1.0)), 0.0)
+            total = total + term
+    return total
+
+
+def _reference_rate_bound_two_private(channel):
+    """max over P_X of H(X|Y,Z) by search: a uniform 1001-point grid of
+    P_X(1), refined by golden-section search around the best grid point.
+    Returns (value, argmax)."""
+    noise = np.asarray(channel.noise_pair_pmf(), dtype=float)
+
+    def f(t):
+        return float(_cond_entropy_xyz(noise, t))
+
+    grid = np.linspace(0.0, 1.0, 1001)
+    k = int(np.argmax(_cond_entropy_xyz(noise, grid)))
+    a = grid[max(k - 1, 0)]
+    b = grid[min(k + 1, len(grid) - 1)]
+    c = b - _INV_PHI * (b - a)
+    d = a + _INV_PHI * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > 1e-12:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INV_PHI * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INV_PHI * (b - a)
+            fd = f(d)
+    t_star = 0.5 * (a + b)
+    return f(t_star), t_star
+
+
+def _converse_channels(family):
+    """400 independent, 64 degraded and 98 custom channels (562 in all)."""
+    if family == "independent":
+        axis = np.linspace(0.05, 0.45, 20)
+        return [make_channel(float(p), float(q)) for p in axis for q in axis]
+    if family == "degraded":
+        return [make_channel(float(p), binary_convolution(float(p), float(theta)), "degraded")
+                for p in np.linspace(0.02, 0.4, 8)
+                for theta in np.linspace(0.01, 0.45, 8)]
+    # custom r at both Frechet ends: r = 0 and r = min(p, q) leave zero
+    # cells in the noise pmf (two of them when p == q)
+    axis = np.linspace(0.05, 0.45, 7)
+    return [make_channel(float(p), float(q), "custom", r=r)
+            for p in axis for q in axis
+            for r in (0.0, float(min(p, q)))]
+
+
+class TestClosedFormConverse:
+    """rate_bound_two_private is a closed form; the search it replaced
+    stays here as the reference."""
+
+    @pytest.mark.parametrize("family", ["independent", "degraded", "custom"])
+    def test_matches_search(self, family):
+        for ch in _converse_channels(family):
+            value, t_star = _reference_rate_bound_two_private(ch)
+            rb = rate_bound_two_private(ch)
+            assert abs(rb.value - value) <= 1e-12, (ch, rb.value, value)
+            assert rb.input_bias == 0.5
+            assert abs(t_star - 0.5) < 1e-6, (ch, t_star)
+
+    def test_frechet_ends_have_zero_noise_cells(self):
+        ends = _converse_channels("custom")
+        assert len(ends) == 98
+        assert all(0.0 in ch.noise_pair_pmf() for ch in ends)
+        assert len(_converse_channels("independent")) + len(
+            _converse_channels("degraded")) + len(ends) >= 500
 
 
 def bsc_joint(p: float, px1: float = 0.5) -> Pmf:
