@@ -33,10 +33,10 @@ import numpy as np
 
 from .bits import BitVector
 from .channel import make_channel
-from .errors import DomainError, ScaleError
-from .hashing import HashSpec, hash_all_inputs, hash_evaluate, lhl_bound
+from .errors import DimensionError, DomainError, ScaleError
+from .hashing import HashSpec, _packed_table, hash_all_inputs, lhl_bound
 from .parallel import map_trials
-from .protocol import ProtocolParams, SessionState, commit_phase
+from .protocol import ProtocolParams, SessionState, _check_channel, _commit_draws
 from .rng import make_rng, trial_seeds
 
 ENUM_LIMIT = 20          # exhaustive search over {0,1}^n
@@ -115,18 +115,19 @@ def _soundness_worker(payload, seeds) -> np.ndarray:
 
     For an honest reveal the hash and pad conditions hold identically,
     so a trial rejects exactly when the Bob-side flip count leaves the
-    distance band.  The flip count is read off the same channel
-    sub-stream a full honest_run would consume, so indicators match
-    full protocol runs trial for trial.
+    distance band.  The flip count is read off the channel stream of
+    trial i, seeds.child(i, 2) = SeedSequence(seed, spawn_key=(i, 2)),
+    which is make_rng(seeds[i]).spawn(3)[2], the stream a full
+    honest_run on trial seed i hands to the channel.  So indicators
+    match full protocol runs trial for trial, and a trial builds one
+    Philox generator instead of four.
     """
     n, p, alpha1 = payload
     lo, hi = n * (p - alpha1), n * (p + alpha1)
     out = np.empty(len(seeds), dtype=np.uint8)
-    for i, s in enumerate(seeds):
-        session_rng = make_rng(s)
-        _alice, _bob, channel_rng = session_rng.spawn(3)
-        u = channel_rng.random((n, 2))
-        d = int((u[:, 0] < p).sum())
+    for i in range(len(seeds)):
+        u = make_rng(seeds.child(i, 2)).random((n, 2))
+        d = np.count_nonzero(u[:, 0] < p)
         out[i] = 0 if lo <= d <= hi else 1
     return out
 
@@ -211,6 +212,8 @@ def _binding_worker(payload, seeds) -> np.ndarray:
     attacker knows: nothing beyond x when alone, Eve's flips as well
     when colluding.  The same uniforms drive both modes, so couplings
     with independent noise produce identical draws in either mode.
+    Only words with the committed hash value can be members, so the
+    band test runs over those candidates, found once per call.
     """
     (n, p, q, r, alpha1, x_int, ne_bits, hashes, target, ext_all, thresh_mode) = payload
     lo, hi = n * (p - alpha1), n * (p + alpha1)
@@ -220,19 +223,18 @@ def _binding_worker(payload, seeds) -> np.ndarray:
         cond1 = r / q              # P(N_B=1 | N_E=1)
         cond0 = (p - r) / (1.0 - q)  # P(N_B=1 | N_E=0)
         thresh = np.where(ne_bits == 1, cond1, cond0)
-    hash_match = hashes == target
+    candidates = np.flatnonzero(hashes == target).astype(np.uint32)
+    candidate_ext = ext_all[candidates]
     weights = (1 << np.arange(n - 1, -1, -1)).astype(np.uint64)
-    all_words = np.arange(1 << n, dtype=np.uint32)
     out = np.empty((len(seeds), 2), dtype=np.int64)
-    for i, s in enumerate(seeds):
-        rng = make_rng(s)
-        nb = (rng.random(n) < thresh).astype(np.uint64)
+    for i in range(len(seeds)):
+        nb = (make_rng(seeds[i]).random(n) < thresh).astype(np.uint64)
         y_int = np.uint32(x_int) ^ np.uint32((nb * weights).sum())
-        d = np.bitwise_count(all_words ^ y_int)
-        members = np.nonzero(hash_match & (d >= lo) & (d <= hi))[0]
-        distinct = np.unique(ext_all[members]).size
-        out[i, 0] = 1 if distinct >= 2 else 0
-        out[i, 1] = members.size
+        d = np.bitwise_count(candidates ^ y_int)
+        member_ext = candidate_ext[(d >= lo) & (d <= hi)]
+        # two members with distinct extractor outputs make two claims
+        out[i, 0] = 1 if (member_ext != member_ext[:1]).any() else 0
+        out[i, 1] = member_ext.size
     return out
 
 
@@ -460,56 +462,52 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
 # concealment, Monte Carlo
 
 
-def _map_guess(n, hashes, target, anchors, weights, hide_challenge):
-    """Most plausible x: hash-consistent, closest to the anchors.
-
-    anchors is a list of (word_int, per_bit_weight); the candidate
-    minimizing the weighted sum of Hamming distances wins, ties to the
-    lowest encoding.
-    """
-    words = np.arange(1 << n, dtype=np.uint32)
-    cost = np.zeros(1 << n, dtype=np.float64)
-    for anchor, w in zip(anchors, weights):
-        cost += w * np.bitwise_count(words ^ np.uint32(anchor))
-    if not hide_challenge:
-        cost[hashes != target] = np.inf
-    return int(np.argmin(cost))
-
-
 def _concealment_mc_worker(payload, seeds) -> np.ndarray:
+    """Per-trial (c, distinguisher statistic) on raw arrays.
+
+    Trial i draws c (and, with uniform_pad, the pad's key) from its own
+    stream and the commit phase from that stream's children through
+    protocol._commit_draws, so it consumes exactly what commit_phase
+    would.  Words are big-endian integers.  The MAP guess is the
+    candidate closest to the view's anchors in weighted Hamming
+    distance, ties to the lowest encoding; unless the challenge is
+    hidden the candidates are the words sharing x's value in the packed
+    table of G.  The extractor has one output bit, the parity of the
+    word ANDed with the extractor seed read little-endian.
+    """
     params, channel, view, uniform_pad, hide_challenge = payload
     n = params.n
     wp = math.log2((1.0 - params.pq.p) / params.pq.p)
     wq = math.log2((1.0 - params.pq.q) / params.pq.q)
+    big_endian = 1 << np.arange(n - 1, -1, -1, dtype=np.uint64)
+    all_words = np.arange(1 << n, dtype=np.uint32) if hide_challenge else None
     out = np.empty((len(seeds), 2), dtype=np.uint8)
-    for i, s in enumerate(seeds):
-        rng = make_rng(s)
-        c = BitVector.random(rng, 1)
-        session = commit_phase(params, c, channel, rng)
-        t = session.transcript
-        pad_bit = t.pad[0]
+    for i in range(len(seeds)):
+        rng = make_rng(seeds[i])
+        c = int(rng.integers(0, 2, size=1, dtype=np.uint8)[0])
+        x, nb, ne, g_seed, e_seed = _commit_draws(params, channel, rng)
+        x_int = int(x @ big_endian)
+        ext_mask = int(e_seed @ big_endian[::-1])
+        pad_bit = c ^ ((x_int & ext_mask).bit_count() & 1)
         if uniform_pad:
-            pad_bit = c[0] ^ int(rng.integers(0, 2))
-        if view == "bob":
-            anchor_list = [session.bob_view.y.to_int()]
-            w_list = [wp]
-        elif view == "eve":
-            anchor_list = [session.eve_view.z.to_int()]
-            w_list = [wq]
+            pad_bit = c ^ int(rng.integers(0, 2))
+        if hide_challenge:
+            candidates = all_words
         else:
-            anchor_list = [session.bob_view.y.to_int(), session.eve_view.z.to_int()]
-            w_list = [wp, wq]
-        hashes = None
-        target = None
-        if not hide_challenge:
-            hashes = hash_all_inputs(t.challenge)
-            target = np.uint32(t.challenge_value.to_int())
-        x_hat = _map_guess(n, hashes, target, anchor_list, w_list, hide_challenge)
-        ext_bit = hash_evaluate(
-            t.extractor, BitVector.from_int(x_hat, n)
-        )[0]
-        out[i, 0] = c[0]
-        out[i, 1] = pad_bit ^ ext_bit
+            table = _packed_table(g_seed, n, params.challenge_bits)
+            candidates = np.flatnonzero(table == table[x_int])
+        y_int = x_int ^ int(nb @ big_endian)
+        z_int = x_int ^ int(ne @ big_endian)
+        if view == "bob":
+            cost = wp * np.bitwise_count(candidates ^ y_int)
+        elif view == "eve":
+            cost = wq * np.bitwise_count(candidates ^ z_int)
+        else:
+            cost = (wp * np.bitwise_count(candidates ^ y_int)
+                    + wq * np.bitwise_count(candidates ^ z_int))
+        x_hat = int(candidates[np.argmin(cost)])
+        out[i, 0] = c
+        out[i, 1] = pad_bit ^ ((x_hat & ext_mask).bit_count() & 1)
     return out
 
 
@@ -547,6 +545,10 @@ def concealment_monte_carlo(params: ProtocolParams, channel, trials: int,
             f"hash-aware guessing needs n <= {ENUM_LIMIT}; "
             "pass hide_challenge=True beyond that"
         )
+    if params.challenge_bits > params.n:
+        raise DimensionError(f"need 1 <= l <= n, got n={params.n}, "
+                             f"l={params.challenge_bits}")
+    _check_channel(params, channel)
     payload = (params, channel, view, uniform_pad, hide_challenge)
     samples = map_trials(_concealment_mc_worker, payload,
                          trial_seeds(seed, 2 * trials), threads)

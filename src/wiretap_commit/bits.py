@@ -12,7 +12,7 @@ import operator
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 
 class BitVector:
@@ -51,8 +51,12 @@ class BitVector:
 
     @classmethod
     def from_hex(cls, hexstr: str, n: int) -> "BitVector":
-        """Inverse of to_hex; rejects nonzero padding bits."""
-        data = bytes.fromhex(hexstr)
+        """Inverse of to_hex; rejects a string that is not hex (ConfigError)
+        and nonzero padding bits."""
+        try:
+            data = bytes.fromhex(hexstr)
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"not a hex string: {hexstr!r}") from e
         if len(data) != (n + 7) // 8:
             raise DimensionError(f"hex length {len(data)} bytes does not match {n} bits")
         bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8))

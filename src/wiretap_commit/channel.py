@@ -42,12 +42,6 @@ class WiretapChannel:
         p, q, r = self.p, self.q, self.r
         return (1.0 - p - q + r, q - r, p - r, r)
 
-    def to_config(self) -> dict:
-        cfg = {"p": self.p, "q": self.q, "coupling": self.coupling}
-        if self.coupling == "custom":
-            cfg["r"] = self.r
-        return cfg
-
 
 def make_channel(p: float, q: float, coupling: str = "independent",
                  r: Optional[float] = None) -> WiretapChannel:
@@ -78,12 +72,6 @@ def make_channel(p: float, q: float, coupling: str = "independent",
             )
         return WiretapChannel(p=p, q=q, coupling="custom", r=float(min(max(r, lo), hi)))
     raise CouplingError(f"unknown coupling {coupling!r}; expected one of {COUPLINGS}")
-
-
-def channel_from_config(cfg: dict) -> WiretapChannel:
-    """Inverse of WiretapChannel.to_config."""
-    return make_channel(cfg["p"], cfg["q"], cfg.get("coupling", "independent"),
-                        r=cfg.get("r"))
 
 
 def _noise_pair(ch: WiretapChannel, n: int, rng: np.random.Generator):

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .bits import BitVector
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,17 @@ class HashSpec:
         }
 
     @classmethod
-    def from_config(cls, cfg: dict) -> "HashSpec":
-        n, l = int(cfg["n"]), int(cfg["l"])
-        return cls(n, l, BitVector.from_hex(cfg["seed"], n + l - 1))
+    def from_config(cls, cfg: dict, where: str = "hash") -> "HashSpec":
+        """Inverse of to_config; ConfigError names a missing or mistyped
+        field of the block `where`, or a seed that is not hex."""
+        from .protocol import config_field  # protocol imports this module
+
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"{where} must be an object, got {cfg!r}")
+        n = config_field(cfg, "n", int, where)
+        l = config_field(cfg, "l", int, where)
+        seed = config_field(cfg, "seed", str, where)
+        return cls(n, l, BitVector.from_hex(seed, n + l - 1))
 
 
 def sample_hash(rng: np.random.Generator, n: int, l: int) -> HashSpec:
@@ -125,19 +133,20 @@ def hash_all_inputs(h: HashSpec) -> np.ndarray:
         raise DimensionError(f"exhaustive hashing limited to n <= 24, got {n}")
     if l > 32:
         raise DimensionError(f"packed hashing limited to l <= 32, got {l}")
-    seed = h.seed.bits
-    # column j of T is seed[n-1-j : n-1-j+l]; pack rows MSB-first
+    return _packed_table(h.seed.bits, n, l)
+
+
+def _packed_table(seed: np.ndarray, n: int, l: int) -> np.ndarray:
+    """hash_all_inputs on a raw uint8 seed of n + l - 1 bits, unchecked."""
+    # word k = seed[k : k+l] packed MSB-first is column n-1-k of T, the
+    # hash of the word whose only set bit is index bit k (weight 2^k)
     weights = 1 << np.arange(l - 1, -1, -1, dtype=np.uint32)
-    cols = np.array(
-        [int((seed[n - 1 - j : n - 1 - j + l].astype(np.uint32) * weights).sum())
-         for j in range(n)],
-        dtype=np.uint32,
-    )
-    out = np.zeros(1, dtype=np.uint32)
-    # appending the block with the new index bit set; index bit k
-    # (weight 2^k) corresponds to input coordinate n-1-k
-    for j in range(n - 1, -1, -1):
-        out = np.concatenate([out, out ^ cols[j]])
+    cols = np.correlate(seed, weights, "valid")
+    out = np.empty(1 << n, dtype=np.uint32)
+    out[0] = 0
+    # the words with index bit k set are those below 2^k plus column k
+    for k, col in enumerate(cols.tolist()):
+        np.bitwise_xor(out[: 1 << k], col, out=out[1 << k : 2 << k])
     return out
 
 

@@ -1,8 +1,9 @@
 """Trial-level worker pool.
 
-Estimators give every trial its own SeedSequence child, so results are
-independent of how trials are chunked; the pool just splits the seed
-list and concatenates per-trial outputs in order.
+Estimators draw trial i of seed s from SeedSequence(s, spawn_key=(i,))
+and its children (see rng.trial_seeds), so results are independent of
+how trials are chunked; the pool slices the trial seeds into contiguous
+chunks and concatenates per-trial outputs in order.
 """
 
 from __future__ import annotations
@@ -37,13 +38,16 @@ def map_trials(worker, payload, seeds, threads: int = 1) -> np.ndarray:
     """Run worker(payload, seed_chunk) over chunks of per-trial seeds.
 
     The worker must return an ndarray whose leading axis indexes trials
-    within its chunk; chunks are concatenated in trial order.  The pool
-    has pool_size(threads, len(seeds), usable_cpus()) workers.
+    within its chunk; chunks are slices of seeds (a TrialSeeds slice
+    pickles as three integers) and are concatenated in trial order.  The
+    pool has pool_size(threads, len(seeds), usable_cpus()) workers.
     """
     workers = pool_size(threads, len(seeds), usable_cpus())
     if workers == 1:
         return worker(payload, seeds)
-    chunks = [list(c) for c in np.array_split(np.asarray(seeds, dtype=object), workers)]
+    size, extra = divmod(len(seeds), workers)
+    edges = [k * size + min(k, extra) for k in range(workers + 1)]
+    chunks = [seeds[a:b] for a, b in zip(edges, edges[1:])]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(worker, [payload] * workers, chunks))
     return np.concatenate(parts, axis=0)

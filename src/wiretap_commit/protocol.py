@@ -24,9 +24,9 @@ from typing import Optional
 import numpy as np
 
 from .bits import BitVector
-from .channel import WiretapChannel, transmit
+from .channel import WiretapChannel, _noise_pair
 from .errors import ConfigError, CouplingError, DimensionError, RateError
-from .hashing import HashSpec, hash_evaluate, sample_hash
+from .hashing import HashSpec, hash_evaluate
 from .measures import CrossoverPair, capacity_one_private, capacity_two_private
 
 PRIVACY_MODES = ("one", "two")
@@ -201,6 +201,35 @@ class TestResult:
     failed_condition: Optional[int] = None
 
 
+def _check_channel(params: ProtocolParams, channel: WiretapChannel):
+    if not math.isclose(channel.p, params.pq.p) or not math.isclose(channel.q, params.pq.q):
+        raise CouplingError("channel crossover probabilities do not match params")
+
+
+def _commit_draws(params: ProtocolParams, channel: WiretapChannel,
+                  rng: np.random.Generator):
+    """Every random draw of the commit phase, as uint8 arrays.
+
+    Returns (x, nb, ne, g_seed, e_seed): Alice's word, Bob's and Eve's
+    noise, and the challenge and extractor seeds.  Streams are rng's
+    three children: Alice's (x, then the extractor seed), Bob's (the
+    challenge seed) and the channel's (the noise pair).  This fixes the
+    stream contract of commit_phase; callers that work on arrays call
+    it directly after checking the channel once.
+    """
+    n = params.n
+    alice_rng, bob_rng, channel_rng = rng.spawn(3)
+
+    def uniform_bits(stream, size):
+        return stream.integers(0, 2, size=size, dtype=np.uint8)
+
+    x = uniform_bits(alice_rng, n)                                 # C1
+    nb, ne = _noise_pair(channel, n, channel_rng)
+    g_seed = uniform_bits(bob_rng, n + params.challenge_bits - 1)  # C2
+    e_seed = uniform_bits(alice_rng, n + params.commit_bits - 1)   # C4
+    return x, nb, ne, g_seed, e_seed
+
+
 def commit_phase(params: ProtocolParams, c: BitVector,
                  channel: WiretapChannel, rng: np.random.Generator) -> SessionState:
     """Run the four commit steps and return all three views.
@@ -213,15 +242,14 @@ def commit_phase(params: ProtocolParams, c: BitVector,
         raise DimensionError(
             f"commit string length {len(c)} != commit_bits {params.commit_bits}"
         )
-    if not math.isclose(channel.p, params.pq.p) or not math.isclose(channel.q, params.pq.q):
-        raise CouplingError("channel crossover probabilities do not match params")
-    alice_rng, bob_rng, channel_rng = rng.spawn(3)
+    _check_channel(params, channel)
+    x_bits, nb, ne, g_seed, e_seed = _commit_draws(params, channel, rng)
 
-    x = BitVector.random(alice_rng, params.n)              # C1
-    y, z = transmit(channel, x, channel_rng)
-    challenge = sample_hash(bob_rng, params.n, params.challenge_bits)  # C2
+    x = BitVector(x_bits)
+    y, z = BitVector(x_bits ^ nb), BitVector(x_bits ^ ne)
+    challenge = HashSpec(params.n, params.challenge_bits, BitVector(g_seed))
     g_bar = hash_evaluate(challenge, x)                    # C3
-    extractor = sample_hash(alice_rng, params.n, params.commit_bits)   # C4
+    extractor = HashSpec(params.n, params.commit_bits, BitVector(e_seed))
     pad = c ^ hash_evaluate(extractor, x)
 
     transcript = Transcript(challenge=challenge, challenge_value=g_bar,
@@ -389,8 +417,8 @@ def session_from_config(doc: dict):
     if missing:
         raise ConfigError(f"session document is missing {sorted(missing)}")
     params = params_from_config(doc["params"])
-    challenge = HashSpec.from_config(doc["G"])
-    extractor = HashSpec.from_config(doc["Ext"])
+    challenge = HashSpec.from_config(doc["G"], "G")
+    extractor = HashSpec.from_config(doc["Ext"], "Ext")
     for name, spec, out_bits in (("G", challenge, params.challenge_bits),
                                  ("Ext", extractor, params.commit_bits)):
         if (spec.input_bits, spec.output_bits) != (params.n, out_bits):

@@ -9,9 +9,11 @@ import math
 import numpy as np
 import pytest
 
+from wiretap_commit import adversary
 from wiretap_commit.adversary import (
     VIEWS,
     _bsc_kernel,
+    _concealment_mc_worker,
     _mi_term,
     _pair_kernel,
     _soundness_worker,
@@ -24,7 +26,7 @@ from wiretap_commit.adversary import (
 )
 from wiretap_commit.bits import BitVector
 from wiretap_commit.channel import make_channel
-from wiretap_commit.errors import DomainError, ScaleError
+from wiretap_commit.errors import CouplingError, DomainError, ScaleError
 from wiretap_commit.hashing import HashSpec, hash_all_inputs, hash_evaluate, lhl_bound
 from wiretap_commit.measures import CrossoverPair
 from wiretap_commit.protocol import (
@@ -155,7 +157,52 @@ class TestConfusables:
             enumerate_confusables(session, params)
 
 
+def _reference_binding_worker(payload, seeds):
+    """The binding worker as a band scan over all 2^n words per trial."""
+    (n, p, q, r, alpha1, x_int, ne_bits, hashes, target, ext_all, thresh_mode) = payload
+    lo, hi = n * (p - alpha1), n * (p + alpha1)
+    if thresh_mode == "alone":
+        thresh = np.full(n, p)
+    else:
+        thresh = np.where(ne_bits == 1, r / q, (p - r) / (1.0 - q))
+    hash_match = hashes == target
+    weights = (1 << np.arange(n - 1, -1, -1)).astype(np.uint64)
+    all_words = np.arange(1 << n, dtype=np.uint32)
+    out = np.empty((len(seeds), 2), dtype=np.int64)
+    for i, s in enumerate(seeds):
+        rng = make_rng(s)
+        nb = (rng.random(n) < thresh).astype(np.uint64)
+        y_int = np.uint32(x_int) ^ np.uint32((nb * weights).sum())
+        d = np.bitwise_count(all_words ^ y_int)
+        members = np.nonzero(hash_match & (d >= lo) & (d <= hi))[0]
+        distinct = np.unique(ext_all[members]).size
+        out[i, 0] = 1 if distinct >= 2 else 0
+        out[i, 1] = members.size
+    return out
+
+
 class TestBindingAttack:
+    @pytest.mark.parametrize("mode", ["alone", "with_eve"])
+    @pytest.mark.parametrize("coupling,r", [
+        ("independent", None),
+        ("degraded", None),
+        ("custom", 0.1),
+    ])
+    def test_matches_all_word_scan(self, monkeypatch, mode, coupling, r):
+        # a few members per trial and one commit bit, so some sets of two
+        # or more members share one extractor value and some do not
+        params, channel, session = small_session(
+            n=12, p=0.25, q=0.3, alpha1=0.15, lg=8, mc=1, seed=29,
+            coupling=coupling, r=r)
+        fast = binding_attack(session, params, mode=mode, trials=300, seed=29)
+        monkeypatch.setattr(adversary, "_binding_worker", _reference_binding_worker)
+        slow = binding_attack(session, params, mode=mode, trials=300, seed=29)
+        for key in ("success_indicators", "confusable_sizes"):
+            assert np.array_equal(fast.details[key], slow.details[key])
+        wins = fast.details["success_indicators"]
+        several = fast.details["confusable_sizes"] >= 2
+        assert wins.any() and not wins[several].all()
+
     def test_injective_hash_defeats_attack(self):
         # identity challenge (l_g = n) leaves no colliding pair
         params, channel, session = small_session(n=12, p=0.25, alpha1=0.3,
@@ -451,6 +498,62 @@ class TestConcealmentExact:
         assert reports["sd_eve"].exact and reports["sd_eve"].trials == 0
 
 
+def _reference_map_guess(n, hashes, target, anchors, weights, hide_challenge):
+    """Most plausible x over all 2^n words: hash-consistent, closest to
+    the anchors in weighted Hamming distance, ties to the lowest word."""
+    words = np.arange(1 << n, dtype=np.uint32)
+    cost = np.zeros(1 << n, dtype=np.float64)
+    for anchor, w in zip(anchors, weights):
+        cost += w * np.bitwise_count(words ^ np.uint32(anchor))
+    if not hide_challenge:
+        cost[hashes != target] = np.inf
+    return int(np.argmin(cost))
+
+
+def _reference_concealment_mc_worker(payload, seeds):
+    """The secrecy worker as one full commit_phase session per trial."""
+    params, channel, view, uniform_pad, hide_challenge = payload
+    n = params.n
+    wp = math.log2((1.0 - params.pq.p) / params.pq.p)
+    wq = math.log2((1.0 - params.pq.q) / params.pq.q)
+    out = np.empty((len(seeds), 2), dtype=np.uint8)
+    for i, s in enumerate(seeds):
+        rng = make_rng(s)
+        c = BitVector.random(rng, 1)
+        session = commit_phase(params, c, channel, rng)
+        t = session.transcript
+        pad_bit = t.pad[0]
+        if uniform_pad:
+            pad_bit = c[0] ^ int(rng.integers(0, 2))
+        y, z = session.bob_view.y.to_int(), session.eve_view.z.to_int()
+        anchors, weights = {"bob": ([y], [wp]), "eve": ([z], [wq]),
+                            "joint": ([y, z], [wp, wq])}[view]
+        hashes = target = None
+        if not hide_challenge:
+            hashes = hash_all_inputs(t.challenge)
+            target = np.uint32(t.challenge_value.to_int())
+        x_hat = _reference_map_guess(n, hashes, target, anchors, weights, hide_challenge)
+        ext_bit = hash_evaluate(t.extractor, BitVector.from_int(x_hat, n))[0]
+        out[i, 0] = c[0]
+        out[i, 1] = pad_bit ^ ext_bit
+    return out
+
+
+@pytest.mark.parametrize("hide_challenge", [False, True])
+@pytest.mark.parametrize("uniform_pad", [False, True])
+@pytest.mark.parametrize("n,lg", [(n, lg) for n in (4, 8, 12) for lg in (1, 2, 3)])
+def test_concealment_worker_matches_commit_phase_sessions(n, lg, uniform_pad,
+                                                          hide_challenge):
+    params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.1,
+                             challenge_bits=lg, commit_bits=1)
+    channel = make_channel(0.2, 0.3)
+    seeds = trial_seeds(1000 * n + lg, 40)
+    for view in VIEWS:
+        payload = (params, channel, view, uniform_pad, hide_challenge)
+        assert np.array_equal(_concealment_mc_worker(payload, seeds),
+                              _reference_concealment_mc_worker(payload, seeds))
+
+
 class TestConcealmentMonteCarlo:
     def setup_method(self):
         self.params = explicit_params(6, CrossoverPair(0.25, 0.25), "two",
@@ -495,6 +598,11 @@ class TestConcealmentMonteCarlo:
         r2 = concealment_monte_carlo(self.params, self.channel, trials=300,
                                      seed=35, view="bob")
         assert r1.estimate == r2.estimate and r1.to_record() == r2.to_record()
+
+    def test_channel_must_match_params(self):
+        with pytest.raises(CouplingError):
+            concealment_monte_carlo(self.params, make_channel(0.2, 0.25),
+                                    trials=10, seed=0)
 
     def test_scale_guard_requires_hidden_challenge(self):
         big = explicit_params(22, CrossoverPair(0.25, 0.25), "one", alpha1=0.2,

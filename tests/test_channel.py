@@ -208,14 +208,3 @@ class TestOneShotJoint:
         with pytest.raises(DomainError):
             one_shot_joint(ch, 1.2)
 
-
-class TestChannelConfig:
-    def test_roundtrip_all_couplings(self):
-        from wiretap_commit.channel import channel_from_config
-
-        for ch in (
-            make_channel(0.1, 0.2, "independent"),
-            make_channel(0.1, 0.3, "degraded"),
-            make_channel(0.2, 0.3, "custom", r=0.18),
-        ):
-            assert channel_from_config(ch.to_config()) == ch

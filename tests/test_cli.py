@@ -121,6 +121,25 @@ def test_replay_roundtrip(tmp_path):
     assert row["metric"] == "replay_bob_test"
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["G"].pop("l"), "G is missing 'l'"),
+    (lambda doc: doc["Ext"].update(seed="zz"), "not a hex string: 'zz'"),
+    (lambda doc: doc.update(g_bar="zz"), "not a hex string: 'zz'"),
+], ids=["missing-G-l", "non-hex-Ext-seed", "non-hex-g_bar"])
+def test_malformed_transcript_is_a_config_error(tmp_path, capsys, edit, message):
+    params = derive_params(200, CrossoverPair(0.1, 0.1), "one",
+                           alpha1=0.1, beta1=0.05, beta2=0.1)
+    rng = make_rng(8)
+    c = BitVector.random(rng, params.commit_bits)
+    doc = session_to_config(commit_phase(params, c, make_channel(0.1, 0.1), rng), params)
+    edit(doc)
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", "--config", str(path)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_below_one_rejected(soundness_config, capsys, threads):
     assert main(["soundness", "--config", str(soundness_config),
