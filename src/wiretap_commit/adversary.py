@@ -11,10 +11,12 @@ Four measurements back the protocol's guarantees at desk scale:
                    oracle for the union-bound ceiling |A|^2 2^-l;
 * concealment    — exact statistical distance and mutual information
                    between the commit bit and a view (Bob's, Eve's, or
-                   their union) at tiny n, summed over the kernel coset
-                   of each challenge hash, with a leftover-hash
+                   their union) at tiny n, with a leftover-hash
                    reference bound from the exact conditional
-                   min-entropy;
+                   min-entropy; each challenge hash G is evaluated on
+                   K = ker G alone, one row per distinct pad pattern on
+                   K and one view column per K-orbit, weighted by their
+                   multiplicities (2^n columns per G seed in all);
 * concealment MC — a sampled lower bound on the same distance via the
                    advantage of a MAP distinguisher trained on an
                    independent sample, for sizes beyond enumeration.
@@ -33,8 +35,8 @@ import numpy as np
 
 from .bits import BitVector
 from .channel import make_channel
-from .errors import DimensionError, DomainError, ScaleError
-from .hashing import HashSpec, _packed_table, hash_all_inputs, lhl_bound
+from .errors import DomainError, ScaleError
+from .hashing import _packed_table, hash_all_inputs, lhl_bound
 from .parallel import map_trials
 from .protocol import ProtocolParams, SessionState, _check_channel, _commit_draws
 from .rng import make_rng, trial_seeds
@@ -346,14 +348,23 @@ def _exact_scale_check(params: ProtocolParams, views):
         raise ScaleError("challenge seed space too large: need n + l_g <= 14")
 
 
-def _mi_term(m0: np.ndarray, m1: np.ndarray) -> float:
-    """Sum of M0 lg(M0/mu) + M1 lg(M1/mu) with mu the average."""
+def _mi_rows(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """Per row: the sum of M0 lg(M0/mu) + M1 lg(M1/mu), mu the average."""
     mu = 0.5 * (m0 + m1)
-    total = 0.0
+    total = np.zeros(m0.shape[0])
     for m in (m0, m1):
-        pos = m > 0.0
-        total += float((m[pos] * np.log2(m[pos] / mu[pos])).sum())
+        # entries with m = 0 add 0 lg 1
+        ratio = np.divide(m, mu, out=np.ones_like(m), where=m > 0.0)
+        total += (m * np.log2(ratio)).sum(axis=1)
     return total
+
+
+def _all_seed_tables(n: int, l: int) -> np.ndarray:
+    """Row s: the packed table of the (n -> l) Toeplitz hash whose seed
+    is the big-endian expansion of s, on every word."""
+    m = n + l - 1
+    seeds = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    return np.array([_packed_table(seed, n, l) for seed in seeds.astype(np.uint8)])
 
 
 def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
@@ -367,13 +378,30 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
     is twice the leftover-hash bound at the exact conditional
     min-entropy of x given the view without the pad.
 
-    G and Ext are linear and the noise is additive, so no coset loop is
-    needed.  For one G, each non-empty coset {x : G(x) = gamma} is
-    x0 XOR ker G; moving from ker G to it shifts every channel output by
-    x0 and at most flips the sign of the pad difference (by Ext(x0)).
-    Both leave the SD term, the MI term and the maximum posterior
-    unchanged, so each G seed evaluates ker G alone and weights its SD
-    and MI terms by the number of non-empty cosets, 2^rank(G).
+    G and Ext are linear and the noise is additive, so for one G seed
+    with kernel K = ker G only a few entries of the pad-difference
+    matrix d[Ext seed, view] are distinct:
+
+    * Cosets.  Each non-empty coset {x : G(x) = gamma} is x0 XOR K;
+      moving from K to it shifts every channel output by x0 and at most
+      flips the sign of d (by Ext(x0)).  So K stands for all 2^rank(G)
+      cosets.
+    * Rows.  Restricted to K, the 2^n extractor functionals take only
+      2^dim(K) distinct sign patterns, each 2^rank(G) times.  Each
+      distinct row of the sign matrix is evaluated once and weighted by
+      its count (with uniform_pad, one all-zero row of count 2^n).
+    * Columns.  Shifting a view by a in K (y -> y XOR a, or
+      (y, z) -> (y XOR a, z XOR a) for the joint view) multiplies d by
+      the pad sign of a and leaves the column sum and column maximum
+      unchanged.  So |d|, the MI term (symmetric under d -> -d) and the
+      posterior ratio are constant on each K-orbit of views, and one
+      representative per orbit stands for |K| columns: the coset
+      leaders min(y XOR K), and for the joint view (leader, every z).
+
+    Each evaluated entry is weighted by its row count times
+    cosets * |K|, and cosets * |K| = 2^n for every G seed.  Per seed and
+    view this evaluates 2^n entries (4^n for the joint view) instead of
+    2^n x 2^n (2^n x 4^n).
 
     With uniform_pad=True the pad is one-time-padded with a fresh
     uniform bit instead of the extractor output; every view then
@@ -386,21 +414,13 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
     _exact_scale_check(params, views)
     n, lg = params.n, params.challenge_bits
     big_n = 1 << n
-    g_seeds = 1 << (n + lg - 1)
-    e_seeds = 1 << n  # commit_bits == 1
 
-    def all_seed_hashes(l: int) -> np.ndarray:
-        count = 1 << (n + l - 1)
-        table = np.empty((count, big_n), dtype=np.uint32)
-        for s in range(count):
-            spec = HashSpec(n, l, BitVector.from_int(s, n + l - 1))
-            table[s] = hash_all_inputs(spec)
-        return table
+    g_hash = _all_seed_tables(n, lg)
+    sign = 1.0 - 2.0 * _all_seed_tables(n, 1)  # commit_bits == 1
+    if uniform_pad:
+        sign = np.zeros_like(sign)
 
-    g_hash = all_seed_hashes(lg)
-    e_bit = all_seed_hashes(1).astype(np.float64)
-    sign = np.zeros_like(e_bit) if uniform_pad else 1.0 - 2.0 * e_bit
-
+    # kernel[x, y, rest]: rest is z for the joint view, empty otherwise
     kernels = {}
     if "bob" in views:
         kernels["bob"] = _bsc_kernel(n, params.pq.p)
@@ -408,32 +428,34 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
         kernels["eve"] = _bsc_kernel(n, params.pq.q)
     if "joint" in views:
         kernels["joint"] = _pair_kernel(n, channel.noise_pair_pmf())
+    kernels = {v: k.reshape(big_n, big_n, -1) for v, k in kernels.items()}
 
     x_weight = 1.0 / big_n
-    seed_weight = 1.0 / (g_seeds * e_seeds)
+    seed_weight = 1.0 / (g_hash.shape[0] * sign.shape[0])
     sd_acc = {v: 0.0 for v in views}
     mi_acc = {v: 0.0 for v in views}
     max_posterior = {v: 0.0 for v in views}
 
-    for gs in range(g_seeds):
-        values = g_hash[gs]
-        # every non-empty coset {x : G(x) = gamma} adds what ker G adds
-        cosets = np.unique(values).size
-        idx = np.nonzero(values == 0)[0]
-        sub_sign = sign[:, idx] * x_weight
+    for values in g_hash:
+        # the cosets of K are the fibres of G; each leader is a fibre's least word
+        leaders = np.unique(values, return_index=True)[1]
+        idx = np.flatnonzero(values == 0)
+        rows, counts = np.unique(sign[:, idx], axis=0, return_counts=True)
+        rows *= x_weight
+        weight = counts * (leaders.size * idx.size)
         for v in views:
-            k_sub = kernels[v][idx]
-            colsum = k_sub.sum(axis=0)
-            d_mat = sub_sign @ k_sub
-            sd_acc[v] += cosets * float(np.abs(d_mat).sum())
+            k_rep = kernels[v][np.ix_(idx, leaders)].reshape(idx.size, -1)
+            colsum = k_rep.sum(axis=0)
+            d_mat = rows @ k_rep
+            sd_acc[v] += float(weight @ np.abs(d_mat).sum(axis=1))
             s_vec = colsum * x_weight
             m0 = 0.5 * (s_vec[None, :] + d_mat)
             m1 = 0.5 * (s_vec[None, :] - d_mat)
             np.clip(m0, 0.0, None, out=m0)
             np.clip(m1, 0.0, None, out=m1)
-            mi_acc[v] += cosets * _mi_term(m0, m1)
+            mi_acc[v] += float(weight @ _mi_rows(m0, m1))
             # worst-case posterior of x given the pad-free view
-            colmax = k_sub.max(axis=0)
+            colmax = k_rep.max(axis=0)
             pos = colsum > 0.0
             if pos.any():
                 ratio = float((colmax[pos] / colsum[pos]).max())
@@ -545,9 +567,6 @@ def concealment_monte_carlo(params: ProtocolParams, channel, trials: int,
             f"hash-aware guessing needs n <= {ENUM_LIMIT}; "
             "pass hide_challenge=True beyond that"
         )
-    if params.challenge_bits > params.n:
-        raise DimensionError(f"need 1 <= l <= n, got n={params.n}, "
-                             f"l={params.challenge_bits}")
     _check_channel(params, channel)
     payload = (params, channel, view, uniform_pad, hide_challenge)
     samples = map_trials(_concealment_mc_worker, payload,

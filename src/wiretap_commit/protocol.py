@@ -64,6 +64,12 @@ class ProtocolParams:
             raise RateError(f"commit_bits must be >= 1, got {self.commit_bits}")
         if self.challenge_bits < 1:
             raise RateError(f"challenge_bits must be >= 1, got {self.challenge_bits}")
+        if self.commit_bits > self.n or self.challenge_bits > self.n:
+            raise DimensionError(
+                f"hash output lengths must not exceed n = {self.n}, got "
+                f"commit_bits = {self.commit_bits}, "
+                f"challenge_bits = {self.challenge_bits}"
+            )
         if self.alpha1 <= 0:
             raise RateError(f"alpha1 must be > 0, got {self.alpha1}")
         if self.privacy == "two" and self.coupling != "independent":

@@ -13,8 +13,8 @@ from wiretap_commit import adversary
 from wiretap_commit.adversary import (
     VIEWS,
     _bsc_kernel,
+    _all_seed_tables,
     _concealment_mc_worker,
-    _mi_term,
     _pair_kernel,
     _soundness_worker,
     binding_attack,
@@ -354,6 +354,16 @@ def _all_seed_hashes(n: int, l: int) -> np.ndarray:
                      for s in range(1 << (n + l - 1))])
 
 
+def _reference_mi_term(m0, m1):
+    """Sum of M0 lg(M0/mu) + M1 lg(M1/mu) with mu the average."""
+    mu = 0.5 * (m0 + m1)
+    total = 0.0
+    for m in (m0, m1):
+        pos = m > 0.0
+        total += float((m[pos] * np.log2(m[pos] / mu[pos])).sum())
+    return total
+
+
 def _reference_concealment_exact(params, channel, uniform_pad=False):
     """The exact-concealment kernel with the full loop over every coset
     {x : G(x) = gamma} of every G seed.  Returns view -> (sd, mi, bound)."""
@@ -383,7 +393,7 @@ def _reference_concealment_exact(params, channel, uniform_pad=False):
                 sd_acc += float(np.abs(d_mat).sum())
                 m0 = np.clip(0.5 * (s_vec[None, :] + d_mat), 0.0, None)
                 m1 = np.clip(0.5 * (s_vec[None, :] - d_mat), 0.0, None)
-                mi_acc += _mi_term(m0, m1)
+                mi_acc += _reference_mi_term(m0, m1)
                 colsum = k_sub.sum(axis=0)
                 pos = colsum > 0.0
                 if pos.any():
@@ -393,6 +403,67 @@ def _reference_concealment_exact(params, channel, uniform_pad=False):
         bound = min(1.0, 2.0 * lhl_bound(k_hat, 1))
         out[v] = (seed_weight * sd_acc, seed_weight * mi_acc, bound)
     return out
+
+
+def _reference_kernel_coset_concealment_exact(params, channel, uniform_pad=False):
+    """The exact-concealment kernel over ker G alone, every Ext seed and
+    every view column, weighted by the coset count 2^rank(G).  Returns
+    view -> (sd, mi, bound)."""
+    n, lg = params.n, params.challenge_bits
+    g_hash = _all_seed_hashes(n, lg)
+    e_bit = _all_seed_hashes(n, 1).astype(np.float64)
+    sign = np.zeros_like(e_bit) if uniform_pad else 1.0 - 2.0 * e_bit
+    kernels = {
+        "bob": _bsc_kernel(n, params.pq.p),
+        "eve": _bsc_kernel(n, params.pq.q),
+        "joint": _pair_kernel(n, channel.noise_pair_pmf()),
+    }
+    x_weight = 1.0 / (1 << n)
+    seed_weight = 1.0 / (g_hash.shape[0] * e_bit.shape[0])
+    sd_acc = {v: 0.0 for v in VIEWS}
+    mi_acc = {v: 0.0 for v in VIEWS}
+    max_posterior = {v: 0.0 for v in VIEWS}
+    for values in g_hash:
+        cosets = np.unique(values).size
+        idx = np.nonzero(values == 0)[0]
+        sub_sign = sign[:, idx] * x_weight
+        for v in VIEWS:
+            k_sub = kernels[v][idx]
+            colsum = k_sub.sum(axis=0)
+            d_mat = sub_sign @ k_sub
+            sd_acc[v] += cosets * float(np.abs(d_mat).sum())
+            s_vec = colsum * x_weight
+            m0 = 0.5 * (s_vec[None, :] + d_mat)
+            m1 = 0.5 * (s_vec[None, :] - d_mat)
+            np.clip(m0, 0.0, None, out=m0)
+            np.clip(m1, 0.0, None, out=m1)
+            mi_acc[v] += cosets * _reference_mi_term(m0, m1)
+            colmax = k_sub.max(axis=0)
+            pos = colsum > 0.0
+            if pos.any():
+                ratio = float((colmax[pos] / colsum[pos]).max())
+                max_posterior[v] = max(max_posterior[v], ratio)
+    out = {}
+    for v in VIEWS:
+        k_hat = -math.log2(max_posterior[v]) if max_posterior[v] > 0 else math.inf
+        bound = min(1.0, 2.0 * lhl_bound(k_hat, 1))
+        out[v] = (seed_weight * sd_acc[v], seed_weight * mi_acc[v], bound)
+    return out
+
+
+def _gf2_rank(matrix: np.ndarray) -> int:
+    """Rank over GF(2) by Gaussian elimination."""
+    rows = [int("".join(map(str, row)), 2) for row in matrix]
+    rank = 0
+    while rows:
+        pivot = max(rows)
+        rows.remove(pivot)
+        if pivot == 0:
+            break
+        rank += 1
+        top = 1 << (pivot.bit_length() - 1)
+        rows = [r ^ pivot if r & top else r for r in rows]
+    return rank
 
 
 class TestConcealmentExact:
@@ -434,6 +505,45 @@ class TestConcealmentExact:
             assert abs(reports[f"sd_{v}"].estimate - sd) <= 1e-12
             assert abs(reports[f"mi_{v}"].estimate - mi) <= 1e-12
             assert abs(reports[f"sd_{v}"].reference_bound - bound) <= 1e-12
+
+    @pytest.mark.parametrize("lg", [1, 2])
+    def test_orbits_match_kernel_coset_body_at_n6(self, lg):
+        # the demo size: every view, every Ext seed and every view column
+        # of ker G against one row per pad pattern and one column per orbit
+        n, p, q, r = 6, 0.2, 0.3, 0.05
+        params = explicit_params(n, CrossoverPair(p, q), "one", alpha1=0.3,
+                                 challenge_bits=lg, commit_bits=1,
+                                 coupling="custom", coupling_r=r)
+        channel = make_channel(p, q, "custom", r=r)
+        reports = concealment_exact(params, channel)
+        reference = _reference_kernel_coset_concealment_exact(params, channel)
+        for v in VIEWS:
+            sd, mi, bound = reference[v]
+            assert abs(reports[f"sd_{v}"].estimate - sd) <= 1e-12
+            assert abs(reports[f"mi_{v}"].estimate - mi) <= 1e-12
+            assert abs(reports[f"sd_{v}"].reference_bound - bound) <= 1e-12
+
+    @pytest.mark.parametrize("lg", [1, 2, 3])
+    def test_pad_rows_and_coset_leaders_on_kernel(self, lg):
+        # per G seed: 2^dim K distinct pad rows on K, each repeated
+        # 2^rank(G) times, and 2^rank(G) coset leaders min(y XOR K)
+        n = 5
+        sign = 1 - 2 * _all_seed_hashes(n, 1).astype(np.int64)
+        for s, values in enumerate(_all_seed_hashes(n, lg)):
+            rank = _gf2_rank(HashSpec(n, lg, BitVector.from_int(s, n + lg - 1)).as_matrix())
+            kernel = np.flatnonzero(values == 0)
+            assert kernel.size == 1 << (n - rank)
+            _, counts = np.unique(sign[:, kernel], axis=0, return_counts=True)
+            assert counts.size == 1 << (n - rank)
+            assert (counts == 1 << rank).all()
+            leaders = np.unique(values, return_index=True)[1]
+            assert leaders.size == 1 << rank
+            assert {int((y ^ kernel).min()) for y in range(1 << n)} == set(leaders.tolist())
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_seed_tables_match_hash_specs(self, n):
+        for l in range(1, n + 1):
+            np.testing.assert_array_equal(_all_seed_tables(n, l), _all_seed_hashes(n, l))
 
     def test_coset_counts_vary_across_challenge_seeds(self):
         # the weight must be per seed: seed 0 is the zero map (one coset),

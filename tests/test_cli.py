@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from wiretap_commit import adversary
 from wiretap_commit.bits import BitVector
 from wiretap_commit.channel import make_channel
 from wiretap_commit.cli import EXIT_BAD_CONFIG, EXIT_OK, main
@@ -208,3 +209,23 @@ def test_conflicting_channel_block_is_a_config_error(tmp_path, capsys):
         channel={"p": 0.3, "coupling": "custom", "r": 0.05})))
     assert main(["soundness", "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
     assert "conflicts with the params" in capsys.readouterr().err
+
+
+def test_sweep_point_with_long_challenge_exits_before_any_trial(tmp_path, capsys,
+                                                                monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("map_trials ran before every sweep point was validated")
+
+    monkeypatch.setattr(adversary, "map_trials", no_trials)
+    inner = {"version": 1, "kind": "secrecy", "method": "monte-carlo",
+             "params": {"n": 12, "p": 0.2, "q": 0.3, "privacy": "one",
+                        "alpha1": 0.1, "achievable": False,
+                        "challenge_bits": 1, "commit_bits": 1}}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "version": 1, "kind": "sweep", "seed": 3, "trials": 50,
+        "sweep": {"variable": "params.challenge_bits", "values": [1, 13],
+                  "experiment": inner},
+    }))
+    assert main(["sweep", "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
+    assert "challenge_bits = 13" in capsys.readouterr().err

@@ -7,7 +7,7 @@ import pytest
 
 from wiretap_commit.channel import make_channel
 from wiretap_commit.cli import EXIT_BAD_CONFIG, main
-from wiretap_commit.errors import ConfigError, RateError
+from wiretap_commit.errors import ConfigError, DimensionError, RateError
 from wiretap_commit.hashing import sample_hash
 from wiretap_commit.harness import (
     ExperimentConfig,
@@ -42,6 +42,22 @@ def soundness_doc(**overrides):
     }
     doc.update(overrides)
     return doc
+
+
+def _secrecy_sweep_doc():
+    """A secrecy sweep at n = 12 whose second point asks for l_G = 13."""
+    return {
+        "version": 1, "kind": "sweep", "seed": 3, "trials": 50,
+        "sweep": {
+            "variable": "params.challenge_bits", "values": [1, 13],
+            "experiment": {
+                "version": 1, "kind": "secrecy", "method": "monte-carlo",
+                "params": {"n": 12, "p": 0.2, "q": 0.3, "privacy": "one",
+                           "alpha1": 0.1, "achievable": False,
+                           "challenge_bits": 1, "commit_bits": 1},
+            },
+        },
+    }
 
 
 class TestCapacityGrid:
@@ -178,6 +194,11 @@ class TestExperimentConfig:
         })
         with pytest.raises(ConfigError, match="conflicts"):
             config.validate()  # the second point conflicts; nothing has run
+
+    def test_sweep_challenge_longer_than_block_rejected(self):
+        config = ExperimentConfig.from_dict(_secrecy_sweep_doc())
+        with pytest.raises(DimensionError, match="challenge_bits = 13"):
+            config.validate()  # point 2 has l_G = 13 > n = 12; nothing has run
 
     def test_sweep_variable_through_a_value_rejected(self):
         config = ExperimentConfig.from_dict({

@@ -67,6 +67,17 @@ class TestDeriveParams:
             derive_params(100, CrossoverPair(0.2, 0.3), "two", 0.05, 0.05, 0.1,
                           coupling="degraded")
 
+    @pytest.mark.parametrize("challenge_bits,commit_bits", [(5, 1), (1, 4), (4, 4)])
+    def test_hash_lengths_above_n_rejected(self, challenge_bits, commit_bits):
+        with pytest.raises(DimensionError, match="must not exceed n = 3"):
+            explicit_params(3, CrossoverPair(0.2, 0.3), "one", alpha1=0.1,
+                            challenge_bits=challenge_bits, commit_bits=commit_bits)
+
+    def test_hash_lengths_equal_to_n_accepted(self):
+        params = explicit_params(3, CrossoverPair(0.2, 0.3), "one", alpha1=0.1,
+                                 challenge_bits=3, commit_bits=3)
+        assert (params.challenge_bits, params.commit_bits) == (3, 3)
+
 
 def reference_session(seed=0, n=200, p=0.1):
     params = derive_params(n, CrossoverPair(p, p), "one",
