@@ -16,7 +16,9 @@ Four measurements back the protocol's guarantees at desk scale:
                    min-entropy; each challenge hash G is evaluated on
                    K = ker G alone, one row per distinct pad pattern on
                    K and one view column per K-orbit, weighted by their
-                   multiplicities (2^n columns per G seed in all);
+                   multiplicities (2^n columns per G seed in all); one
+                   popcount kernel serves all three views, the joint
+                   view's columns being (y, w = y XOR z);
 * concealment MC — a sampled lower bound on the same distance via the
                    advantage of a MAP distinguisher trained on an
                    independent sample, for sizes beyond enumeration.
@@ -34,16 +36,16 @@ from typing import Optional
 import numpy as np
 
 from .bits import BitVector
-from .channel import make_channel
 from .errors import DomainError, ScaleError
 from .hashing import _packed_table, hash_all_inputs, lhl_bound
 from .parallel import map_trials
 from .protocol import ProtocolParams, SessionState, _check_channel, _commit_draws
 from .rng import make_rng, trial_seeds
 
-ENUM_LIMIT = 20          # exhaustive search over {0,1}^n
+ENUM_LIMIT = 20           # exhaustive search over {0,1}^n
 EXACT_MARGINAL_LIMIT = 8  # exact concealment, single-party views
-EXACT_JOINT_LIMIT = 6     # exact concealment, joint (V_B, V_E) view
+EXACT_JOINT_LIMIT = 6     # exact concealment, joint view: 2^(n+l_G-1) seeds x 4^n entries
+EXACT_SEED_LIMIT = 14     # exact concealment, n + l_G
 
 _Z95 = 1.959963984540054
 
@@ -143,6 +145,7 @@ def estimate_soundness(params: ProtocolParams, channel, trials: int,
     """
     if trials < 1:
         raise DomainError("trials must be >= 1")
+    _check_channel(params, channel)
     payload = (params.n, params.pq.p, params.alpha1)
     rejects = map_trials(_soundness_worker, payload, trial_seeds(seed, trials), threads)
     k = int(rejects.sum())
@@ -240,7 +243,7 @@ def _binding_worker(payload, seeds) -> np.ndarray:
     return out
 
 
-def binding_attack(session: SessionState, params: ProtocolParams,
+def binding_attack(session: SessionState, params: ProtocolParams, channel,
                    mode: str = "alone", trials: int = 1000, seed: int = 0,
                    threads: int = 1) -> SecurityReport:
     """Success rate of the hash-collision binding attack on one commit.
@@ -258,10 +261,9 @@ def binding_attack(session: SessionState, params: ProtocolParams,
     if trials < 1:
         raise DomainError("trials must be >= 1")
     _check_enum_scale(params.n)
+    _check_channel(params, channel)
     t = session.transcript
     x = session.alice_view.x
-    channel = make_channel(params.pq.p, params.pq.q, params.coupling,
-                           r=params.coupling_r)
     ne_bits = session.eve_view.z.bits ^ x.bits
     payload = (
         params.n, params.pq.p, params.pq.q, channel.r, params.alpha1,
@@ -304,35 +306,26 @@ def binding_attack(session: SessionState, params: ProtocolParams,
 VIEWS = ("bob", "eve", "joint")
 
 
-def _bsc_kernel(n: int, flip: float) -> np.ndarray:
-    """W[x, y] = flip^d (1-flip)^(n-d) over all word pairs."""
-    words = np.arange(1 << n, dtype=np.uint32)
-    d = np.bitwise_count(words[:, None] ^ words[None, :]).astype(np.float64)
-    return flip ** d * (1.0 - flip) ** (n - d)
+def _noise_table(n: int, pmf) -> np.ndarray:
+    """T[a, b, c]: probability of block flips (N_B, N_E) with |N_B| = a,
+    |W| = b and |N_B AND W| = c, W = N_B XOR N_E, under the per-symbol
+    pmf (P(0,0), P(0,1), P(1,0), P(1,1)).  Zero pmf entries give exact
+    zeros (0.0**0 == 1); infeasible triples get exponents clipped to 0."""
+    p00, p01, p10, p11 = pmf
+    a, b, c = np.ogrid[:n + 1, :n + 1, :n + 1]
+    e11, e00, e10, e01 = (np.clip(e, 0, None).astype(np.float64)
+                          for e in (a - c, n - a - b + c, c, b - c))
+    return p11 ** e11 * p00 ** e00 * p10 ** e10 * p01 ** e01
 
 
-def _pair_kernel(n: int, noise_pmf) -> np.ndarray:
-    """W[x, (y,z)] for one block under the joint per-symbol noise pmf."""
-    p00, p01, p10, p11 = noise_pmf
-    words = np.arange(1 << n, dtype=np.uint32)
-    nb = words[:, None, None] ^ words[None, :, None]   # x ^ y
-    ne = words[:, None, None] ^ words[None, None, :]   # x ^ z
-    c11 = np.bitwise_count(nb & ne).astype(np.int64)
-    cb = np.bitwise_count(nb).astype(np.int64)
-    ce = np.bitwise_count(ne).astype(np.int64)
-    c10 = cb - c11
-    c01 = ce - c11
-    c00 = n - c11 - c10 - c01
-    shape = (1 << n, 1 << n, 1 << n)
-    log_prob = np.zeros(shape, dtype=np.float64)
-    impossible = np.zeros(shape, dtype=bool)
-    for count, pi in ((c00, p00), (c01, p01), (c10, p10), (c11, p11)):
-        if pi > 0.0:
-            log_prob += count * math.log(pi)
-        else:
-            impossible |= count > 0
-    out = np.where(impossible, 0.0, np.exp(log_prob))
-    return out.reshape(1 << n, 1 << (2 * n))
+def _kernel(table: np.ndarray, x: np.ndarray, y: np.ndarray,
+            w: np.ndarray) -> np.ndarray:
+    """k[x, (y, w)] = T[|x XOR y|, |w|, |(x XOR y) AND w|]: the chance
+    that x reaches the view as y (and as z = y XOR w at Eve for the
+    joint view).  Columns run over y, then w."""
+    d = x[:, None, None] ^ y[None, :, None]
+    return table[np.bitwise_count(d), np.bitwise_count(w),
+                 np.bitwise_count(d & w)].reshape(x.size, -1)
 
 
 def _exact_scale_check(params: ProtocolParams, views):
@@ -344,8 +337,9 @@ def _exact_scale_check(params: ProtocolParams, views):
             f"exact concealment over views {views} limited to n <= {limit}, "
             f"got n = {params.n}"
         )
-    if params.n + params.challenge_bits > 14:
-        raise ScaleError("challenge seed space too large: need n + l_g <= 14")
+    if params.n + params.challenge_bits > EXACT_SEED_LIMIT:
+        raise ScaleError(
+            f"challenge seed space too large: need n + l_g <= {EXACT_SEED_LIMIT}")
 
 
 def _mi_rows(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
@@ -400,8 +394,12 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
 
     Each evaluated entry is weighted by its row count times
     cosets * |K|, and cosets * |K| = 2^n for every G seed.  Per seed and
-    view this evaluates 2^n entries (4^n for the joint view) instead of
-    2^n x 2^n (2^n x 4^n).
+    view this evaluates 2^n entries (4^n for the joint view), each read
+    off an (n+1)^3 table by the popcounts of x XOR y, w and their AND.
+    The joint view's columns are (y, w) with w = y XOR z: for a fixed y
+    this is a bijection of the z, so column sums and maxima, |d| and MI
+    terms are those of (y, z).  Bob's and Eve's views are the same
+    kernel under a BSC(p) or BSC(q) pmf with w = 0 alone.
 
     With uniform_pad=True the pad is one-time-padded with a fresh
     uniform bit instead of the extractor output; every view then
@@ -412,6 +410,7 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
         if v not in VIEWS:
             raise DomainError(f"unknown view {v!r}; expected subset of {VIEWS}")
     _exact_scale_check(params, views)
+    _check_channel(params, channel)
     n, lg = params.n, params.challenge_bits
     big_n = 1 << n
 
@@ -420,15 +419,11 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
     if uniform_pad:
         sign = np.zeros_like(sign)
 
-    # kernel[x, y, rest]: rest is z for the joint view, empty otherwise
-    kernels = {}
-    if "bob" in views:
-        kernels["bob"] = _bsc_kernel(n, params.pq.p)
-    if "eve" in views:
-        kernels["eve"] = _bsc_kernel(n, params.pq.q)
-    if "joint" in views:
-        kernels["joint"] = _pair_kernel(n, channel.noise_pair_pmf())
-    kernels = {v: k.reshape(big_n, big_n, -1) for v, k in kernels.items()}
+    p, q = params.pq.p, params.pq.q
+    pmfs = {"bob": (1.0 - p, 0.0, 0.0, p), "eve": (1.0 - q, 0.0, 0.0, q),
+            "joint": channel.noise_pair_pmf()}
+    tables = {v: _noise_table(n, pmfs[v]) for v in views}
+    w_words = {v: np.arange(big_n if v == "joint" else 1) for v in views}
 
     x_weight = 1.0 / big_n
     seed_weight = 1.0 / (g_hash.shape[0] * sign.shape[0])
@@ -444,7 +439,7 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
         rows *= x_weight
         weight = counts * (leaders.size * idx.size)
         for v in views:
-            k_rep = kernels[v][np.ix_(idx, leaders)].reshape(idx.size, -1)
+            k_rep = _kernel(tables[v], idx, leaders, w_words[v])
             colsum = k_rep.sum(axis=0)
             d_mat = rows @ k_rep
             sd_acc[v] += float(weight @ np.abs(d_mat).sum(axis=1))
@@ -533,6 +528,16 @@ def _concealment_mc_worker(payload, seeds) -> np.ndarray:
     return out
 
 
+def _monte_carlo_scale_check(params: ProtocolParams, hide_challenge: bool = False):
+    if params.commit_bits != 1:
+        raise ScaleError("the distinguisher is defined for commit_bits == 1")
+    if params.n > ENUM_LIMIT and not hide_challenge:
+        raise ScaleError(
+            f"hash-aware guessing needs n <= {ENUM_LIMIT}; "
+            "pass hide_challenge=True beyond that"
+        )
+
+
 def _entropy_miller_madow(counts: np.ndarray, total: int) -> float:
     """Plug-in entropy plus the Miller-Madow bias correction, in bits."""
     pos = counts[counts > 0]
@@ -558,15 +563,9 @@ def concealment_monte_carlo(params: ProtocolParams, channel, trials: int,
     """
     if view not in VIEWS:
         raise DomainError(f"unknown view {view!r}; expected one of {VIEWS}")
-    if params.commit_bits != 1:
-        raise ScaleError("the distinguisher is defined for commit_bits == 1")
+    _monte_carlo_scale_check(params, hide_challenge)
     if trials < 1:
         raise DomainError("trials must be >= 1")
-    if params.n > ENUM_LIMIT and not hide_challenge:
-        raise ScaleError(
-            f"hash-aware guessing needs n <= {ENUM_LIMIT}; "
-            "pass hide_challenge=True beyond that"
-        )
     _check_channel(params, channel)
     payload = (params, channel, view, uniform_pad, hide_challenge)
     samples = map_trials(_concealment_mc_worker, payload,

@@ -98,8 +98,9 @@ def transmit(ch: WiretapChannel, x: BitVector, rng: np.random.Generator):
 def degradation_check(p: float, q: float) -> Optional[float]:
     """Is Bob's BSC(p) a degraded version of Eve's BSC(q)?
 
-    Returns theta with q * theta ... i.e. BSC(p) = BSC(q) followed by
-    BSC(theta), which exists exactly when p >= q; None otherwise.
+    Returns theta with p = q conv theta = q(1 - theta) + (1 - q)theta,
+    i.e. BSC(p) = BSC(q) followed by BSC(theta), which exists exactly
+    when p >= q; None otherwise.
     """
     CrossoverPair(p, q)
     if p < q:

@@ -18,6 +18,9 @@ import numpy as np
 
 from .adversary import (
     SecurityReport,
+    _check_enum_scale,
+    _exact_scale_check,
+    _monte_carlo_scale_check,
     binding_attack,
     concealment_exact,
     concealment_monte_carlo,
@@ -252,8 +255,6 @@ class ExperimentConfig:
 
     def validate(self):
         """Run all parameter preconditions without simulating."""
-        from .adversary import ENUM_LIMIT, _exact_scale_check
-
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.threads < 1:
@@ -272,19 +273,14 @@ class ExperimentConfig:
                 raise ConfigError("trials must be >= 1")
             params = self.build_params()
             self.build_channel(params)
-            if self.kind == "binding" and params.n > ENUM_LIMIT:
-                raise ConfigError(
-                    f"binding enumerates all words: need n <= {ENUM_LIMIT}")
+            if self.kind == "binding":
+                _check_enum_scale(params.n)
             if self.kind in ("concealment", "secrecy"):
                 views = ("eve",) if self.kind == "secrecy" else tuple(self.views)
                 if self.method == "exact":
                     _exact_scale_check(params, views)
                 elif self.method == "monte-carlo":
-                    if params.commit_bits != 1:
-                        raise ConfigError("monte-carlo concealment needs commit_bits == 1")
-                    if params.n > ENUM_LIMIT:
-                        raise ConfigError(
-                            f"monte-carlo concealment needs n <= {ENUM_LIMIT}")
+                    _monte_carlo_scale_check(params)
                 else:
                     raise ConfigError(f"unknown method {self.method!r}")
         return self
@@ -391,7 +387,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         commit_rng = make_rng(np.random.SeedSequence([config.seed, 0x5E5510]))
         c = BitVector.random(commit_rng, params.commit_bits)
         session = commit_phase(params, c, channel, commit_rng)
-        report = binding_attack(session, params, mode=config.mode,
+        report = binding_attack(session, params, channel, mode=config.mode,
                                 trials=config.trials, seed=config.seed,
                                 threads=config.threads)
         table = ResultTable(REPORT_COLUMNS, metadata={**meta, "mode": config.mode})

@@ -9,7 +9,6 @@ chunks and concatenates per-trial outputs in order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -48,6 +47,7 @@ def map_trials(worker, payload, seeds, threads: int = 1) -> np.ndarray:
     size, extra = divmod(len(seeds), workers)
     edges = [k * size + min(k, extra) for k in range(workers + 1)]
     chunks = [seeds[a:b] for a, b in zip(edges, edges[1:])]
+    from concurrent.futures import ProcessPoolExecutor  # 1-worker runs skip this import
     with ProcessPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(worker, [payload] * workers, chunks))
     return np.concatenate(parts, axis=0)

@@ -208,8 +208,13 @@ class TestResult:
 
 
 def _check_channel(params: ProtocolParams, channel: WiretapChannel):
-    if not math.isclose(channel.p, params.pq.p) or not math.isclose(channel.q, params.pq.q):
-        raise CouplingError("channel crossover probabilities do not match params")
+    """The channel must be the params' own: p, q, coupling and any set r."""
+    if (not math.isclose(channel.p, params.pq.p) or not math.isclose(channel.q, params.pq.q)
+            or channel.coupling != params.coupling
+            or (params.coupling_r is not None
+                and not math.isclose(channel.r, params.coupling_r, abs_tol=1e-15))):
+        raise CouplingError(f"channel ({channel.coupling}, p={channel.p}, q={channel.q}, "
+                            f"r={channel.r}) does not match the params")
 
 
 def _commit_draws(params: ProtocolParams, channel: WiretapChannel,

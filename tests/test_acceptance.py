@@ -162,21 +162,21 @@ def _binding_session(lg: int, seed: int):
     channel = make_channel(0.25, 0.25, "independent")
     rng = make_rng(np.random.SeedSequence([seed, 0xB1D]))
     c = BitVector.random(rng, params.commit_bits)
-    return params, commit_phase(params, c, channel, rng)
+    return params, channel, commit_phase(params, c, channel, rng)
 
 
 def test_criterion_6_binding():
     with _Criterion(6, "binding success within the confusable-set ceiling", 120.0):
         seed = 20246
-        params8, session8 = _binding_session(8, seed)
-        report8 = binding_attack(session8, params8, trials=1000, seed=seed)
+        params8, channel8, session8 = _binding_session(8, seed)
+        report8 = binding_attack(session8, params8, channel8, trials=1000, seed=seed)
         mean_ceiling = report8.details["mean_ceiling"]
         lo95, _ = wilson_interval(int(round(report8.estimate * 1000)), 1000)
         assert lo95 <= mean_ceiling + 1e-12
         # paired seeds, longer challenge: the same master seed makes the
         # l=12 challenge seed extend the l=8 one, so success never grows
-        params12, session12 = _binding_session(12, seed)
-        report12 = binding_attack(session12, params12, trials=1000, seed=seed)
+        params12, channel12, session12 = _binding_session(12, seed)
+        report12 = binding_attack(session12, params12, channel12, trials=1000, seed=seed)
         s8 = report8.details["success_indicators"]
         s12 = report12.details["success_indicators"]
         assert np.all(s12 <= s8)
@@ -199,10 +199,10 @@ def test_criterion_7_concealment_and_secrecy_exact():
 def test_criterion_8_collusion_irrelevance_for_binding():
     with _Criterion(8, "Eve collusion never changes a binding trial", 120.0):
         seed = 20248
-        params, session = _binding_session(8, seed)
-        alone = binding_attack(session, params, mode="alone",
+        params, channel, session = _binding_session(8, seed)
+        alone = binding_attack(session, params, channel, mode="alone",
                                trials=1000, seed=seed)
-        with_eve = binding_attack(session, params, mode="with_eve",
+        with_eve = binding_attack(session, params, channel, mode="with_eve",
                                   trials=1000, seed=seed)
         assert np.array_equal(alone.details["success_indicators"],
                               with_eve.details["success_indicators"])

@@ -5,6 +5,7 @@ sets, and paired-seed comparisons for the binding attack."""
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ import pytest
 from wiretap_commit import adversary
 from wiretap_commit.adversary import (
     VIEWS,
-    _bsc_kernel,
     _all_seed_tables,
     _concealment_mc_worker,
-    _pair_kernel,
+    _kernel,
+    _mi_rows,
+    _noise_table,
     _soundness_worker,
     binding_attack,
     concealment_exact,
@@ -108,6 +110,15 @@ class TestSoundness:
         r2 = estimate_soundness(params, channel, trials=200, seed=5)
         assert r1 == r2
 
+    def test_channel_must_match_params(self):
+        params = derive_params(200, CrossoverPair(0.2, 0.2), "one",
+                               alpha1=0.05, beta1=0.05, beta2=0.1)
+        with pytest.raises(CouplingError):
+            estimate_soundness(params, make_channel(0.2, 0.25), trials=10, seed=0)
+        with pytest.raises(CouplingError):
+            estimate_soundness(params, make_channel(0.2, 0.2, "custom", r=0.2),
+                               trials=10, seed=0)
+
     def test_threads_do_not_change_results(self):
         params = derive_params(200, CrossoverPair(0.2, 0.2), "one",
                                alpha1=0.05, beta1=0.05, beta2=0.1)
@@ -194,9 +205,9 @@ class TestBindingAttack:
         params, channel, session = small_session(
             n=12, p=0.25, q=0.3, alpha1=0.15, lg=8, mc=1, seed=29,
             coupling=coupling, r=r)
-        fast = binding_attack(session, params, mode=mode, trials=300, seed=29)
+        fast = binding_attack(session, params, channel, mode=mode, trials=300, seed=29)
         monkeypatch.setattr(adversary, "_binding_worker", _reference_binding_worker)
-        slow = binding_attack(session, params, mode=mode, trials=300, seed=29)
+        slow = binding_attack(session, params, channel, mode=mode, trials=300, seed=29)
         for key in ("success_indicators", "confusable_sizes"):
             assert np.array_equal(fast.details[key], slow.details[key])
         wins = fast.details["success_indicators"]
@@ -218,7 +229,7 @@ class TestBindingAttack:
             alice_view=dataclasses.replace(session.alice_view, transcript=t),
             bob_view=dataclasses.replace(session.bob_view, transcript=t),
             eve_view=dataclasses.replace(session.eve_view, transcript=t))
-        report = binding_attack(session, params, trials=200, seed=21)
+        report = binding_attack(session, params, channel, trials=200, seed=21)
         assert report.estimate == 0.0
 
     def test_longer_challenge_never_helps_alice(self):
@@ -228,14 +239,16 @@ class TestBindingAttack:
         for lg in (3, 4):
             params, channel, session = small_session(
                 n=12, p=0.25, alpha1=0.25, lg=lg, mc=3, seed=22)
-            rep = binding_attack(session, params, trials=300, seed=22)
+            rep = binding_attack(session, params, channel, trials=300, seed=22)
             results[lg] = rep.details["success_indicators"]
         assert np.all(results[4] <= results[3])
 
     def test_collusion_irrelevant_on_independent_coupling(self):
         params, channel, session = small_session(seed=23)
-        alone = binding_attack(session, params, mode="alone", trials=300, seed=23)
-        with_eve = binding_attack(session, params, mode="with_eve", trials=300, seed=23)
+        alone = binding_attack(session, params, channel, mode="alone",
+                               trials=300, seed=23)
+        with_eve = binding_attack(session, params, channel, mode="with_eve",
+                                  trials=300, seed=23)
         assert np.array_equal(alone.details["success_indicators"],
                               with_eve.details["success_indicators"])
         # overlapping Wilson intervals follow from equality
@@ -245,14 +258,14 @@ class TestBindingAttack:
         # one-member confusable sets can never produce two claims
         params, channel, session = small_session(n=10, p=0.1, alpha1=0.02,
                                                  lg=10, mc=2, seed=24)
-        report = binding_attack(session, params, trials=100, seed=24)
+        report = binding_attack(session, params, channel, trials=100, seed=24)
         sizes = report.details["confusable_sizes"]
         wins = report.details["success_indicators"]
         assert np.all(wins[sizes < 2] == 0)
 
     def test_reference_bound_fields(self):
         params, channel, session = small_session(seed=25)
-        report = binding_attack(session, params, trials=100, seed=25)
+        report = binding_attack(session, params, channel, trials=100, seed=25)
         eta = report.details["eta_hat"]
         assert report.details["beta_prime"] == pytest.approx(params.beta1 - 2 * eta)
         assert report.reference_bound == pytest.approx(
@@ -262,13 +275,13 @@ class TestBindingAttack:
     def test_mode_validation(self):
         params, channel, session = small_session(seed=26)
         with pytest.raises(DomainError):
-            binding_attack(session, params, mode="sideways", trials=10, seed=0)
+            binding_attack(session, params, channel, mode="sideways", trials=10, seed=0)
 
     def test_reproducible_and_pool_invariant(self):
         params, channel, session = small_session(n=12, p=0.25, alpha1=0.25,
                                                  lg=4, mc=2, seed=28)
-        r1 = binding_attack(session, params, trials=60, seed=28, threads=1)
-        r2 = binding_attack(session, params, trials=60, seed=28, threads=2)
+        r1 = binding_attack(session, params, channel, trials=60, seed=28, threads=1)
+        r2 = binding_attack(session, params, channel, trials=60, seed=28, threads=2)
         assert r1.estimate == r2.estimate
         assert np.array_equal(r1.details["success_indicators"],
                               r2.details["success_indicators"])
@@ -276,7 +289,16 @@ class TestBindingAttack:
     def test_scale_error(self):
         params, channel, session = small_session(n=21, p=0.25, lg=4, mc=2, seed=27)
         with pytest.raises(ScaleError):
-            binding_attack(session, params, trials=10, seed=0)
+            binding_attack(session, params, channel, trials=10, seed=0)
+
+    @pytest.mark.parametrize("other", [
+        make_channel(0.25, 0.3),               # another q
+        make_channel(0.25, 0.25, "custom", r=0.0),  # another coupling
+    ])
+    def test_channel_must_match_params(self, other):
+        params, channel, session = small_session(seed=30)
+        with pytest.raises(CouplingError):
+            binding_attack(session, params, other, trials=10, seed=0)
 
 
 # --------------------------------------------------------------------------
@@ -346,6 +368,37 @@ def dict_mi(d0, d1):
             if v > 0.0:
                 total += 0.5 * v * math.log2(v / mid)
     return total
+
+
+def _bsc_kernel(n: int, flip: float) -> np.ndarray:
+    """W[x, y] = flip^d (1-flip)^(n-d) over all word pairs."""
+    words = np.arange(1 << n, dtype=np.uint32)
+    d = np.bitwise_count(words[:, None] ^ words[None, :]).astype(np.float64)
+    return flip ** d * (1.0 - flip) ** (n - d)
+
+
+def _pair_kernel(n: int, noise_pmf) -> np.ndarray:
+    """W[x, (y,z)] for one block under the joint per-symbol noise pmf."""
+    p00, p01, p10, p11 = noise_pmf
+    words = np.arange(1 << n, dtype=np.uint32)
+    nb = words[:, None, None] ^ words[None, :, None]   # x ^ y
+    ne = words[:, None, None] ^ words[None, None, :]   # x ^ z
+    c11 = np.bitwise_count(nb & ne).astype(np.int64)
+    cb = np.bitwise_count(nb).astype(np.int64)
+    ce = np.bitwise_count(ne).astype(np.int64)
+    c10 = cb - c11
+    c01 = ce - c11
+    c00 = n - c11 - c10 - c01
+    shape = (1 << n, 1 << n, 1 << n)
+    log_prob = np.zeros(shape, dtype=np.float64)
+    impossible = np.zeros(shape, dtype=bool)
+    for count, pi in ((c00, p00), (c01, p01), (c10, p10), (c11, p11)):
+        if pi > 0.0:
+            log_prob += count * math.log(pi)
+        else:
+            impossible |= count > 0
+    out = np.where(impossible, 0.0, np.exp(log_prob))
+    return out.reshape(1 << n, 1 << (2 * n))
 
 
 def _all_seed_hashes(n: int, l: int) -> np.ndarray:
@@ -451,6 +504,68 @@ def _reference_kernel_coset_concealment_exact(params, channel, uniform_pad=False
     return out
 
 
+def _reference_orbit_concealment_exact(params, channel, views=VIEWS,
+                                       uniform_pad=False):
+    """The orbit loop of concealment_exact over kernel tables of every
+    word pair (every (y, z) for the joint view).  Returns
+    view -> (sd, mi, bound, k_hat)."""
+    n, lg = params.n, params.challenge_bits
+    big_n = 1 << n
+    g_hash = _all_seed_tables(n, lg)
+    sign = 1.0 - 2.0 * _all_seed_tables(n, 1)
+    if uniform_pad:
+        sign = np.zeros_like(sign)
+    kernels = {
+        "bob": lambda: _bsc_kernel(n, params.pq.p),
+        "eve": lambda: _bsc_kernel(n, params.pq.q),
+        "joint": lambda: _pair_kernel(n, channel.noise_pair_pmf()),
+    }
+    kernels = {v: kernels[v]().reshape(big_n, big_n, -1) for v in views}
+    x_weight = 1.0 / big_n
+    seed_weight = 1.0 / (g_hash.shape[0] * sign.shape[0])
+    sd_acc = {v: 0.0 for v in views}
+    mi_acc = {v: 0.0 for v in views}
+    max_posterior = {v: 0.0 for v in views}
+    for values in g_hash:
+        leaders = np.unique(values, return_index=True)[1]
+        idx = np.flatnonzero(values == 0)
+        rows, counts = np.unique(sign[:, idx], axis=0, return_counts=True)
+        rows *= x_weight
+        weight = counts * (leaders.size * idx.size)
+        for v in views:
+            k_rep = kernels[v][np.ix_(idx, leaders)].reshape(idx.size, -1)
+            colsum = k_rep.sum(axis=0)
+            d_mat = rows @ k_rep
+            sd_acc[v] += float(weight @ np.abs(d_mat).sum(axis=1))
+            s_vec = colsum * x_weight
+            m0 = 0.5 * (s_vec[None, :] + d_mat)
+            m1 = 0.5 * (s_vec[None, :] - d_mat)
+            np.clip(m0, 0.0, None, out=m0)
+            np.clip(m1, 0.0, None, out=m1)
+            mi_acc[v] += float(weight @ _mi_rows(m0, m1))
+            colmax = k_rep.max(axis=0)
+            pos = colsum > 0.0
+            if pos.any():
+                ratio = float((colmax[pos] / colsum[pos]).max())
+                max_posterior[v] = max(max_posterior[v], ratio)
+    out = {}
+    for v in views:
+        k_hat = -math.log2(max_posterior[v]) if max_posterior[v] > 0 else math.inf
+        bound = min(1.0, 2.0 * lhl_bound(k_hat, 1))
+        out[v] = (seed_weight * sd_acc[v], seed_weight * mi_acc[v], bound, k_hat)
+    return out
+
+
+P_Q_COUPLINGS = [
+    # p = 0.2, q = 0.3: the Frechet interval of r is [0, 0.2]
+    ("independent", None),
+    ("degraded", None),
+    ("custom", 0.0),
+    ("custom", 0.05),
+    ("custom", 0.2),
+]
+
+
 def _gf2_rank(matrix: np.ndarray) -> int:
     """Rank over GF(2) by Gaussian elimination."""
     rows = [int("".join(map(str, row)), 2) for row in matrix]
@@ -464,6 +579,81 @@ def _gf2_rank(matrix: np.ndarray) -> int:
         top = 1 << (pivot.bit_length() - 1)
         rows = [r ^ pivot if r & top else r for r in rows]
     return rank
+
+
+class TestNoiseKernel:
+    """The popcount kernel against kernel tables over every word pair."""
+
+    @pytest.mark.parametrize("coupling,r", P_Q_COUPLINGS)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_blocks_match_word_pair_kernels(self, n, coupling, r):
+        p, q = 0.2, 0.3
+        channel = make_channel(p, q, coupling, r=r)
+        big_n = 1 << n
+        words = np.arange(big_n)
+        zero = np.zeros(1, dtype=np.int64)
+        # column (y, w) of the joint kernel is column (y, z = y ^ w) of the reference
+        z_of = (words[:, None] ^ words[None, :]).reshape(-1)
+        y_of = np.repeat(words, big_n)
+        references = {
+            "bob": (_noise_table(n, (1.0 - p, 0.0, 0.0, p)), zero, _bsc_kernel(n, p)),
+            "eve": (_noise_table(n, (1.0 - q, 0.0, 0.0, q)), zero, _bsc_kernel(n, q)),
+            "joint": (_noise_table(n, channel.noise_pair_pmf()), words,
+                      _pair_kernel(n, channel.noise_pair_pmf())[:, y_of * big_n + z_of]),
+        }
+        for lg in range(1, min(n, 3) + 1):
+            for values in _all_seed_tables(n, lg):
+                leaders = np.unique(values, return_index=True)[1]
+                idx = np.flatnonzero(values == 0)
+                for v, (table, w, reference) in references.items():
+                    block = _kernel(table, idx, leaders, w)
+                    expected = reference.reshape(big_n, big_n, -1)[np.ix_(idx, leaders)]
+                    expected = expected.reshape(idx.size, -1)
+                    if v == "joint":
+                        # the reference takes exp of a sum of up to n logs, so
+                        # its relative error grows with n (2.5e-15 at n = 6);
+                        # the table's own error is checked against exact
+                        # rationals below
+                        np.testing.assert_allclose(block, expected, atol=0.0,
+                                                   rtol=4 * n * np.finfo(np.float64).eps)
+                        assert np.array_equal(block == 0.0, expected == 0.0)
+                    else:
+                        np.testing.assert_array_equal(block, expected)
+
+    @pytest.mark.parametrize("coupling,r", P_Q_COUPLINGS)
+    def test_table_matches_exact_rationals(self, coupling, r):
+        # every feasible entry against the same product in exact arithmetic
+        # on the double-valued pmf; zero pmf entries give exact zeros
+        pmf = make_channel(0.2, 0.3, coupling, r=r).noise_pair_pmf()
+        p00, p01, p10, p11 = (Fraction(v) for v in pmf)
+        n = 6
+        table = _noise_table(n, pmf)
+        assert np.isfinite(table).all()  # zero pmf entries meet no negative exponent
+        for a, b, c in itertools.product(range(n + 1), repeat=3):
+            if c > min(a, b) or a + b - c > n:
+                continue
+            exact = p11 ** (a - c) * p00 ** (n - a - b + c) * p10 ** c * p01 ** (b - c)
+            if exact == 0:
+                assert table[a, b, c] == 0.0
+            else:
+                assert abs(Fraction(float(table[a, b, c])) - exact) <= exact / 10 ** 15
+
+    @pytest.mark.parametrize("n,lg,uniform_pad", [
+        (n, lg, uniform_pad) for n in (2, 3, 4, 5, 6) for lg in (1, 2, 3)
+        for uniform_pad in (False, True) if lg <= n] + [(7, 1, True), (8, 1, False)])
+    def test_single_party_reports_are_bit_identical(self, n, lg, uniform_pad):
+        # the single-party pmfs do not depend on the coupling; the joint
+        # reports are checked against the reference loops further down
+        params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
+                                 challenge_bits=lg, commit_bits=1)
+        channel = make_channel(0.2, 0.3)
+        views = ("bob", "eve")
+        reports = concealment_exact(params, channel, views=views, uniform_pad=uniform_pad)
+        reference = _reference_orbit_concealment_exact(params, channel, views, uniform_pad)
+        for v in views:
+            assert (reports[f"sd_{v}"].estimate, reports[f"mi_{v}"].estimate,
+                    reports[f"sd_{v}"].reference_bound,
+                    reports[f"sd_{v}"].details["k_hat"]) == reference[v]
 
 
 class TestConcealmentExact:
@@ -600,6 +790,18 @@ class TestConcealmentExact:
                                challenge_bits=2, commit_bits=2)
         with pytest.raises(ScaleError):
             concealment_exact(wide, channel)  # needs one pad bit
+
+    @pytest.mark.parametrize("other", [
+        make_channel(0.25, 0.35),                    # other p and q
+        make_channel(0.2, 0.3, "custom", r=0.0),     # other coupling
+        make_channel(0.2, 0.3, "custom", r=0.1),     # other r
+    ])
+    def test_channel_must_match_params(self, other):
+        params = explicit_params(4, CrossoverPair(0.2, 0.3), "one", alpha1=0.2,
+                                 challenge_bits=1, commit_bits=1,
+                                 coupling="custom", coupling_r=0.05)
+        with pytest.raises(CouplingError):
+            concealment_exact(params, other)
 
     def test_exact_reports_are_flagged(self):
         params = explicit_params(4, CrossoverPair(0.25, 0.25), "one", alpha1=0.2,

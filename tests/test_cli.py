@@ -229,3 +229,28 @@ def test_sweep_point_with_long_challenge_exits_before_any_trial(tmp_path, capsys
     }))
     assert main(["sweep", "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
     assert "challenge_bits = 13" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind,method,variable,values,message", [
+    ("binding", "exact", "params.n", [12, 21], "limited to n <= 20, got 21"),
+    ("secrecy", "monte-carlo", "params.commit_bits", [1, 2],
+     "defined for commit_bits == 1"),
+], ids=["binding-beyond-enumeration", "monte-carlo-with-two-commit-bits"])
+def test_sweep_point_beyond_scale_limit_exits_before_any_trial(
+        tmp_path, capsys, monkeypatch, kind, method, variable, values, message):
+    # the first point is valid: only validate() can stop it from running
+    def no_trials(*args, **kwargs):
+        raise AssertionError("map_trials ran before every sweep point was validated")
+
+    monkeypatch.setattr(adversary, "map_trials", no_trials)
+    inner = {"version": 1, "kind": kind, "method": method,
+             "params": {"n": 12, "p": 0.2, "q": 0.3, "privacy": "one",
+                        "alpha1": 0.1, "achievable": False,
+                        "challenge_bits": 4, "commit_bits": 1}}
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "version": 1, "kind": "sweep", "seed": 3, "trials": 50,
+        "sweep": {"variable": variable, "values": values, "experiment": inner},
+    }))
+    assert main(["sweep", "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
+    assert message in capsys.readouterr().err

@@ -1,5 +1,11 @@
 """Worker pool: the size clamp is checked on the pure helper; one test
-starts a two-process pool to check that chunking changes no result."""
+starts a two-process pool to check that chunking changes no result, and
+one imports the package in a fresh interpreter to check that the pool
+is imported lazily."""
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +14,8 @@ from wiretap_commit import parallel
 from wiretap_commit.errors import DomainError
 from wiretap_commit.parallel import map_trials, pool_size, usable_cpus
 from wiretap_commit.rng import make_rng, trial_seeds
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 @pytest.mark.parametrize("threads,trials,cpus,expected", [
@@ -47,3 +55,14 @@ def test_map_trials_chunking_keeps_results(monkeypatch):
     assert serial.shape == (7, 2) and np.array_equal(serial, pooled)
     assert np.array_equal(serial[:, 0], [make_rng(s).random()
                                          for s in np.random.SeedSequence(5).spawn(7)])
+
+
+def test_package_import_leaves_the_process_pool_unloaded():
+    # map_trials imports the pool on its first multi-worker call only
+    code = ("import sys, wiretap_commit; "
+            "print('concurrent.futures.process' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [SRC] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

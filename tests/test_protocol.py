@@ -123,6 +123,23 @@ class TestCommitPhase:
         with pytest.raises(CouplingError):
             commit_phase(params, BitVector.zeros(params.commit_bits), other, make_rng(4))
 
+    @pytest.mark.parametrize("coupling,r,other", [
+        # same p and q: only the coupling differs (r = 0 is feasible here)
+        ("independent", None, ("custom", 0.0)),
+        ("custom", 0.01, ("independent", None)),
+        # same coupling: only r differs
+        ("custom", 0.01, ("custom", 0.05)),
+    ])
+    def test_coupling_and_r_mismatch_rejected(self, coupling, r, other):
+        params = explicit_params(20, CrossoverPair(0.1, 0.2), "one", alpha1=0.08,
+                                 challenge_bits=4, commit_bits=2,
+                                 coupling=coupling, coupling_r=r)
+        commit_phase(params, BitVector.zeros(2), make_channel(0.1, 0.2, coupling, r=r),
+                     make_rng(5))
+        with pytest.raises(CouplingError):
+            commit_phase(params, BitVector.zeros(2),
+                         make_channel(0.1, 0.2, other[0], r=other[1]), make_rng(5))
+
 
 class TestListMembership:
     def test_integer_band_n10(self):
