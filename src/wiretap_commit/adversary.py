@@ -40,12 +40,13 @@ from .errors import DomainError, ScaleError
 from .hashing import _packed_table, hash_all_inputs, lhl_bound
 from .parallel import map_trials
 from .protocol import ProtocolParams, SessionState, _check_channel, _commit_draws
-from .rng import make_rng, trial_seeds
+from .rng import INDEX_LIMIT, make_rng, rekey, trial_seeds
 
 ENUM_LIMIT = 20           # exhaustive search over {0,1}^n
 EXACT_MARGINAL_LIMIT = 8  # exact concealment, single-party views
 EXACT_JOINT_LIMIT = 6     # exact concealment, joint view: 2^(n+l_G-1) seeds x 4^n entries
 EXACT_SEED_LIMIT = 14     # exact concealment, n + l_G
+TRIAL_LIMIT = INDEX_LIMIT  # trial seeds per Monte Carlo estimate
 
 _Z95 = 1.959963984540054
 
@@ -110,6 +111,16 @@ def _report_context(params: ProtocolParams) -> dict:
     }
 
 
+def _check_trials(trials: int, seeds_per_trial: int = 1):
+    """An estimate runs at least one trial and draws trial seeds 0 to
+    trials * seeds_per_trial - 1, each below TRIAL_LIMIT."""
+    if trials < 1:
+        raise DomainError("trials must be >= 1")
+    if trials * seeds_per_trial > TRIAL_LIMIT:
+        raise ScaleError(f"{trials} trials need {trials * seeds_per_trial} trial seeds; "
+                         f"at most {TRIAL_LIMIT} are supported")
+
+
 # ---------------------------------------------------------------------------
 # soundness
 
@@ -120,34 +131,35 @@ def _soundness_worker(payload, seeds) -> np.ndarray:
     For an honest reveal the hash and pad conditions hold identically,
     so a trial rejects exactly when the Bob-side flip count leaves the
     distance band.  The flip count is read off the channel stream of
-    trial i, seeds.child(i, 2) = SeedSequence(seed, spawn_key=(i, 2)),
-    which is make_rng(seeds[i]).spawn(3)[2], the stream a full
-    honest_run on trial seed i hands to the channel.  So indicators
-    match full protocol runs trial for trial, and a trial builds one
-    Philox generator instead of four.
+    trial i, SeedSequence(seed, spawn_key=(i, 2)), which is
+    make_rng(seeds[i]).spawn(3)[2], the stream a full honest_run on
+    trial seed i hands to the channel.  So indicators match full
+    protocol runs trial for trial.  The chunk's channel keys come from
+    seeds.keys(2) in one pass, and one generator is re-keyed per trial.
     """
     n, p, alpha1 = payload
     lo, hi = n * (p - alpha1), n * (p + alpha1)
+    noise = make_rng(0)  # re-keyed per trial
     out = np.empty(len(seeds), dtype=np.uint8)
-    for i in range(len(seeds)):
-        u = make_rng(seeds.child(i, 2)).random((n, 2))
+    for i, key in enumerate(seeds.keys(2)):
+        u = rekey(noise, key).random((n, 2))
         d = np.count_nonzero(u[:, 0] < p)
         out[i] = 0 if lo <= d <= hi else 1
     return out
 
 
 def estimate_soundness(params: ProtocolParams, channel, trials: int,
-                       seed: int, threads: int = 1) -> SecurityReport:
+                       seed: int, threads: int = 1, pool=None) -> SecurityReport:
     """Empirical honest-rejection rate with Wilson 95% interval.
 
     Reference bound: the two-sided Hoeffding tail 2 exp(-2 n alpha1^2)
     on the flip count leaving the band.
     """
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    _check_trials(trials)
     _check_channel(params, channel)
     payload = (params.n, params.pq.p, params.alpha1)
-    rejects = map_trials(_soundness_worker, payload, trial_seeds(seed, trials), threads)
+    rejects = map_trials(_soundness_worker, payload, trial_seeds(seed, trials),
+                         threads, pool)
     k = int(rejects.sum())
     lo, hi = wilson_interval(k, trials)
     return SecurityReport(
@@ -218,7 +230,9 @@ def _binding_worker(payload, seeds) -> np.ndarray:
     when colluding.  The same uniforms drive both modes, so couplings
     with independent noise produce identical draws in either mode.
     Only words with the committed hash value can be members, so the
-    band test runs over those candidates, found once per call.
+    band test runs over those candidates, found once per call.  Trial i
+    draws from its own stream, SeedSequence(seed, spawn_key=(i,)),
+    through one generator re-keyed per trial from seeds.keys().
     """
     (n, p, q, r, alpha1, x_int, ne_bits, hashes, target, ext_all, thresh_mode) = payload
     lo, hi = n * (p - alpha1), n * (p + alpha1)
@@ -231,9 +245,10 @@ def _binding_worker(payload, seeds) -> np.ndarray:
     candidates = np.flatnonzero(hashes == target).astype(np.uint32)
     candidate_ext = ext_all[candidates]
     weights = (1 << np.arange(n - 1, -1, -1)).astype(np.uint64)
+    bob = make_rng(0)  # re-keyed per trial
     out = np.empty((len(seeds), 2), dtype=np.int64)
-    for i in range(len(seeds)):
-        nb = (make_rng(seeds[i]).random(n) < thresh).astype(np.uint64)
+    for i, key in enumerate(seeds.keys()):
+        nb = (rekey(bob, key).random(n) < thresh).astype(np.uint64)
         y_int = np.uint32(x_int) ^ np.uint32((nb * weights).sum())
         d = np.bitwise_count(candidates ^ y_int)
         member_ext = candidate_ext[(d >= lo) & (d <= hi)]
@@ -245,7 +260,7 @@ def _binding_worker(payload, seeds) -> np.ndarray:
 
 def binding_attack(session: SessionState, params: ProtocolParams, channel,
                    mode: str = "alone", trials: int = 1000, seed: int = 0,
-                   threads: int = 1) -> SecurityReport:
+                   threads: int = 1, pool=None) -> SecurityReport:
     """Success rate of the hash-collision binding attack on one commit.
 
     Alice (with Eve's z when mode="with_eve") fixes her commit-phase
@@ -258,8 +273,7 @@ def binding_attack(session: SessionState, params: ProtocolParams, channel,
     """
     if mode not in ("alone", "with_eve"):
         raise DomainError(f"mode must be 'alone' or 'with_eve', got {mode!r}")
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    _check_trials(trials)
     _check_enum_scale(params.n)
     _check_channel(params, channel)
     t = session.transcript
@@ -271,7 +285,7 @@ def binding_attack(session: SessionState, params: ProtocolParams, channel,
         hash_all_inputs(t.challenge), np.uint32(t.challenge_value.to_int()),
         hash_all_inputs(t.extractor), mode,
     )
-    stats = map_trials(_binding_worker, payload, trial_seeds(seed, trials), threads)
+    stats = map_trials(_binding_worker, payload, trial_seeds(seed, trials), threads, pool)
     successes = int(stats[:, 0].sum())
     sizes = stats[:, 1].astype(float)
     ceilings = np.minimum(1.0, sizes ** 2 * 2.0 ** (-params.challenge_bits))
@@ -483,14 +497,16 @@ def _concealment_mc_worker(payload, seeds) -> np.ndarray:
     """Per-trial (c, distinguisher statistic) on raw arrays.
 
     Trial i draws c (and, with uniform_pad, the pad's key) from its own
-    stream and the commit phase from that stream's children through
-    protocol._commit_draws, so it consumes exactly what commit_phase
-    would.  Words are big-endian integers.  The MAP guess is the
-    candidate closest to the view's anchors in weighted Hamming
-    distance, ties to the lowest encoding; unless the challenge is
-    hidden the candidates are the words sharing x's value in the packed
-    table of G.  The extractor has one output bit, the parity of the
-    word ANDed with the extractor seed read little-endian.
+    stream (i,) and the commit phase from that stream's children
+    (i, 0), (i, 1) and (i, 2) through protocol._commit_draws, so it
+    consumes exactly what commit_phase would.  Each of the four streams
+    is one generator, re-keyed per trial from seeds.keys(*path).  Words
+    are big-endian integers.  The MAP guess is the candidate closest to
+    the view's anchors in weighted Hamming distance, ties to the lowest
+    encoding; unless the challenge is hidden the candidates are the
+    words sharing x's value in the packed table of G.  The extractor has
+    one output bit, the parity of the word ANDed with the extractor seed
+    read little-endian.
     """
     params, channel, view, uniform_pad, hide_challenge = payload
     n = params.n
@@ -498,11 +514,13 @@ def _concealment_mc_worker(payload, seeds) -> np.ndarray:
     wq = math.log2((1.0 - params.pq.q) / params.pq.q)
     big_endian = 1 << np.arange(n - 1, -1, -1, dtype=np.uint64)
     all_words = np.arange(1 << n, dtype=np.uint32) if hide_challenge else None
+    paths = ((), (0,), (1,), (2,))  # the trial, then Alice, Bob and the channel
+    streams = [make_rng(0) for _ in paths]  # re-keyed per trial
     out = np.empty((len(seeds), 2), dtype=np.uint8)
-    for i in range(len(seeds)):
-        rng = make_rng(seeds[i])
+    for i, keys in enumerate(zip(*(seeds.keys(*path) for path in paths))):
+        rng, *parties = (rekey(g, key) for g, key in zip(streams, keys))
         c = int(rng.integers(0, 2, size=1, dtype=np.uint8)[0])
-        x, nb, ne, g_seed, e_seed = _commit_draws(params, channel, rng)
+        x, nb, ne, g_seed, e_seed = _commit_draws(params, channel, parties)
         x_int = int(x @ big_endian)
         ext_mask = int(e_seed @ big_endian[::-1])
         pad_bit = c ^ ((x_int & ext_mask).bit_count() & 1)
@@ -528,7 +546,8 @@ def _concealment_mc_worker(payload, seeds) -> np.ndarray:
     return out
 
 
-def _monte_carlo_scale_check(params: ProtocolParams, hide_challenge: bool = False):
+def _monte_carlo_scale_check(params: ProtocolParams, trials: int,
+                             hide_challenge: bool = False):
     if params.commit_bits != 1:
         raise ScaleError("the distinguisher is defined for commit_bits == 1")
     if params.n > ENUM_LIMIT and not hide_challenge:
@@ -536,6 +555,12 @@ def _monte_carlo_scale_check(params: ProtocolParams, hide_challenge: bool = Fals
             f"hash-aware guessing needs n <= {ENUM_LIMIT}; "
             "pass hide_challenge=True beyond that"
         )
+    _check_trials(trials, seeds_per_trial=2)  # a training and a test sample
+
+
+def _cs_table(samples: np.ndarray) -> np.ndarray:
+    """Counts [c, s] of the (commit bit, statistic) rows of samples."""
+    return np.bincount(2 * samples[:, 0] + samples[:, 1], minlength=4).reshape(2, 2)
 
 
 def _entropy_miller_madow(counts: np.ndarray, total: int) -> float:
@@ -549,7 +574,7 @@ def concealment_monte_carlo(params: ProtocolParams, channel, trials: int,
                             seed: int, view: str = "bob",
                             uniform_pad: bool = False,
                             hide_challenge: bool = False,
-                            threads: int = 1) -> SecurityReport:
+                            threads: int = 1, pool=None) -> SecurityReport:
     """Sampled lower bound on concealment leakage for one view.
 
     The distinguisher guesses the extractor input as the hash-consistent
@@ -563,27 +588,21 @@ def concealment_monte_carlo(params: ProtocolParams, channel, trials: int,
     """
     if view not in VIEWS:
         raise DomainError(f"unknown view {view!r}; expected one of {VIEWS}")
-    _monte_carlo_scale_check(params, hide_challenge)
-    if trials < 1:
-        raise DomainError("trials must be >= 1")
+    _monte_carlo_scale_check(params, trials, hide_challenge)
     _check_channel(params, channel)
     payload = (params, channel, view, uniform_pad, hide_challenge)
     samples = map_trials(_concealment_mc_worker, payload,
-                         trial_seeds(seed, 2 * trials), threads)
+                         trial_seeds(seed, 2 * trials), threads, pool)
     train, test = samples[:trials], samples[trials:]
 
-    counts = np.zeros((2, 2), dtype=np.int64)  # [c, s]
-    for c_bit, s_bit in train:
-        counts[c_bit, s_bit] += 1
+    counts = _cs_table(train)
     rule = np.argmax(counts, axis=0)  # decision per statistic value
 
     correct = int((rule[test[:, 1]] == test[:, 0]).sum())
     acc_lo, acc_hi = wilson_interval(correct, trials)
     advantage = 2.0 * correct / trials - 1.0
 
-    joint = np.zeros((2, 2), dtype=np.int64)
-    for c_bit, s_bit in test:
-        joint[c_bit, s_bit] += 1
+    joint = _cs_table(test)
     mi_mm = (
         _entropy_miller_madow(joint.sum(axis=1), trials)
         + _entropy_miller_madow(joint.sum(axis=0), trials)

@@ -19,6 +19,7 @@ import numpy as np
 from .adversary import (
     SecurityReport,
     _check_enum_scale,
+    _check_trials,
     _exact_scale_check,
     _monte_carlo_scale_check,
     binding_attack,
@@ -36,6 +37,7 @@ from .measures import (
     rate_bound_one_private,
     rate_bound_two_private,
 )
+from .parallel import TrialPool
 from .protocol import (
     bob_test,
     commit_phase,
@@ -273,6 +275,8 @@ class ExperimentConfig:
                 raise ConfigError("trials must be >= 1")
             params = self.build_params()
             self.build_channel(params)
+            if self.kind in ("soundness", "binding"):
+                _check_trials(self.trials)
             if self.kind == "binding":
                 _check_enum_scale(params.n)
             if self.kind in ("concealment", "secrecy"):
@@ -280,7 +284,7 @@ class ExperimentConfig:
                 if self.method == "exact":
                     _exact_scale_check(params, views)
                 elif self.method == "monte-carlo":
-                    _monte_carlo_scale_check(params)
+                    _monte_carlo_scale_check(params, self.trials)
                 else:
                     raise ConfigError(f"unknown method {self.method!r}")
         return self
@@ -356,8 +360,16 @@ def _report_rows(table: ResultTable, reports):
         table.append(rep.to_record())
 
 
-def run_experiment(config: ExperimentConfig) -> ResultTable:
-    """Dispatch one validated experiment and return its table."""
+def run_experiment(config: ExperimentConfig, pool: Optional[TrialPool] = None) -> ResultTable:
+    """Dispatch one validated experiment and return its table.
+
+    Every estimator call of the run, at every sweep point, shares one
+    TrialPool: pool when given (the caller closes it), else one this
+    run starts on first use and shuts down when it ends.
+    """
+    if pool is None:
+        with TrialPool() as pool:
+            return run_experiment(config, pool)
     config.validate()
     kind = config.kind
     meta = {"kind": kind, "seed": config.seed, "trials": config.trials}
@@ -370,7 +382,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         return table
 
     if kind == "sweep":
-        return _run_sweep(config)
+        return _run_sweep(config, pool)
 
     params = config.build_params()
     channel = config.build_channel(params)
@@ -378,7 +390,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
     if kind == "soundness":
         table = ResultTable(REPORT_COLUMNS, metadata=meta)
         _report_rows(table, estimate_soundness(
-            params, channel, config.trials, config.seed, threads=config.threads))
+            params, channel, config.trials, config.seed, threads=config.threads,
+            pool=pool))
         return table
 
     if kind == "binding":
@@ -389,7 +402,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         session = commit_phase(params, c, channel, commit_rng)
         report = binding_attack(session, params, channel, mode=config.mode,
                                 trials=config.trials, seed=config.seed,
-                                threads=config.threads)
+                                threads=config.threads, pool=pool)
         table = ResultTable(REPORT_COLUMNS, metadata={**meta, "mode": config.mode})
         _report_rows(table, report)
         return table
@@ -403,7 +416,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
             reports = [
                 concealment_monte_carlo(params, channel, config.trials,
                                         config.seed, view=v,
-                                        threads=config.threads)
+                                        threads=config.threads, pool=pool)
                 for v in views
             ]
             _report_rows(table, reports)
@@ -439,11 +452,11 @@ def _sweep_points(config: ExperimentConfig):
     return variable, points
 
 
-def _run_sweep(config: ExperimentConfig) -> ResultTable:
+def _run_sweep(config: ExperimentConfig, pool: TrialPool) -> ResultTable:
     variable, points = _sweep_points(config)
     table = None
     for v, sub in points:
-        sub_table = run_experiment(sub)
+        sub_table = run_experiment(sub, pool)
         if table is None:
             table = ResultTable(
                 [variable] + sub_table.columns,

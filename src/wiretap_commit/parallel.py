@@ -3,7 +3,12 @@
 Estimators draw trial i of seed s from SeedSequence(s, spawn_key=(i,))
 and its children (see rng.trial_seeds), so results are independent of
 how trials are chunked; the pool slices the trial seeds into contiguous
-chunks and concatenates per-trial outputs in order.
+chunks and concatenates per-trial outputs in order.  A worker derives
+the Philox keys of its whole chunk at once (rng.TrialSeeds.keys) and
+re-keys one generator per stream it reads.
+
+One TrialPool serves every map_trials call of a run (each estimator
+and each sweep point), so a run starts its worker processes once.
 """
 
 from __future__ import annotations
@@ -33,13 +38,49 @@ def pool_size(threads: int, trials: int, cpus: int) -> int:
     return max(1, min(threads, cpus, trials))
 
 
-def map_trials(worker, payload, seeds, threads: int = 1) -> np.ndarray:
+class TrialPool:
+    """A process pool shared by the map_trials calls of one run.
+
+    Nothing starts until a call has more than one chunk; the processes
+    then start once and are reused, and a call with more chunks than
+    the pool has workers restarts it at that size.  close() (or leaving
+    a with block) shuts the processes down.
+    """
+
+    def __init__(self):
+        self._executor = None
+        self._workers = 0
+
+    def map(self, worker, payload, chunks) -> list:
+        """[worker(payload, chunk) for chunk in chunks], one chunk per process."""
+        if len(chunks) > self._workers:
+            self.close()
+            from concurrent.futures import ProcessPoolExecutor  # 1-worker runs skip this import
+            self._executor = ProcessPoolExecutor(max_workers=len(chunks))
+            self._workers = len(chunks)
+        return list(self._executor.map(worker, [payload] * len(chunks), chunks))
+
+    def close(self):
+        if self._executor is not None:
+            self._executor.shutdown()
+        self._executor, self._workers = None, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+def map_trials(worker, payload, seeds, threads: int = 1, pool=None) -> np.ndarray:
     """Run worker(payload, seed_chunk) over chunks of per-trial seeds.
 
     The worker must return an ndarray whose leading axis indexes trials
     within its chunk; chunks are slices of seeds (a TrialSeeds slice
-    pickles as three integers) and are concatenated in trial order.  The
-    pool has pool_size(threads, len(seeds), usable_cpus()) workers.
+    pickles as three integers) and are concatenated in trial order.
+    There are pool_size(threads, len(seeds), usable_cpus()) chunks.  With
+    more than one they run on pool, a TrialPool the caller keeps open,
+    or on a pool of this call's own when pool is None.
     """
     workers = pool_size(threads, len(seeds), usable_cpus())
     if workers == 1:
@@ -47,7 +88,9 @@ def map_trials(worker, payload, seeds, threads: int = 1) -> np.ndarray:
     size, extra = divmod(len(seeds), workers)
     edges = [k * size + min(k, extra) for k in range(workers + 1)]
     chunks = [seeds[a:b] for a, b in zip(edges, edges[1:])]
-    from concurrent.futures import ProcessPoolExecutor  # 1-worker runs skip this import
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(worker, [payload] * workers, chunks))
+    if pool is None:
+        with TrialPool() as own:
+            parts = own.map(worker, payload, chunks)
+    else:
+        parts = pool.map(worker, payload, chunks)
     return np.concatenate(parts, axis=0)

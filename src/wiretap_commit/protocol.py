@@ -217,19 +217,19 @@ def _check_channel(params: ProtocolParams, channel: WiretapChannel):
                             f"r={channel.r}) does not match the params")
 
 
-def _commit_draws(params: ProtocolParams, channel: WiretapChannel,
-                  rng: np.random.Generator):
+def _commit_draws(params: ProtocolParams, channel: WiretapChannel, streams):
     """Every random draw of the commit phase, as uint8 arrays.
 
     Returns (x, nb, ne, g_seed, e_seed): Alice's word, Bob's and Eve's
-    noise, and the challenge and extractor seeds.  Streams are rng's
-    three children: Alice's (x, then the extractor seed), Bob's (the
-    challenge seed) and the channel's (the noise pair).  This fixes the
-    stream contract of commit_phase; callers that work on arrays call
-    it directly after checking the channel once.
+    noise, and the challenge and extractor seeds.  streams are the three
+    party generators, a session generator's spawn(3): Alice's (x, then
+    the extractor seed), Bob's (the challenge seed) and the channel's
+    (the noise pair).  This fixes the stream contract of commit_phase;
+    callers that work on arrays call it directly after checking the
+    channel once.
     """
     n = params.n
-    alice_rng, bob_rng, channel_rng = rng.spawn(3)
+    alice_rng, bob_rng, channel_rng = streams
 
     def uniform_bits(stream, size):
         return stream.integers(0, 2, size=size, dtype=np.uint8)
@@ -254,7 +254,7 @@ def commit_phase(params: ProtocolParams, c: BitVector,
             f"commit string length {len(c)} != commit_bits {params.commit_bits}"
         )
     _check_channel(params, channel)
-    x_bits, nb, ne, g_seed, e_seed = _commit_draws(params, channel, rng)
+    x_bits, nb, ne, g_seed, e_seed = _commit_draws(params, channel, rng.spawn(3))
 
     x = BitVector(x_bits)
     y, z = BitVector(x_bits ^ nb), BitVector(x_bits ^ ne)

@@ -10,11 +10,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wiretap_commit import adversary
+from wiretap_commit import adversary, parallel
 from wiretap_commit.adversary import (
+    TRIAL_LIMIT,
     VIEWS,
     _all_seed_tables,
+    _binding_worker,
     _concealment_mc_worker,
+    _cs_table,
     _kernel,
     _mi_rows,
     _noise_table,
@@ -29,10 +32,18 @@ from wiretap_commit.adversary import (
 from wiretap_commit.bits import BitVector
 from wiretap_commit.channel import make_channel
 from wiretap_commit.errors import CouplingError, DomainError, ScaleError
-from wiretap_commit.hashing import HashSpec, hash_all_inputs, hash_evaluate, lhl_bound
+from wiretap_commit.hashing import (
+    HashSpec,
+    _packed_table,
+    hash_all_inputs,
+    hash_evaluate,
+    lhl_bound,
+)
 from wiretap_commit.measures import CrossoverPair
+from wiretap_commit.parallel import TrialPool, map_trials
 from wiretap_commit.protocol import (
     RevealClaim,
+    _commit_draws,
     bob_test,
     commit_phase,
     derive_params,
@@ -922,3 +933,161 @@ class TestConcealmentMonteCarlo:
         with pytest.raises(ScaleError):
             concealment_monte_carlo(big, make_channel(0.25, 0.25), trials=10,
                                     seed=0, view="bob")
+
+
+# ---------------------------------------------------------------------------
+# workers on bulk keys against the per-trial SeedSequence loops they replaced
+
+
+def _per_trial_soundness_worker(payload, seeds):
+    """The soundness worker with one SeedSequence, Philox and Generator per trial."""
+    n, p, alpha1 = payload
+    lo, hi = n * (p - alpha1), n * (p + alpha1)
+    out = np.empty(len(seeds), dtype=np.uint8)
+    for i in range(len(seeds)):
+        child = np.random.SeedSequence(seeds.entropy, spawn_key=(seeds.indices[i], 2))
+        u = make_rng(child).random((n, 2))
+        d = np.count_nonzero(u[:, 0] < p)
+        out[i] = 0 if lo <= d <= hi else 1
+    return out
+
+
+def _per_trial_binding_worker(payload, seeds):
+    """The binding worker with one SeedSequence, Philox and Generator per trial."""
+    (n, p, q, r, alpha1, x_int, ne_bits, hashes, target, ext_all, thresh_mode) = payload
+    lo, hi = n * (p - alpha1), n * (p + alpha1)
+    if thresh_mode == "alone":
+        thresh = np.full(n, p)
+    else:
+        cond1 = r / q              # P(N_B=1 | N_E=1)
+        cond0 = (p - r) / (1.0 - q)  # P(N_B=1 | N_E=0)
+        thresh = np.where(ne_bits == 1, cond1, cond0)
+    candidates = np.flatnonzero(hashes == target).astype(np.uint32)
+    candidate_ext = ext_all[candidates]
+    weights = (1 << np.arange(n - 1, -1, -1)).astype(np.uint64)
+    out = np.empty((len(seeds), 2), dtype=np.int64)
+    for i in range(len(seeds)):
+        nb = (make_rng(seeds[i]).random(n) < thresh).astype(np.uint64)
+        y_int = np.uint32(x_int) ^ np.uint32((nb * weights).sum())
+        d = np.bitwise_count(candidates ^ y_int)
+        member_ext = candidate_ext[(d >= lo) & (d <= hi)]
+        out[i, 0] = 1 if (member_ext != member_ext[:1]).any() else 0
+        out[i, 1] = member_ext.size
+    return out
+
+
+def _per_trial_concealment_mc_worker(payload, seeds):
+    """The secrecy worker with a SeedSequence, Philox and Generator per
+    trial and three more per trial from Generator.spawn(3)."""
+    params, channel, view, uniform_pad, hide_challenge = payload
+    n = params.n
+    wp = math.log2((1.0 - params.pq.p) / params.pq.p)
+    wq = math.log2((1.0 - params.pq.q) / params.pq.q)
+    big_endian = 1 << np.arange(n - 1, -1, -1, dtype=np.uint64)
+    all_words = np.arange(1 << n, dtype=np.uint32) if hide_challenge else None
+    out = np.empty((len(seeds), 2), dtype=np.uint8)
+    for i in range(len(seeds)):
+        rng = make_rng(seeds[i])
+        c = int(rng.integers(0, 2, size=1, dtype=np.uint8)[0])
+        x, nb, ne, g_seed, e_seed = _commit_draws(params, channel, rng.spawn(3))
+        x_int = int(x @ big_endian)
+        ext_mask = int(e_seed @ big_endian[::-1])
+        pad_bit = c ^ ((x_int & ext_mask).bit_count() & 1)
+        if uniform_pad:
+            pad_bit = c ^ int(rng.integers(0, 2))
+        if hide_challenge:
+            candidates = all_words
+        else:
+            table = _packed_table(g_seed, n, params.challenge_bits)
+            candidates = np.flatnonzero(table == table[x_int])
+        y_int = x_int ^ int(nb @ big_endian)
+        z_int = x_int ^ int(ne @ big_endian)
+        if view == "bob":
+            cost = wp * np.bitwise_count(candidates ^ y_int)
+        elif view == "eve":
+            cost = wq * np.bitwise_count(candidates ^ z_int)
+        else:
+            cost = (wp * np.bitwise_count(candidates ^ y_int)
+                    + wq * np.bitwise_count(candidates ^ z_int))
+        x_hat = int(candidates[np.argmin(cost)])
+        out[i, 0] = c
+        out[i, 1] = pad_bit ^ ((x_hat & ext_mask).bit_count() & 1)
+    return out
+
+
+@pytest.fixture(scope="module")
+def trial_pool():
+    with TrialPool() as pool:
+        yield pool
+
+
+def _check_at_one_and_two_workers(monkeypatch, pool, worker, reference, payload, seeds):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    expected = reference(payload, seeds)
+    for threads in (1, 2):
+        assert np.array_equal(map_trials(worker, payload, seeds, threads, pool), expected)
+
+
+@pytest.mark.parametrize("n,p,alpha1", [(1, 0.1, 0.05), (300, 0.1, 0.035), (2000, 0.1, 0.01)])
+def test_soundness_worker_matches_per_trial_streams(monkeypatch, trial_pool, n, p, alpha1):
+    _check_at_one_and_two_workers(monkeypatch, trial_pool, _soundness_worker,
+                                  _per_trial_soundness_worker, (n, p, alpha1),
+                                  trial_seeds(n, 45))
+
+
+@pytest.mark.parametrize("mode", ["alone", "with_eve"])
+@pytest.mark.parametrize("coupling,r", [("independent", None), ("custom", 0.1)])
+def test_binding_worker_matches_per_trial_streams(monkeypatch, trial_pool, mode,
+                                                  coupling, r):
+    params, channel, session = small_session(
+        n=12, p=0.25, q=0.3, alpha1=0.15, lg=8, mc=1, seed=29, coupling=coupling, r=r)
+    payloads = []
+    with monkeypatch.context() as m:
+        m.setattr(adversary, "map_trials",
+                  lambda worker, payload, seeds, *args: payloads.append(payload)
+                  or worker(payload, seeds))
+        binding_attack(session, params, channel, mode=mode, trials=1, seed=0)
+    _check_at_one_and_two_workers(monkeypatch, trial_pool, _binding_worker,
+                                  _per_trial_binding_worker, payloads[0],
+                                  trial_seeds(30, 60))
+
+
+@pytest.mark.parametrize("hide_challenge", [False, True])
+@pytest.mark.parametrize("uniform_pad", [False, True])
+@pytest.mark.parametrize("view", VIEWS)
+def test_concealment_worker_matches_per_trial_streams(monkeypatch, trial_pool, view,
+                                                      uniform_pad, hide_challenge):
+    params = explicit_params(8, CrossoverPair(0.2, 0.3), "one", alpha1=0.1,
+                             challenge_bits=2, commit_bits=1)
+    payload = (params, make_channel(0.2, 0.3), view, uniform_pad, hide_challenge)
+    _check_at_one_and_two_workers(monkeypatch, trial_pool, _concealment_mc_worker,
+                                  _per_trial_concealment_mc_worker, payload,
+                                  trial_seeds(2**64 - 1, 40))
+
+
+def test_cs_table_matches_the_count_loop():
+    rng = np.random.default_rng(5)
+    for samples in (np.zeros((3, 2), dtype=np.uint8),
+                    rng.integers(0, 2, size=(1, 2), dtype=np.uint8),
+                    rng.integers(0, 2, size=(501, 2), dtype=np.uint8)):
+        loop = np.zeros((2, 2), dtype=np.int64)
+        for c_bit, s_bit in samples:
+            loop[c_bit, s_bit] += 1
+        table = _cs_table(samples)
+        assert table.dtype == loop.dtype and np.array_equal(table, loop)
+
+
+def test_trial_seed_limit_checked_before_any_trial(monkeypatch):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("map_trials ran past the trial seed limit")
+
+    monkeypatch.setattr(adversary, "map_trials", no_trials)
+    params = derive_params(200, CrossoverPair(0.2, 0.2), "one",
+                           alpha1=0.05, beta1=0.05, beta2=0.1)
+    with pytest.raises(ScaleError, match="trial seeds"):
+        estimate_soundness(params, make_channel(0.2, 0.2), trials=TRIAL_LIMIT + 1, seed=0)
+    small, channel, session = small_session(n=8, lg=2, mc=1)
+    with pytest.raises(ScaleError, match="trial seeds"):
+        binding_attack(session, small, channel, trials=TRIAL_LIMIT + 1)
+    with pytest.raises(ScaleError, match="trial seeds"):
+        concealment_monte_carlo(small, channel, trials=TRIAL_LIMIT // 2 + 1, seed=0)

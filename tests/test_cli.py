@@ -5,10 +5,11 @@ import json
 import pytest
 
 from wiretap_commit import adversary
+from wiretap_commit.adversary import TRIAL_LIMIT
 from wiretap_commit.bits import BitVector
 from wiretap_commit.channel import make_channel
 from wiretap_commit.cli import EXIT_BAD_CONFIG, EXIT_OK, main
-from wiretap_commit.harness import ResultTable
+from wiretap_commit.harness import ExperimentConfig, ResultTable
 from wiretap_commit.measures import CrossoverPair
 from wiretap_commit.protocol import commit_phase, derive_params, session_to_config
 from wiretap_commit.rng import make_rng
@@ -254,3 +255,42 @@ def test_sweep_point_beyond_scale_limit_exits_before_any_trial(
     }))
     assert main(["sweep", "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
     assert message in capsys.readouterr().err
+
+
+_SECRECY = {"version": 1, "kind": "secrecy", "method": "monte-carlo", "seed": 3,
+            "params": {"n": 12, "p": 0.2, "q": 0.3, "privacy": "one",
+                       "alpha1": 0.1, "achievable": False,
+                       "challenge_bits": 2, "commit_bits": 1}}
+_BINDING = {"version": 1, "kind": "binding", "seed": 3,
+            "params": {"n": 12, "p": 0.25, "q": 0.25, "privacy": "one",
+                       "alpha1": 0.125, "achievable": False,
+                       "challenge_bits": 4, "commit_bits": 1}}
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("soundness", _soundness_doc(trials=TRIAL_LIMIT + 1)),
+    ("binding", dict(_BINDING, trials=TRIAL_LIMIT + 1)),
+    ("secrecy", dict(_SECRECY, trials=TRIAL_LIMIT // 2 + 1)),  # two seeds per trial
+    ("sweep", {"version": 1, "kind": "sweep", "seed": 3, "trials": 20,
+               "sweep": {"variable": "trials", "values": [20, TRIAL_LIMIT + 1],
+                         "experiment": _soundness_doc()}}),
+], ids=["soundness", "binding", "secrecy", "sweep-point"])
+def test_trial_count_beyond_the_seed_limit_exits_before_any_trial(
+        tmp_path, capsys, monkeypatch, command, doc):
+    def no_trials(*args, **kwargs):
+        raise AssertionError("map_trials ran past the trial seed limit")
+
+    monkeypatch.setattr(adversary, "map_trials", no_trials)
+    cfg = tmp_path / "many.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg), "--threads", "2"]) == EXIT_BAD_CONFIG
+    assert "trial seeds" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    _soundness_doc(trials=TRIAL_LIMIT),
+    dict(_BINDING, trials=TRIAL_LIMIT),
+    dict(_SECRECY, trials=TRIAL_LIMIT // 2),
+], ids=["soundness", "binding", "secrecy"])
+def test_trial_count_at_the_seed_limit_validates(doc):
+    ExperimentConfig.from_dict(doc).validate()

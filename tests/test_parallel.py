@@ -1,19 +1,22 @@
-"""Worker pool: the size clamp is checked on the pure helper; one test
-starts a two-process pool to check that chunking changes no result, and
-one imports the package in a fresh interpreter to check that the pool
-is imported lazily."""
+"""Worker pool: the size clamp is checked on the pure helper; a few
+tests start small pools to check that chunking changes no result and
+that a TrialPool starts its processes once, and one imports the package
+in a fresh interpreter to check that the pool is imported lazily."""
 
 import os
 import subprocess
 import sys
+from concurrent import futures
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from wiretap_commit import parallel
 from wiretap_commit.errors import DomainError
-from wiretap_commit.parallel import map_trials, pool_size, usable_cpus
-from wiretap_commit.rng import make_rng, trial_seeds
+from wiretap_commit.harness import ExperimentConfig, run_experiment
+from wiretap_commit.parallel import TrialPool, map_trials, pool_size, usable_cpus
+from wiretap_commit.rng import make_rng, rekey, trial_seeds
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -41,10 +44,11 @@ def test_usable_cpus_positive():
 
 
 def _first_draws(payload, seeds):
-    # per trial: one draw from the trial stream and one from its child
-    return np.array([[make_rng(seeds[i]).random(),
-                      make_rng(seeds.child(i, payload)).random()]
-                     for i in range(len(seeds))])
+    # per trial: one draw from the trial stream and one from its child,
+    # through one generator re-keyed per draw
+    stream = make_rng(0)
+    return np.array([[rekey(stream, trial).random(), rekey(stream, child).random()]
+                     for trial, child in zip(seeds.keys(), seeds.keys(payload))])
 
 
 def test_map_trials_chunking_keeps_results(monkeypatch):
@@ -53,8 +57,67 @@ def test_map_trials_chunking_keeps_results(monkeypatch):
     serial = map_trials(_first_draws, 2, seeds, threads=1)
     pooled = map_trials(_first_draws, 2, seeds, threads=2)
     assert serial.shape == (7, 2) and np.array_equal(serial, pooled)
-    assert np.array_equal(serial[:, 0], [make_rng(s).random()
-                                         for s in np.random.SeedSequence(5).spawn(7)])
+    spawned = np.random.SeedSequence(5).spawn(7)
+    assert np.array_equal(serial[:, 0], [make_rng(s).random() for s in spawned])
+    assert np.array_equal(serial[:, 1], [make_rng(s).spawn(3)[2].random()
+                                         for s in spawned])
+
+
+class _CountingExecutor(ProcessPoolExecutor):
+    started, shut = [], []
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers=max_workers)
+        self.started.append(max_workers)
+
+    def shutdown(self, *args, **kwargs):
+        self.shut.append(self)
+        super().shutdown(*args, **kwargs)
+
+
+@pytest.fixture
+def counting_executor(monkeypatch):
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", _CountingExecutor)
+    monkeypatch.setattr(_CountingExecutor, "started", [])
+    monkeypatch.setattr(_CountingExecutor, "shut", [])
+    return _CountingExecutor
+
+
+def test_trial_pool_starts_once_and_grows_on_demand(monkeypatch, counting_executor):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 3)
+    seeds = trial_seeds(8, 9)
+    serial = map_trials(_first_draws, 1, seeds, threads=1)
+    assert counting_executor.started == []          # one worker starts no pool
+    with TrialPool() as pool:
+        for threads in (2, 2, 1, 3, 2):
+            assert np.array_equal(map_trials(_first_draws, 1, seeds, threads, pool), serial)
+        # started at 2 workers, restarted at 3 for the 3-chunk call, then reused
+        assert counting_executor.started == [2, 3]
+        assert len(counting_executor.shut) == 1
+    assert len(counting_executor.shut) == 2
+    pool.close()                                    # closing twice is harmless
+    assert len(counting_executor.shut) == 2
+
+
+def test_map_trials_without_a_pool_shuts_its_own(monkeypatch, counting_executor):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    map_trials(_first_draws, 0, trial_seeds(2, 4), threads=2)
+    assert counting_executor.started == [2] and len(counting_executor.shut) == 1
+
+
+def test_sweep_starts_one_pool_for_all_points(monkeypatch, counting_executor):
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    soundness = {"version": 1, "kind": "soundness",
+                 "params": {"n": 200, "p": 0.1, "q": 0.2, "privacy": "one",
+                            "alpha1": 0.05, "beta1": 0.05, "beta2": 0.1}}
+    doc = {"version": 1, "kind": "sweep", "seed": 4, "trials": 30,
+           "sweep": {"variable": "params.n", "values": [100, 200, 300],
+                     "experiment": soundness}}
+    serial = run_experiment(ExperimentConfig.from_dict(dict(doc, threads=1)))
+    assert counting_executor.started == []
+    pooled = run_experiment(ExperimentConfig.from_dict(dict(doc, threads=2)))
+    assert pooled == serial
+    assert counting_executor.started == [2] and len(counting_executor.shut) == 1
 
 
 def test_package_import_leaves_the_process_pool_unloaded():
