@@ -15,10 +15,12 @@ Four measurements back the protocol's guarantees at desk scale:
                    reference bound from the exact conditional
                    min-entropy; each challenge hash G is evaluated on
                    K = ker G alone, one row per distinct pad pattern on
-                   K and one view column per K-orbit, weighted by their
-                   multiplicities (2^n columns per G seed in all); one
-                   popcount kernel serves all three views, the joint
-                   view's columns being (y, w = y XOR z);
+                   K (a Walsh-Hadamard transform along K) and one view
+                   column per K-orbit, weighted by their multiplicities
+                   (2^n columns per G seed in all), in stacked blocks
+                   of seeds that share dim K; one popcount kernel
+                   serves all three views, the joint view's columns
+                   being (y, w = y XOR z);
 * concealment MC — a sampled lower bound on the same distance via the
                    advantage of a MAP distinguisher trained on an
                    independent sample, for sizes beyond enumeration.
@@ -46,6 +48,7 @@ ENUM_LIMIT = 20           # exhaustive search over {0,1}^n
 EXACT_MARGINAL_LIMIT = 8  # exact concealment, single-party views
 EXACT_JOINT_LIMIT = 6     # exact concealment, joint view: 2^(n+l_G-1) seeds x 4^n entries
 EXACT_SEED_LIMIT = 14     # exact concealment, n + l_G
+EXACT_BLOCK = 1 << 13     # exact concealment: kernel entries per block of G seeds
 TRIAL_LIMIT = INDEX_LIMIT  # trial seeds per Monte Carlo estimate
 
 _Z95 = 1.959963984540054
@@ -336,10 +339,11 @@ def _kernel(table: np.ndarray, x: np.ndarray, y: np.ndarray,
             w: np.ndarray) -> np.ndarray:
     """k[x, (y, w)] = T[|x XOR y|, |w|, |(x XOR y) AND w|]: the chance
     that x reaches the view as y (and as z = y XOR w at Eve for the
-    joint view).  Columns run over y, then w."""
-    d = x[:, None, None] ^ y[None, :, None]
+    joint view).  Columns run over y, then w; x and y may carry the
+    same leading axes (one per G seed of a block)."""
+    d = x[..., :, None, None] ^ y[..., None, :, None]
     return table[np.bitwise_count(d), np.bitwise_count(w),
-                 np.bitwise_count(d & w)].reshape(x.size, -1)
+                 np.bitwise_count(d & w)].reshape(*x.shape, -1)
 
 
 def _exact_scale_check(params: ProtocolParams, views):
@@ -357,22 +361,74 @@ def _exact_scale_check(params: ProtocolParams, views):
 
 
 def _mi_rows(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
-    """Per row: the sum of M0 lg(M0/mu) + M1 lg(M1/mu), mu the average."""
-    mu = 0.5 * (m0 + m1)
-    total = np.zeros(m0.shape[0])
+    """Per row (last axis): the sum of M0 lg(M0/mu) + M1 lg(M1/mu), mu
+    the average."""
+    mu = m0 + m1
+    mu *= 0.5
+    total = np.zeros(m0.shape[:-1])
     for m in (m0, m1):
         # entries with m = 0 add 0 lg 1
         ratio = np.divide(m, mu, out=np.ones_like(m), where=m > 0.0)
-        total += (m * np.log2(ratio)).sum(axis=1)
+        np.log2(ratio, out=ratio)
+        ratio *= m
+        total += ratio.sum(axis=-1)
     return total
 
 
 def _all_seed_tables(n: int, l: int) -> np.ndarray:
     """Row s: the packed table of the (n -> l) Toeplitz hash whose seed
-    is the big-endian expansion of s, on every word."""
-    m = n + l - 1
-    seeds = (np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
-    return np.array([_packed_table(seed, n, l) for seed in seeds.astype(np.uint8)])
+    is the big-endian expansion of s, on every word; one byte per entry
+    for l <= 8."""
+    dtype = np.min_scalar_type((1 << l) - 1)
+    seeds = np.arange(1 << (n + l - 1))
+    # column k: seed bits [k, k + l) packed MSB-first, the hash of the
+    # word whose only set bit is index bit k (as in _packed_table)
+    cols = ((seeds[:, None] >> np.arange(n - 1, -1, -1)) & ((1 << l) - 1)).astype(dtype)
+    out = np.empty((seeds.size, 1 << n), dtype=dtype)
+    out[:, 0] = 0
+    for k in range(n):
+        np.bitwise_xor(out[:, : 1 << k], cols[:, k : k + 1], out=out[:, 1 << k : 2 << k])
+    return out
+
+
+def _pad_rows(dim: int) -> np.ndarray:
+    """The 2^dim characters t -> (-1)^|a AND t| of K in counting order,
+    as rows sorted lexicographically (-1 before +1): row i is the
+    character of a = reversed(i) XOR (2^dim - 1).  This is the
+    Sylvester-Hadamard matrix of order 2^dim with its rows permuted."""
+    i = np.arange(1 << dim)
+    a = np.zeros_like(i)
+    for j in range(dim):
+        a |= ((i >> j) & 1) << (dim - 1 - j)
+    a ^= (1 << dim) - 1
+    return 1.0 - 2.0 * (np.bitwise_count(a[:, None] & i[None, :]) & 1)
+
+
+def _seed_blocks(g_hash: np.ndarray, block: int):
+    """Blocks of at most `block` G seeds with the same dim K, K = ker G,
+    from the table of every seed's hash values: yields (dim, seeds, K,
+    leaders), one row of words per seed, K sorted and the coset leaders
+    in the order of their cosets' hash values.
+
+    Sorted K's elements 2^j form an echelon basis of K, so their leading
+    bits (the pivots) are distinct, and the least word of each coset
+    y XOR K is its one word with no pivot set."""
+    big_n = g_hash.shape[1]
+    words = np.arange(big_n, dtype=np.min_scalar_type(big_n - 1))
+    kernel_sizes = np.concatenate([np.count_nonzero(g_hash[i:i + block] == 0, axis=1)
+                                   for i in range(0, g_hash.shape[0], block)])
+    for dim in range(big_n.bit_length()):
+        group = np.flatnonzero(kernel_sizes == 1 << dim)
+        for start in range(0, group.size, block):
+            seeds = group[start:start + block]
+            values = g_hash[seeds]
+            kernel = np.nonzero(values == 0)[1].astype(words.dtype).reshape(seeds.size, -1)
+            basis = kernel[:, 1 << np.arange(dim)]
+            pivots = np.bitwise_or.reduce(1 << (np.frexp(basis)[1] - 1), axis=1)
+            leaders = words[np.nonzero((words & pivots[:, None]) == 0)[1]]
+            leaders = leaders.reshape(seeds.size, -1)
+            order = np.argsort(np.take_along_axis(values, leaders, axis=1), axis=1)
+            yield dim, seeds, kernel, np.take_along_axis(leaders, order, axis=1)
 
 
 def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
@@ -394,10 +450,15 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
       moving from K to it shifts every channel output by x0 and at most
       flips the sign of d (by Ext(x0)).  So K stands for all 2^rank(G)
       cosets.
-    * Rows.  Restricted to K, the 2^n extractor functionals take only
-      2^dim(K) distinct sign patterns, each 2^rank(G) times.  Each
-      distinct row of the sign matrix is evaluated once and weighted by
-      its count (with uniform_pad, one all-zero row of count 2^n).
+    * Rows.  Sorted, K counts in its echelon basis: its element t is
+      the XOR of its elements 2^j over the set bits j of t.  So each of
+      the 2^n extractor functionals restricts to a character
+      t -> (-1)^|a AND t| of K, and each of the 2^dim(K) characters
+      occurs 2^rank(G) times.  The distinct rows of d are then a
+      Walsh-Hadamard transform of the kernel block along K, computed
+      as one product with the Sylvester-Hadamard matrix (_pad_rows)
+      and weighted by 2^rank(G).  With uniform_pad the one pad row is
+      zero and adds nothing to the distance or the MI.
     * Columns.  Shifting a view by a in K (y -> y XOR a, or
       (y, z) -> (y XOR a, z XOR a) for the joint view) multiplies d by
       the pad sign of a and leaves the column sum and column maximum
@@ -405,6 +466,13 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
       posterior ratio are constant on each K-orbit of views, and one
       representative per orbit stands for |K| columns: the coset
       leaders min(y XOR K), and for the joint view (leader, every z).
+      The leaders need no search: they are the words with none of the
+      pivots set, the pivots being the leading bits of K's elements 2^j.
+    * Blocks.  G seeds with the same dim(K) share every shape, so they
+      run stacked, in blocks of at most EXACT_BLOCK kernel entries; the
+      per-seed sums are then added in seed order.  Only the table of
+      every seed's hash values, 2^(n + l_G - 1) x 2^n bytes, grows with
+      the seed count.
 
     Each evaluated entry is weighted by its row count times
     cosets * |K|, and cosets * |K| = 2^n for every G seed.  Per seed and
@@ -423,60 +491,64 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
     for v in views:
         if v not in VIEWS:
             raise DomainError(f"unknown view {v!r}; expected subset of {VIEWS}")
+    if not views or len(set(views)) != len(views):
+        raise DomainError(f"views must name one or more distinct views, got {views}")
     _exact_scale_check(params, views)
     _check_channel(params, channel)
     n, lg = params.n, params.challenge_bits
     big_n = 1 << n
-
-    g_hash = _all_seed_tables(n, lg)
-    sign = 1.0 - 2.0 * _all_seed_tables(n, 1)  # commit_bits == 1
-    if uniform_pad:
-        sign = np.zeros_like(sign)
+    words = np.arange(big_n, dtype=np.min_scalar_type(big_n - 1))
 
     p, q = params.pq.p, params.pq.q
     pmfs = {"bob": (1.0 - p, 0.0, 0.0, p), "eve": (1.0 - q, 0.0, 0.0, q),
             "joint": channel.noise_pair_pmf()}
-    tables = {v: _noise_table(n, pmfs[v]) for v in views}
-    w_words = {v: np.arange(big_n if v == "joint" else 1) for v in views}
 
+    g_hash = _all_seed_tables(n, lg)
     x_weight = 1.0 / big_n
-    seed_weight = 1.0 / (g_hash.shape[0] * sign.shape[0])
-    sd_acc = {v: 0.0 for v in views}
-    mi_acc = {v: 0.0 for v in views}
-    max_posterior = {v: 0.0 for v in views}
-
-    for values in g_hash:
-        # the cosets of K are the fibres of G; each leader is a fibre's least word
-        leaders = np.unique(values, return_index=True)[1]
-        idx = np.flatnonzero(values == 0)
-        rows, counts = np.unique(sign[:, idx], axis=0, return_counts=True)
-        rows *= x_weight
-        weight = counts * (leaders.size * idx.size)
-        for v in views:
-            k_rep = _kernel(tables[v], idx, leaders, w_words[v])
-            colsum = k_rep.sum(axis=0)
-            d_mat = rows @ k_rep
-            sd_acc[v] += float(weight @ np.abs(d_mat).sum(axis=1))
-            s_vec = colsum * x_weight
-            m0 = 0.5 * (s_vec[None, :] + d_mat)
-            m1 = 0.5 * (s_vec[None, :] - d_mat)
-            np.clip(m0, 0.0, None, out=m0)
-            np.clip(m1, 0.0, None, out=m1)
-            mi_acc[v] += float(weight @ _mi_rows(m0, m1))
-            # worst-case posterior of x given the pad-free view
-            colmax = k_rep.max(axis=0)
-            pos = colsum > 0.0
-            if pos.any():
-                ratio = float((colmax[pos] / colsum[pos]).max())
-                max_posterior[v] = max(max_posterior[v], ratio)
-
+    seed_weight = 1.0 / (g_hash.shape[0] * big_n)  # G seeds times Ext seeds
+    pad_rows = {}  # dim K -> the scaled rows, built when first needed
     reports = {}
     context = _report_context(params)
     for v in views:
-        k_hat = -math.log2(max_posterior[v]) if max_posterior[v] > 0 else math.inf
+        table = _noise_table(n, pmfs[v])
+        w = words if v == "joint" else words[:1]
+        sd_seed = np.zeros(g_hash.shape[0])
+        mi_seed = np.zeros(g_hash.shape[0])
+        max_posterior = 0.0
+        block = max(1, EXACT_BLOCK // (big_n * w.size))
+        for dim, seeds, kernel, leaders in _seed_blocks(g_hash, block):
+            k_rep = _kernel(table, kernel, leaders, w)
+            colsum = k_rep.sum(axis=1)
+            # worst-case posterior of x given the pad-free view
+            ratio = np.divide(k_rep.max(axis=1), colsum,
+                              out=np.zeros_like(colsum), where=colsum > 0.0)
+            max_posterior = max(max_posterior, float(ratio.max()))
+            if uniform_pad:
+                continue  # one all-zero pad row: no distance, no MI
+            if dim not in pad_rows:
+                pad_rows[dim] = _pad_rows(dim) * x_weight
+            d_mat = pad_rows[dim] @ k_rep
+            del k_rep  # at most four block-sized arrays live at a time
+            s_vec = (colsum * x_weight)[:, None, :]
+            m0 = s_vec + d_mat
+            m1 = s_vec - d_mat
+            # each row stands for 2^rank Ext seeds, and cosets * |K| = 2^n
+            # views; one dot product of row sums and weights per seed (a
+            # matrix-vector product would add them in another order)
+            weight = np.full((1 << dim, 1), float(big_n << (n - dim)))
+            np.abs(d_mat, out=d_mat)
+            sd_seed[seeds] = (d_mat.sum(axis=-1)[:, None, :] @ weight)[:, 0, 0]
+            del d_mat
+            for m in (m0, m1):
+                m *= 0.5
+                np.clip(m, 0.0, None, out=m)
+            mi_seed[seeds] = (_mi_rows(m0, m1)[:, None, :] @ weight)[:, 0, 0]
+
+        k_hat = -math.log2(max_posterior) if max_posterior > 0 else math.inf
         ref = min(1.0, 2.0 * lhl_bound(k_hat, 1))
-        sd = seed_weight * sd_acc[v]
-        mi = seed_weight * mi_acc[v]
+        # a running sum in seed order, whatever the blocks were
+        sd = seed_weight * float(np.cumsum(sd_seed)[-1])
+        mi = seed_weight * float(np.cumsum(mi_seed)[-1])
         detail = {"k_hat": k_hat, "uniform_pad": uniform_pad}
         reports[f"sd_{v}"] = SecurityReport(
             metric=f"concealment_sd_{v}", estimate=sd, exact=True,

@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .adversary import (
+    VIEWS,
     SecurityReport,
     _check_enum_scale,
     _check_trials,
@@ -279,6 +280,8 @@ class ExperimentConfig:
                 _check_trials(self.trials)
             if self.kind == "binding":
                 _check_enum_scale(params.n)
+            if self.kind == "concealment":
+                _check_views(self.views)
             if self.kind in ("concealment", "secrecy"):
                 views = ("eve",) if self.kind == "secrecy" else tuple(self.views)
                 if self.method == "exact":
@@ -288,6 +291,17 @@ class ExperimentConfig:
                 else:
                     raise ConfigError(f"unknown method {self.method!r}")
         return self
+
+
+def _check_views(views):
+    """A concealment config names each view it measures once."""
+    if not views:
+        raise ConfigError(f"views must name at least one of {list(VIEWS)}")
+    for v in views:
+        if v not in VIEWS:
+            raise ConfigError(f"unknown view {v!r}; expected a subset of {list(VIEWS)}")
+    if len(set(views)) != len(views):
+        raise ConfigError(f"views {list(views)} name a view more than once")
 
 
 def _grid_axes(grid):

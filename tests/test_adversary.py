@@ -5,6 +5,7 @@ sets, and paired-seed comparisons for the binding attack."""
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 from wiretap_commit import adversary, parallel
 from wiretap_commit.adversary import (
+    EXACT_JOINT_LIMIT,
     TRIAL_LIMIT,
     VIEWS,
     _all_seed_tables,
@@ -19,8 +21,9 @@ from wiretap_commit.adversary import (
     _concealment_mc_worker,
     _cs_table,
     _kernel,
-    _mi_rows,
     _noise_table,
+    _pad_rows,
+    _seed_blocks,
     _soundness_worker,
     binding_attack,
     concealment_exact,
@@ -553,12 +556,79 @@ def _reference_orbit_concealment_exact(params, channel, views=VIEWS,
             m1 = 0.5 * (s_vec[None, :] - d_mat)
             np.clip(m0, 0.0, None, out=m0)
             np.clip(m1, 0.0, None, out=m1)
-            mi_acc[v] += float(weight @ _mi_rows(m0, m1))
+            mi_acc[v] += float(weight @ _reference_mi_rows(m0, m1))
             colmax = k_rep.max(axis=0)
             pos = colsum > 0.0
             if pos.any():
                 ratio = float((colmax[pos] / colsum[pos]).max())
                 max_posterior[v] = max(max_posterior[v], ratio)
+    out = {}
+    for v in views:
+        k_hat = -math.log2(max_posterior[v]) if max_posterior[v] > 0 else math.inf
+        bound = min(1.0, 2.0 * lhl_bound(k_hat, 1))
+        out[v] = (seed_weight * sd_acc[v], seed_weight * mi_acc[v], bound, k_hat)
+    return out
+
+
+def _reference_mi_rows(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
+    """Per row: the sum of M0 lg(M0/mu) + M1 lg(M1/mu), mu the average."""
+    mu = 0.5 * (m0 + m1)
+    total = np.zeros(m0.shape[0])
+    for m in (m0, m1):
+        # entries with m = 0 add 0 lg 1
+        ratio = np.divide(m, mu, out=np.ones_like(m), where=m > 0.0)
+        total += (m * np.log2(ratio)).sum(axis=1)
+    return total
+
+
+def _reference_pad_row_concealment_exact(params, channel, views=VIEWS,
+                                         uniform_pad=False):
+    """concealment_exact as one loop over the G seeds, with the distinct
+    pad rows on K and the coset leaders found by np.unique per seed.
+    Returns view -> (sd, mi, bound, k_hat)."""
+    n, lg = params.n, params.challenge_bits
+    big_n = 1 << n
+
+    g_hash = _all_seed_hashes(n, lg)
+    sign = 1.0 - 2.0 * _all_seed_hashes(n, 1)
+    if uniform_pad:
+        sign = np.zeros_like(sign)
+
+    p, q = params.pq.p, params.pq.q
+    pmfs = {"bob": (1.0 - p, 0.0, 0.0, p), "eve": (1.0 - q, 0.0, 0.0, q),
+            "joint": channel.noise_pair_pmf()}
+    tables = {v: _noise_table(n, pmfs[v]) for v in views}
+    w_words = {v: np.arange(big_n if v == "joint" else 1) for v in views}
+
+    x_weight = 1.0 / big_n
+    seed_weight = 1.0 / (g_hash.shape[0] * sign.shape[0])
+    sd_acc = {v: 0.0 for v in views}
+    mi_acc = {v: 0.0 for v in views}
+    max_posterior = {v: 0.0 for v in views}
+
+    for values in g_hash:
+        leaders = np.unique(values, return_index=True)[1]
+        idx = np.flatnonzero(values == 0)
+        rows, counts = np.unique(sign[:, idx], axis=0, return_counts=True)
+        rows *= x_weight
+        weight = counts * (leaders.size * idx.size)
+        for v in views:
+            k_rep = _kernel(tables[v], idx, leaders, w_words[v])
+            colsum = k_rep.sum(axis=0)
+            d_mat = rows @ k_rep
+            sd_acc[v] += float(weight @ np.abs(d_mat).sum(axis=1))
+            s_vec = colsum * x_weight
+            m0 = 0.5 * (s_vec[None, :] + d_mat)
+            m1 = 0.5 * (s_vec[None, :] - d_mat)
+            np.clip(m0, 0.0, None, out=m0)
+            np.clip(m1, 0.0, None, out=m1)
+            mi_acc[v] += float(weight @ _reference_mi_rows(m0, m1))
+            colmax = k_rep.max(axis=0)
+            pos = colsum > 0.0
+            if pos.any():
+                ratio = float((colmax[pos] / colsum[pos]).max())
+                max_posterior[v] = max(max_posterior[v], ratio)
+
     out = {}
     for v in views:
         k_hat = -math.log2(max_posterior[v]) if max_posterior[v] > 0 else math.inf
@@ -819,6 +889,127 @@ class TestConcealmentExact:
                                  challenge_bits=1, commit_bits=1)
         reports = concealment_exact(params, make_channel(0.25, 0.25), views=("eve",))
         assert reports["sd_eve"].exact and reports["sd_eve"].trials == 0
+
+
+class TestSeedBlocks:
+    """concealment_exact on stacked blocks of G seeds against the
+    per-seed loop, and the three facts the blocks rest on, over every
+    seed at n <= 6."""
+
+    @pytest.mark.parametrize("uniform_pad", [False, True])
+    @pytest.mark.parametrize("n,lg", [(n, lg) for n in range(2, 9) for lg in (1, 2, 3)
+                                      if lg <= n])
+    def test_matches_pad_row_loop(self, n, lg, uniform_pad):
+        # Bob's and Eve's pmfs do not depend on the coupling, so beyond
+        # the joint view's limit one coupling covers them
+        joint = n <= EXACT_JOINT_LIMIT
+        couplings = P_Q_COUPLINGS if joint else P_Q_COUPLINGS[:1]
+        for i, (coupling, r) in enumerate(couplings):
+            views = ("joint",) if i else VIEWS if joint else ("bob", "eve")
+            params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
+                                     challenge_bits=lg, commit_bits=1,
+                                     coupling=coupling, coupling_r=r)
+            channel = make_channel(0.2, 0.3, coupling, r=r)
+            reports = concealment_exact(params, channel, views=views,
+                                        uniform_pad=uniform_pad)
+            reference = _reference_pad_row_concealment_exact(params, channel, views,
+                                                             uniform_pad)
+            # every per-seed product and sum runs in the loop's order, so
+            # the reports are equal, not merely within 1e-12
+            for v in views:
+                assert (reports[f"sd_{v}"].estimate, reports[f"mi_{v}"].estimate,
+                        reports[f"sd_{v}"].reference_bound,
+                        reports[f"sd_{v}"].details["k_hat"]) == reference[v]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_sorted_kernel_counts_in_its_echelon_basis(self, n):
+        # element t of sorted K is the XOR of elements 2^j over the set bits of t
+        for lg in range(1, n + 1):
+            for values in _all_seed_hashes(n, lg):
+                kernel = np.flatnonzero(values == 0)
+                dim = kernel.size.bit_length() - 1
+                assert kernel.size == 1 << dim
+                counted = np.zeros(1, dtype=kernel.dtype)
+                for j in range(dim):
+                    counted = np.concatenate([counted, counted ^ kernel[1 << j]])
+                np.testing.assert_array_equal(kernel, counted)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pad_rows_are_the_distinct_sign_rows(self, n):
+        # the distinct extractor sign patterns on K, in sorted order, each
+        # 2^rank(G) times, are the rows _pad_rows(dim K) transforms with
+        sign = 1.0 - 2.0 * _all_seed_hashes(n, 1)
+        for lg in range(1, n + 1):
+            for values in _all_seed_hashes(n, lg):
+                kernel = np.flatnonzero(values == 0)
+                dim = kernel.size.bit_length() - 1
+                rows, counts = np.unique(sign[:, kernel], axis=0, return_counts=True)
+                np.testing.assert_array_equal(rows, _pad_rows(dim))
+                assert (counts == 1 << (n - dim)).all()
+
+    @pytest.mark.parametrize("dim", range(9))
+    def test_pad_rows_are_a_hadamard_matrix(self, dim):
+        rows = _pad_rows(dim)
+        assert set(np.unique(rows).tolist()) <= {-1.0, 1.0}
+        np.testing.assert_array_equal(rows @ rows.T, (1 << dim) * np.eye(1 << dim))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_pivot_leaders_are_the_coset_minima(self, n):
+        # in the order of np.unique's first occurrences, i.e. of hash value
+        for lg in range(1, n + 1):
+            g_hash = _all_seed_hashes(n, lg)
+            seen = np.zeros(g_hash.shape[0], dtype=bool)
+            for dim, seeds, kernel, leaders in _seed_blocks(g_hash, 7):
+                assert kernel.shape == (seeds.size, 1 << dim)
+                assert leaders.shape == (seeds.size, 1 << (n - dim))
+                for values, k, lead in zip(g_hash[seeds], kernel, leaders):
+                    np.testing.assert_array_equal(k, np.flatnonzero(values == 0))
+                    np.testing.assert_array_equal(
+                        lead, np.unique(values, return_index=True)[1])
+                seen[seeds] = True
+            assert seen.all()
+
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch):
+        # one seed per block up to every seed of a dim K in one block
+        params = explicit_params(5, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
+                                 challenge_bits=3, commit_bits=1,
+                                 coupling="custom", coupling_r=0.05)
+        channel = make_channel(0.2, 0.3, "custom", r=0.05)
+
+        def run():
+            return {key: (r.estimate, r.reference_bound, r.details["k_hat"])
+                    for key, r in concealment_exact(params, channel).items()}
+
+        default = run()
+        for block in (1, 1 << 24):
+            monkeypatch.setattr(adversary, "EXACT_BLOCK", block)
+            assert run() == default
+
+    @pytest.mark.parametrize("n,lg,views", [
+        (8, 6, ("bob", "eve")),
+        (6, 6, ("joint",)),
+    ], ids=["n8-single-party", "n6-joint"])
+    def test_traced_peak_within_budget(self, n, lg, views):
+        # the largest seed spaces at the limits; an unblocked search over
+        # every seed's leaders needed about 140 MiB here
+        budget = 8 << 20
+        params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
+                                 challenge_bits=lg, commit_bits=1)
+        channel = make_channel(0.2, 0.3)
+        tracemalloc.start()
+        try:
+            concealment_exact(params, channel, views=views)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+
+    @pytest.mark.parametrize("views", [("bob", "bob"), ("eve", "joint", "eve"), ()])
+    def test_each_view_named_once(self, views):
+        params = explicit_params(4, CrossoverPair(0.25, 0.25), "one", alpha1=0.2,
+                                 challenge_bits=1, commit_bits=1)
+        with pytest.raises(DomainError):
+            concealment_exact(params, make_channel(0.25, 0.25), views=views)
 
 
 def _reference_map_guess(n, hashes, target, anchors, weights, hide_challenge):

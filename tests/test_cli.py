@@ -294,3 +294,43 @@ def test_trial_count_beyond_the_seed_limit_exits_before_any_trial(
 ], ids=["soundness", "binding", "secrecy"])
 def test_trial_count_at_the_seed_limit_validates(doc):
     ExperimentConfig.from_dict(doc).validate()
+
+
+_CONCEALMENT = {"version": 1, "kind": "concealment", "method": "exact", "seed": 3,
+                "trials": 20,
+                "params": {"n": 4, "p": 0.25, "q": 0.25, "privacy": "two",
+                           "alpha1": 0.2, "achievable": False,
+                           "challenge_bits": 1, "commit_bits": 1}}
+
+
+@pytest.mark.parametrize("method", ["exact", "monte-carlo"])
+@pytest.mark.parametrize("views,message", [
+    (["bob", "bob"], "more than once"),
+    (["eve", "joint", "eve"], "more than once"),
+    ([], "at least one"),
+    (["bob", "alice"], "unknown view 'alice'"),
+], ids=["bob-twice", "eve-twice", "empty", "unknown"])
+def test_views_must_name_distinct_known_views(tmp_path, capsys, monkeypatch,
+                                              method, views, message):
+    # a duplicate view once doubled the exact distance and repeated the
+    # Monte Carlo rows; no estimate may start before the check
+    def no_work(*args, **kwargs):
+        raise AssertionError("an estimate ran before the views were validated")
+
+    monkeypatch.setattr(adversary, "map_trials", no_work)
+    monkeypatch.setattr(adversary, "_all_seed_tables", no_work)
+    cfg = tmp_path / "views.json"
+    cfg.write_text(json.dumps(dict(_CONCEALMENT, method=method, views=views)))
+    assert main(["concealment", "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_each_view_reported_once(tmp_path):
+    out = tmp_path / "views.csv"
+    cfg = tmp_path / "views.json"
+    cfg.write_text(json.dumps(dict(_CONCEALMENT, views=["joint", "bob"])))
+    assert main(["concealment", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+    metrics = [row[0] for row in ResultTable.from_csv(out.read_text()).rows]
+    assert sorted(metrics) == ["concealment_mi_bob", "concealment_mi_joint",
+                               "concealment_sd_bob", "concealment_sd_joint"]

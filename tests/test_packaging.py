@@ -1,0 +1,29 @@
+"""Package metadata against what the code needs."""
+
+import re
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _declared_numpy_floor():
+    # Python 3.10 has no tomllib; the dependency line is plain text
+    text = (ROOT / "pyproject.toml").read_text()
+    match = re.search(r'"numpy>=(\d+)\.(\d+)', text)
+    assert match, "pyproject.toml declares no numpy>= floor"
+    return int(match[1]), int(match[2])
+
+
+def test_numpy_floor_covers_bitwise_count():
+    # np.bitwise_count first appeared in NumPy 2.0
+    calls = sum(path.read_text().count("np.bitwise_count(")
+                for path in (ROOT / "src").rglob("*.py"))
+    assert calls > 0
+    assert _declared_numpy_floor() >= (2, 0)
+
+
+def test_installed_numpy_meets_the_floor():
+    installed = tuple(int(part) for part in np.__version__.split(".")[:2])
+    assert installed >= _declared_numpy_floor()
