@@ -39,10 +39,25 @@ import numpy as np
 
 from .bits import BitVector
 from .errors import DomainError, ScaleError
-from .hashing import _packed_table, hash_all_inputs, lhl_bound
+from .hashing import hash_all_inputs, lhl_bound
 from .parallel import map_trials
-from .protocol import ProtocolParams, SessionState, _check_channel, _commit_draws
-from .rng import INDEX_LIMIT, make_rng, rekey, trial_seeds
+from .protocol import (
+    ProtocolParams,
+    SessionState,
+    _check_channel,
+    _commit_draws,
+    _commit_words,
+)
+from .rng import (
+    INDEX_LIMIT,
+    byte_bits,
+    doubles,
+    make_rng,
+    philox_words,
+    rekey,
+    trial_seeds,
+    uint32_bit,
+)
 
 ENUM_LIMIT = 20           # exhaustive search over {0,1}^n
 EXACT_MARGINAL_LIMIT = 8  # exact concealment, single-party views
@@ -50,6 +65,9 @@ EXACT_JOINT_LIMIT = 6     # exact concealment, joint view: 2^(n+l_G-1) seeds x 4
 EXACT_SEED_LIMIT = 14     # exact concealment, n + l_G
 EXACT_BLOCK = 1 << 13     # exact concealment: kernel entries per block of G seeds
 TRIAL_LIMIT = INDEX_LIMIT  # trial seeds per Monte Carlo estimate
+SCAN_LIMIT = 28           # Monte Carlo MAP guess, hidden challenge: 2^n words per trial
+MC_BLOCK = 1 << 10        # Monte Carlo: trials per array Philox pass
+SCAN_BLOCK = 1 << 17      # Monte Carlo: (trial, word) entries per tile of a word scan
 
 _Z95 = 1.959963984540054
 
@@ -137,16 +155,22 @@ def _soundness_worker(payload, seeds) -> np.ndarray:
     trial i, SeedSequence(seed, spawn_key=(i, 2)), which is
     make_rng(seeds[i]).spawn(3)[2], the stream a full honest_run on
     trial seed i hands to the channel.  So indicators match full
-    protocol runs trial for trial.  The chunk's channel keys come from
-    seeds.keys(2) in one pass, and one generator is re-keyed per trial.
+    protocol runs trial for trial.
+
+    Bob's flip at symbol j is random() < p for raw word 2j, and
+    (word >> 11) 2^-53 < p exactly when word < ceil(p 2^53) << 11, so
+    the count compares raw words and draws no doubles.  A trial reads
+    2n words, past the array Philox's break-even, so one C Philox is
+    re-keyed per trial from seeds.keys(2).
     """
     n, p, alpha1 = payload
     lo, hi = n * (p - alpha1), n * (p + alpha1)
+    below = np.uint64(math.ceil(p * 2.0 ** 53) << 11)  # p < 1/2: fits in 64 bits
     noise = make_rng(0)  # re-keyed per trial
     out = np.empty(len(seeds), dtype=np.uint8)
     for i, key in enumerate(seeds.keys(2)):
-        u = rekey(noise, key).random((n, 2))
-        d = np.count_nonzero(u[:, 0] < p)
+        words = rekey(noise, key).bit_generator.random_raw(2 * n)
+        d = np.count_nonzero(words[::2] < below)
         out[i] = 0 if lo <= d <= hi else 1
     return out
 
@@ -225,6 +249,28 @@ def enumerate_confusables(session: SessionState, params: ProtocolParams) -> Conf
     return ConfusableSet(n=params.n, members=members, eta_hat=eta_hat)
 
 
+def _tiles(rows: int, cols: int):
+    """(row slice, column slice) pairs covering a rows x cols scan in
+    tiles of at most SCAN_BLOCK entries, at least one row each, and the
+    columns of each band of rows in increasing order.  Tiles are a power
+    of two wide unless they span all columns, so a power-of-two cols
+    gives tiles at multiples of their width."""
+    width = max(1, min(cols, 1 << (SCAN_BLOCK.bit_length() - 1)))
+    height = max(1, SCAN_BLOCK // width)
+    for r0 in range(0, rows, height):
+        for c0 in range(0, cols, width):
+            yield slice(r0, r0 + height), slice(c0, c0 + width)
+
+
+def _big_endian(bits: np.ndarray) -> np.ndarray:
+    """Big-endian integer encodings of the bit rows (last axis) of bits."""
+    n = bits.shape[-1]
+    return bits @ (np.uint64(1) << np.arange(n - 1, -1, -1, dtype=np.uint64))
+
+
+BINDING_MODES = ("alone", "with_eve")
+
+
 def _binding_worker(payload, seeds) -> np.ndarray:
     """Per-trial (success, |A|) for fresh y draws against a fixed commit.
 
@@ -233,31 +279,42 @@ def _binding_worker(payload, seeds) -> np.ndarray:
     when colluding.  The same uniforms drive both modes, so couplings
     with independent noise produce identical draws in either mode.
     Only words with the committed hash value can be members, so the
-    band test runs over those candidates, found once per call.  Trial i
-    draws from its own stream, SeedSequence(seed, spawn_key=(i,)),
-    through one generator re-keyed per trial from seeds.keys().
+    band test runs over those candidates and their extractor values,
+    which the payload carries.  Trial i draws random(n) from its own
+    stream, SeedSequence(seed, spawn_key=(i,)): the doubles of its first
+    n raw words, computed for MC_BLOCK trials at a time by one
+    philox_words pass over seeds.keys().  A trial succeeds when its
+    members' extractor values have a distinct minimum and maximum.
     """
-    (n, p, q, r, alpha1, x_int, ne_bits, hashes, target, ext_all, thresh_mode) = payload
-    lo, hi = n * (p - alpha1), n * (p + alpha1)
+    (n, p, q, r, alpha1, x_int, ne_bits, candidates, candidate_ext, thresh_mode) = payload
     if thresh_mode == "alone":
         thresh = np.full(n, p)
     else:
         cond1 = r / q              # P(N_B=1 | N_E=1)
         cond0 = (p - r) / (1.0 - q)  # P(N_B=1 | N_E=0)
         thresh = np.where(ne_bits == 1, cond1, cond0)
-    candidates = np.flatnonzero(hashes == target).astype(np.uint32)
-    candidate_ext = ext_all[candidates]
-    weights = (1 << np.arange(n - 1, -1, -1)).astype(np.uint64)
-    bob = make_rng(0)  # re-keyed per trial
+    dist = np.arange(n + 1)
+    in_band = (dist >= n * (p - alpha1)) & (dist <= n * (p + alpha1))
+    top = np.iinfo(candidate_ext.dtype).max
     out = np.empty((len(seeds), 2), dtype=np.int64)
-    for i, key in enumerate(seeds.keys()):
-        nb = (rekey(bob, key).random(n) < thresh).astype(np.uint64)
-        y_int = np.uint32(x_int) ^ np.uint32((nb * weights).sum())
-        d = np.bitwise_count(candidates ^ y_int)
-        member_ext = candidate_ext[(d >= lo) & (d <= hi)]
+    for b0 in range(0, len(seeds), MC_BLOCK):
+        block = seeds[b0:b0 + MC_BLOCK]
+        nb = doubles(philox_words(block.keys(), n)) < thresh
+        y = (np.uint64(x_int) ^ _big_endian(nb)).astype(np.uint32)
+        size = np.zeros(len(block), dtype=np.int64)
+        ext_min = np.full(len(block), top, dtype=candidate_ext.dtype)
+        ext_max = np.zeros(len(block), dtype=candidate_ext.dtype)
+        for rows, cols in _tiles(len(block), candidates.size):
+            member = in_band[np.bitwise_count(candidates[cols] ^ y[rows, None])]
+            ext = candidate_ext[cols]
+            size[rows] += np.count_nonzero(member, axis=1)
+            np.minimum(ext_min[rows], np.where(member, ext, top).min(axis=1),
+                       out=ext_min[rows])
+            np.maximum(ext_max[rows], np.where(member, ext, 0).max(axis=1),
+                       out=ext_max[rows])
         # two members with distinct extractor outputs make two claims
-        out[i, 0] = 1 if (member_ext != member_ext[:1]).any() else 0
-        out[i, 1] = member_ext.size
+        out[b0:b0 + len(block), 0] = ext_min < ext_max
+        out[b0:b0 + len(block), 1] = size
     return out
 
 
@@ -274,7 +331,7 @@ def binding_attack(session: SessionState, params: ProtocolParams, channel,
     exponent 2^(-n(beta1 - 2 eta_hat)) with eta_hat measured from the
     mean confusable-set size.
     """
-    if mode not in ("alone", "with_eve"):
+    if mode not in BINDING_MODES:
         raise DomainError(f"mode must be 'alone' or 'with_eve', got {mode!r}")
     _check_trials(trials)
     _check_enum_scale(params.n)
@@ -282,11 +339,12 @@ def binding_attack(session: SessionState, params: ProtocolParams, channel,
     t = session.transcript
     x = session.alice_view.x
     ne_bits = session.eve_view.z.bits ^ x.bits
+    # the hash-consistent words, about 2^(n - l_G), and their Ext values
+    hashes = hash_all_inputs(t.challenge)
+    candidates = np.flatnonzero(hashes == t.challenge_value.to_int()).astype(np.uint32)
     payload = (
         params.n, params.pq.p, params.pq.q, channel.r, params.alpha1,
-        x.to_int(), ne_bits,
-        hash_all_inputs(t.challenge), np.uint32(t.challenge_value.to_int()),
-        hash_all_inputs(t.extractor), mode,
+        x.to_int(), ne_bits, candidates, hash_all_inputs(t.extractor)[candidates], mode,
     )
     stats = map_trials(_binding_worker, payload, trial_seeds(seed, trials), threads, pool)
     successes = int(stats[:, 0].sum())
@@ -565,56 +623,121 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
 # concealment, Monte Carlo
 
 
+_TRIAL_STREAMS = ((), (0,), (1,), (2,))  # the trial, then Alice, Bob and the channel
+
+
+def _map_guess(n: int, anchors: list, weights, cols: np.ndarray,
+               h_x: np.ndarray) -> np.ndarray:
+    """Per trial the MAP guess of x: the hash-consistent word closest to
+    the anchors, ties to the lowest encoding.
+
+    anchors holds one (trials,) array of big-endian words per anchor: y
+    for bob, z for eve, (y, z) for joint.  With weights None the cost is
+    the integer distance to the one anchor, else the float cost
+    wp d(w, y) + wq d(w, z) with weights (wp, wq).  cols[t, k] is the
+    hash under trial t's G of the word whose only set index bit is k,
+    h_x the hash of x; all zero when the challenge is hidden, so that
+    every word is a candidate.
+
+    One masked argmin scans all 2^n words in tiles of at most SCAN_BLOCK
+    entries.  Word w's key packs (h(w) XOR h(x)) above its distances to
+    the anchors, one field of n.bit_length() bits each.  Setting index
+    bit k of a word XORs the hash field with cols[:, k] and moves each
+    distance by +1 or -1, with no borrow between fields, so a tile's keys
+    come from word 0's key by one doubling pass.  Every candidate's key
+    lies below 2^s, s the width of the distance fields, and below every
+    other word's, so for one anchor the key is the masked cost itself.
+    The joint view reads its float cost off a table by the distance
+    fields, with inf past them.  Keys fit 32 bits: a shown challenge
+    needs n <= ENUM_LIMIT, so l_G + s <= 30.
+    """
+    width = n.bit_length()
+    shift = np.uint32(width * len(anchors))
+    index_bits = np.arange(n, dtype=np.uint64)
+    key0 = h_x.astype(np.uint32) << shift  # word 0, whose hash is 0
+    step = np.zeros(cols.shape, dtype=np.int64)
+    for field, anchor in enumerate(anchors):
+        key0 += np.bitwise_count(anchor).astype(np.uint32) << np.uint32(width * field)
+        anchor_bits = ((anchor[:, None] >> index_bits) & np.uint64(1)).astype(np.int64)
+        step += (1 - 2 * anchor_bits) << (width * field)
+    step = step.astype(np.uint32)  # -1 wraps around; the sums never do
+    hash_step = cols.astype(np.uint32) << shift
+    if weights is None:
+        best = np.full(key0.size, np.iinfo(np.uint32).max, dtype=np.uint32)
+    else:
+        dist = np.arange(1 << width)
+        cost = np.full((1 << int(shift)) + 1, np.inf)
+        cost[:-1] = (weights[0] * dist[None, :] + weights[1] * dist[:, None]).reshape(-1)
+        best = np.full(key0.size, np.inf)
+    guess = np.zeros(key0.size, dtype=np.uint64)
+    for rows, words in _tiles(key0.size, 1 << n):
+        high = ((words.start >> index_bits) & np.uint64(1)) == 1
+        key = np.empty((best[rows].size, words.stop - words.start), dtype=np.uint32)
+        key[:, 0] = key0[rows] + step[rows][:, high].sum(axis=1).astype(np.uint32)
+        key[:, 0] ^= np.bitwise_xor.reduce(hash_step[rows][:, high], axis=1)
+        for k in range(key.shape[1].bit_length() - 1):
+            half, rest = key[:, :1 << k], key[:, 1 << k:2 << k]
+            np.bitwise_xor(half, hash_step[rows, k, None], out=rest)
+            rest += step[rows, k, None]
+        if weights is not None:
+            key = cost[np.minimum(key, 1 << int(shift))]
+        j = key.argmin(axis=1)
+        value = key[np.arange(key.shape[0]), j]
+        better = value < best[rows]
+        best[rows] = np.where(better, value, best[rows])
+        guess[rows] = np.where(better, j.astype(np.uint64) + np.uint64(words.start),
+                               guess[rows])
+    return guess
+
+
 def _concealment_mc_worker(payload, seeds) -> np.ndarray:
     """Per-trial (c, distinguisher statistic) on raw arrays.
 
     Trial i draws c (and, with uniform_pad, the pad's key) from its own
     stream (i,) and the commit phase from that stream's children
     (i, 0), (i, 1) and (i, 2) through protocol._commit_draws, so it
-    consumes exactly what commit_phase would.  Each of the four streams
-    is one generator, re-keyed per trial from seeds.keys(*path).  Words
-    are big-endian integers.  The MAP guess is the candidate closest to
-    the view's anchors in weighted Hamming distance, ties to the lowest
+    consumes exactly what commit_phase would: c is integers(0, 2, 1,
+    uint8), bit 7 of word 0, and the pad key integers(0, 2) after it,
+    bit 63 of word 0.  For MC_BLOCK trials at a time one philox_words
+    pass computes the raw words of all four streams from seeds.keys(),
+    and one doubling pass per scan tile builds the G tables (see
+    _map_guess).  Words are big-endian integers.  The MAP guess is the
+    candidate closest to the view's anchors, ties to the lowest
     encoding; unless the challenge is hidden the candidates are the
-    words sharing x's value in the packed table of G.  The extractor has
-    one output bit, the parity of the word ANDed with the extractor seed
-    read little-endian.
+    words sharing x's value under G.  The extractor has one output bit,
+    the parity of the word ANDed with the extractor seed read
+    little-endian.
     """
     params, channel, view, uniform_pad, hide_challenge = payload
-    n = params.n
+    n, lg = params.n, params.challenge_bits
     wp = math.log2((1.0 - params.pq.p) / params.pq.p)
     wq = math.log2((1.0 - params.pq.q) / params.pq.q)
-    big_endian = 1 << np.arange(n - 1, -1, -1, dtype=np.uint64)
-    all_words = np.arange(1 << n, dtype=np.uint32) if hide_challenge else None
-    paths = ((), (0,), (1,), (2,))  # the trial, then Alice, Bob and the channel
-    streams = [make_rng(0) for _ in paths]  # re-keyed per trial
+    little_endian = np.uint64(1) << np.arange(n, dtype=np.uint64)
+    counts = (1, *_commit_words(params))
     out = np.empty((len(seeds), 2), dtype=np.uint8)
-    for i, keys in enumerate(zip(*(seeds.keys(*path) for path in paths))):
-        rng, *parties = (rekey(g, key) for g, key in zip(streams, keys))
-        c = int(rng.integers(0, 2, size=1, dtype=np.uint8)[0])
-        x, nb, ne, g_seed, e_seed = _commit_draws(params, channel, parties)
-        x_int = int(x @ big_endian)
-        ext_mask = int(e_seed @ big_endian[::-1])
-        pad_bit = c ^ ((x_int & ext_mask).bit_count() & 1)
+    for b0 in range(0, len(seeds), MC_BLOCK):
+        block = seeds[b0:b0 + MC_BLOCK]
+        keys = np.stack([block.keys(*path) for path in _TRIAL_STREAMS])
+        own, *party = philox_words(keys, counts)
+        c = byte_bits(own, 0, 1)[0][:, 0]
+        x, nb, ne, g_seed, e_seed = _commit_draws(params, channel, *party)
+        x_int = _big_endian(x)
+        ext_mask = e_seed @ little_endian
+        pad_bit = c ^ (np.bitwise_count(x_int & ext_mask) & 1).astype(np.uint8)
         if uniform_pad:
-            pad_bit = c ^ int(rng.integers(0, 2))
-        if hide_challenge:
-            candidates = all_words
-        else:
-            table = _packed_table(g_seed, n, params.challenge_bits)
-            candidates = np.flatnonzero(table == table[x_int])
-        y_int = x_int ^ int(nb @ big_endian)
-        z_int = x_int ^ int(ne @ big_endian)
-        if view == "bob":
-            cost = wp * np.bitwise_count(candidates ^ y_int)
-        elif view == "eve":
-            cost = wq * np.bitwise_count(candidates ^ z_int)
-        else:
-            cost = (wp * np.bitwise_count(candidates ^ y_int)
-                    + wq * np.bitwise_count(candidates ^ z_int))
-        x_hat = int(candidates[np.argmin(cost)])
-        out[i, 0] = c
-        out[i, 1] = pad_bit ^ ((x_hat & ext_mask).bit_count() & 1)
+            pad_bit = c ^ uint32_bit(own, 1)
+        # cols[t, k]: seed bits [k, k + l_G) MSB-first, the hash of the
+        # word whose only set index bit is k (as in hashing._packed_table)
+        cols = np.zeros((len(block), n), dtype=np.uint32)
+        for j in range(0 if hide_challenge else lg):
+            cols |= g_seed[:, j:j + n].astype(np.uint32) << np.uint32(lg - 1 - j)
+        x_index = ((x_int[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)) == 1
+        h_x = np.bitwise_xor.reduce(cols * x_index, axis=1)
+        y_int, z_int = x_int ^ _big_endian(nb), x_int ^ _big_endian(ne)
+        anchors = {"bob": [y_int], "eve": [z_int], "joint": [y_int, z_int]}[view]
+        x_hat = _map_guess(n, anchors, (wp, wq) if view == "joint" else None, cols, h_x)
+        out[b0:b0 + len(block), 0] = c
+        out[b0:b0 + len(block), 1] = pad_bit ^ (np.bitwise_count(x_hat & ext_mask) & 1)
     return out
 
 
@@ -622,6 +745,9 @@ def _monte_carlo_scale_check(params: ProtocolParams, trials: int,
                              hide_challenge: bool = False):
     if params.commit_bits != 1:
         raise ScaleError("the distinguisher is defined for commit_bits == 1")
+    if params.n > SCAN_LIMIT:
+        raise ScaleError(f"the MAP guess scans all 2^n words of every trial, "
+                         f"limited to n <= {SCAN_LIMIT}; got n = {params.n}")
     if params.n > ENUM_LIMIT and not hide_challenge:
         raise ScaleError(
             f"hash-aware guessing needs n <= {ENUM_LIMIT}; "

@@ -74,19 +74,24 @@ def make_channel(p: float, q: float, coupling: str = "independent",
     raise CouplingError(f"unknown coupling {coupling!r}; expected one of {COUPLINGS}")
 
 
-def _noise_pair(ch: WiretapChannel, n: int, rng: np.random.Generator):
-    """Draw n iid flip pairs.
+def _flips(ch: WiretapChannel, u: np.ndarray):
+    """Flip pairs (N_B, N_E) from uniforms u of shape (..., n, 2).
 
-    Per symbol: u1 decides N_B; u2 decides N_E through its conditional
-    law given N_B, so the pair follows the joint noise pmf exactly and
-    the uniform stream consumed is the same for every coupling.
+    Per symbol: u[..., 0] decides N_B; u[..., 1] decides N_E through its
+    conditional law given N_B, so the pair follows the joint noise pmf
+    exactly and the uniform stream consumed is the same for every
+    coupling.  Returns two uint8 arrays of shape (..., n).
     """
-    u = rng.random((n, 2))
-    nb = u[:, 0] < ch.p
+    nb = u[..., 0] < ch.p
     cond1 = ch.r / ch.p              # P(N_E=1 | N_B=1)
     cond0 = (ch.q - ch.r) / (1.0 - ch.p)  # P(N_E=1 | N_B=0)
-    ne = np.where(nb, u[:, 1] < cond1, u[:, 1] < cond0)
+    ne = np.where(nb, u[..., 1] < cond1, u[..., 1] < cond0)
     return nb.astype(np.uint8), ne.astype(np.uint8)
+
+
+def _noise_pair(ch: WiretapChannel, n: int, rng: np.random.Generator):
+    """Draw n iid flip pairs from 2n uniforms of rng (see _flips)."""
+    return _flips(ch, rng.random((n, 2)))
 
 
 def transmit(ch: WiretapChannel, x: BitVector, rng: np.random.Generator):

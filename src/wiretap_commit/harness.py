@@ -17,6 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .adversary import (
+    BINDING_MODES,
     VIEWS,
     SecurityReport,
     _check_enum_scale,
@@ -52,6 +53,13 @@ CONFIG_VERSION = 1
 EXPERIMENT_KINDS = (
     "capacity-grid", "soundness", "binding", "concealment", "secrecy", "sweep",
 )
+
+# config fields that only some experiment kinds read
+KIND_FIELDS = {
+    "views": ("concealment",),
+    "mode": ("binding",),
+    "method": ("concealment", "secrecy"),
+}
 
 REPORT_COLUMNS = (
     "metric", "estimate", "ci_lo", "ci_hi", "reference_bound",
@@ -212,6 +220,10 @@ class ExperimentConfig:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        for key, kinds in KIND_FIELDS.items():
+            if key in doc and kind not in kinds:
+                raise ConfigError(f"config field {key!r} applies only to kind "
+                                  f"{' or '.join(map(repr, kinds))}, not {kind!r}")
 
         def field(key, kind, default):
             return config_field(doc, key, kind, "config", default)
@@ -280,6 +292,9 @@ class ExperimentConfig:
                 _check_trials(self.trials)
             if self.kind == "binding":
                 _check_enum_scale(params.n)
+                if self.mode not in BINDING_MODES:
+                    raise ConfigError(f"unknown binding mode {self.mode!r}; expected "
+                                      f"one of {list(BINDING_MODES)}")
             if self.kind == "concealment":
                 _check_views(self.views)
             if self.kind in ("concealment", "secrecy"):

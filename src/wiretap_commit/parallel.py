@@ -4,8 +4,11 @@ Estimators draw trial i of seed s from SeedSequence(s, spawn_key=(i,))
 and its children (see rng.trial_seeds), so results are independent of
 how trials are chunked; the pool slices the trial seeds into contiguous
 chunks and concatenates per-trial outputs in order.  A worker derives
-the Philox keys of its whole chunk at once (rng.TrialSeeds.keys) and
-re-keys one generator per stream it reads.
+the Philox keys of its whole chunk at once (rng.TrialSeeds.keys).  The
+secrecy and binding workers then compute the raw words of a block of
+trials in one array pass (rng.philox_words) and turn them into draws by
+the word rules of rng; the soundness worker re-keys one C Philox per
+trial.  Either way trial i's draws depend on i alone, not on the chunk.
 
 One TrialPool serves every map_trials call of a run (each estimator
 and each sweep point), so a run starts its worker processes once.

@@ -13,6 +13,14 @@ G(x_tilde) = g_bar, and (iii) c_tilde = Q XOR Ext(x_tilde).
 The same wire protocol serves both privacy modes; only the rate
 formula changes (one-private capacity vs two-private capacity, each
 minus the slack beta2).
+
+Every draw of the commit phase is a fixed function of raw 64-bit words
+(the rules in rng): _commit_draws maps the first _commit_words(params)
+words of Alice's, Bob's and the channel's stream to x, the noise pair
+and the two hash seeds, with any leading trial axis.  commit_phase
+feeds it the random_raw words of rng's three spawned children, and the
+Monte Carlo workers feed it the words of a block of trials computed by
+rng.philox_words, so both follow one draw contract.
 """
 
 from __future__ import annotations
@@ -24,10 +32,11 @@ from typing import Optional
 import numpy as np
 
 from .bits import BitVector
-from .channel import WiretapChannel, _noise_pair
+from .channel import WiretapChannel, _flips
 from .errors import ConfigError, CouplingError, DimensionError, RateError
 from .hashing import HashSpec, hash_evaluate
 from .measures import CrossoverPair, capacity_one_private, capacity_two_private
+from .rng import byte_bits, doubles
 
 PRIVACY_MODES = ("one", "two")
 
@@ -217,27 +226,37 @@ def _check_channel(params: ProtocolParams, channel: WiretapChannel):
                             f"r={channel.r}) does not match the params")
 
 
-def _commit_draws(params: ProtocolParams, channel: WiretapChannel, streams):
-    """Every random draw of the commit phase, as uint8 arrays.
+def _commit_words(params: ProtocolParams) -> tuple:
+    """Raw words each party stream of the commit phase reads: (Alice's,
+    Bob's, the channel's).  A uint8 draw of k bits reads ceil(k/4)
+    uint32s, two to a word (see rng.byte_bits); the noise reads one
+    word per uniform."""
+    n = params.n
+    alice = -(-n // 4) + -(-(n + params.commit_bits - 1) // 4)
+    bob = -(-(n + params.challenge_bits - 1) // 4)
+    return -(-alice // 2), -(-bob // 2), 2 * n
 
-    Returns (x, nb, ne, g_seed, e_seed): Alice's word, Bob's and Eve's
-    noise, and the challenge and extractor seeds.  streams are the three
-    party generators, a session generator's spawn(3): Alice's (x, then
-    the extractor seed), Bob's (the challenge seed) and the channel's
-    (the noise pair).  This fixes the stream contract of commit_phase;
-    callers that work on arrays call it directly after checking the
-    channel once.
+
+def _commit_draws(params: ProtocolParams, channel: WiretapChannel, alice, bob, noise):
+    """Every random draw of the commit phase, from the parties' raw words.
+
+    alice, bob and noise are the first _commit_words(params) raw Philox
+    words of Alice's, Bob's and the channel's stream, with any leading
+    axes (one per trial, say).  Returns (x, nb, ne, g_seed, e_seed) as
+    uint8 arrays with the same leading axes: Alice's word, Bob's and
+    Eve's noise, and the challenge and extractor seeds.  They equal what
+    the three party generators draw in this order: Alice's
+    integers(0, 2, n, uint8) for x, then n + l - 1 more for the
+    extractor seed; Bob's n + l_G - 1 for the challenge seed; the
+    channel's random((n, 2)) for the noise pair.  This is the one draw
+    contract of commit_phase and of every Monte Carlo worker.
     """
     n = params.n
-    alice_rng, bob_rng, channel_rng = streams
-
-    def uniform_bits(stream, size):
-        return stream.integers(0, 2, size=size, dtype=np.uint8)
-
-    x = uniform_bits(alice_rng, n)                                 # C1
-    nb, ne = _noise_pair(channel, n, channel_rng)
-    g_seed = uniform_bits(bob_rng, n + params.challenge_bits - 1)  # C2
-    e_seed = uniform_bits(alice_rng, n + params.commit_bits - 1)   # C4
+    x, start = byte_bits(alice, 0, n)                                  # C1
+    e_seed, _ = byte_bits(alice, start, n + params.commit_bits - 1)    # C4
+    g_seed, _ = byte_bits(bob, 0, n + params.challenge_bits - 1)       # C2
+    u = doubles(noise).reshape(*noise.shape[:-1], n, 2)
+    nb, ne = _flips(channel, u)
     return x, nb, ne, g_seed, e_seed
 
 
@@ -248,14 +267,21 @@ def commit_phase(params: ProtocolParams, c: BitVector,
     Party randomness comes from three child streams of rng: Alice's
     (x and the extractor seed), Bob's (the challenge seed), and the
     channel noise.  The private streams never enter the transcript.
+    Each child hands its first raw words to _commit_draws, so rng must
+    wrap a 64-bit bit generator (Philox, as make_rng builds, or PCG64,
+    SFC64), whose Generator draws follow the word rules of rng; a
+    32-bit MT19937 raises TypeError.
     """
     if len(c) != params.commit_bits:
         raise DimensionError(
             f"commit string length {len(c)} != commit_bits {params.commit_bits}"
         )
+    if isinstance(rng.bit_generator, np.random.MT19937):
+        raise TypeError("commit_phase reads 64-bit raw words; MT19937 draws 32 bits at a time")
     _check_channel(params, channel)
-    x_bits, nb, ne, g_seed, e_seed = _commit_draws(params, channel, rng.spawn(3))
-
+    words = [stream.random_raw(count) for stream, count
+             in zip(rng.bit_generator.spawn(3), _commit_words(params))]
+    x_bits, nb, ne, g_seed, e_seed = _commit_draws(params, channel, *words)
     x = BitVector(x_bits)
     y, z = BitVector(x_bits ^ nb), BitVector(x_bits ^ ne)
     challenge = HashSpec(params.n, params.challenge_bits, BitVector(g_seed))

@@ -13,7 +13,10 @@ import pytest
 
 from wiretap_commit import adversary, parallel
 from wiretap_commit.adversary import (
+    ENUM_LIMIT,
     EXACT_JOINT_LIMIT,
+    MC_BLOCK,
+    SCAN_LIMIT,
     TRIAL_LIMIT,
     VIEWS,
     _all_seed_tables,
@@ -46,7 +49,6 @@ from wiretap_commit.measures import CrossoverPair
 from wiretap_commit.parallel import TrialPool, map_trials
 from wiretap_commit.protocol import (
     RevealClaim,
-    _commit_draws,
     bob_test,
     commit_phase,
     derive_params,
@@ -182,28 +184,36 @@ class TestConfusables:
             enumerate_confusables(session, params)
 
 
-def _reference_binding_worker(payload, seeds):
-    """The binding worker as a band scan over all 2^n words per trial."""
-    (n, p, q, r, alpha1, x_int, ne_bits, hashes, target, ext_all, thresh_mode) = payload
-    lo, hi = n * (p - alpha1), n * (p + alpha1)
-    if thresh_mode == "alone":
-        thresh = np.full(n, p)
-    else:
-        thresh = np.where(ne_bits == 1, r / q, (p - r) / (1.0 - q))
-    hash_match = hashes == target
-    weights = (1 << np.arange(n - 1, -1, -1)).astype(np.uint64)
-    all_words = np.arange(1 << n, dtype=np.uint32)
-    out = np.empty((len(seeds), 2), dtype=np.int64)
-    for i, s in enumerate(seeds):
-        rng = make_rng(s)
-        nb = (rng.random(n) < thresh).astype(np.uint64)
-        y_int = np.uint32(x_int) ^ np.uint32((nb * weights).sum())
-        d = np.bitwise_count(all_words ^ y_int)
-        members = np.nonzero(hash_match & (d >= lo) & (d <= hi))[0]
-        distinct = np.unique(ext_all[members]).size
-        out[i, 0] = 1 if distinct >= 2 else 0
-        out[i, 1] = members.size
-    return out
+def _all_word_scan(session):
+    """The binding worker as a band scan over all 2^n words per trial,
+    with the session's full hash tables in place of the payload's
+    candidates."""
+    t = session.transcript
+    hash_match = hash_all_inputs(t.challenge) == np.uint32(t.challenge_value.to_int())
+    ext_all = hash_all_inputs(t.extractor)
+
+    def worker(payload, seeds):
+        (n, p, q, r, alpha1, x_int, ne_bits, _, _, thresh_mode) = payload
+        lo, hi = n * (p - alpha1), n * (p + alpha1)
+        if thresh_mode == "alone":
+            thresh = np.full(n, p)
+        else:
+            thresh = np.where(ne_bits == 1, r / q, (p - r) / (1.0 - q))
+        weights = (1 << np.arange(n - 1, -1, -1)).astype(np.uint64)
+        all_words = np.arange(1 << n, dtype=np.uint32)
+        out = np.empty((len(seeds), 2), dtype=np.int64)
+        for i, s in enumerate(seeds):
+            rng = make_rng(s)
+            nb = (rng.random(n) < thresh).astype(np.uint64)
+            y_int = np.uint32(x_int) ^ np.uint32((nb * weights).sum())
+            d = np.bitwise_count(all_words ^ y_int)
+            members = np.nonzero(hash_match & (d >= lo) & (d <= hi))[0]
+            distinct = np.unique(ext_all[members]).size
+            out[i, 0] = 1 if distinct >= 2 else 0
+            out[i, 1] = members.size
+        return out
+
+    return worker
 
 
 class TestBindingAttack:
@@ -220,7 +230,7 @@ class TestBindingAttack:
             n=12, p=0.25, q=0.3, alpha1=0.15, lg=8, mc=1, seed=29,
             coupling=coupling, r=r)
         fast = binding_attack(session, params, channel, mode=mode, trials=300, seed=29)
-        monkeypatch.setattr(adversary, "_binding_worker", _reference_binding_worker)
+        monkeypatch.setattr(adversary, "_binding_worker", _all_word_scan(session))
         slow = binding_attack(session, params, channel, mode=mode, trials=300, seed=29)
         for key in ("success_indicators", "confusable_sizes"):
             assert np.array_equal(fast.details[key], slow.details[key])
@@ -1125,9 +1135,58 @@ class TestConcealmentMonteCarlo:
             concealment_monte_carlo(big, make_channel(0.25, 0.25), trials=10,
                                     seed=0, view="bob")
 
+    @pytest.mark.parametrize("n", [SCAN_LIMIT + 1, 2000])
+    def test_scan_limit_holds_with_a_hidden_challenge(self, monkeypatch, n):
+        # the guess still scans every word of {0,1}^n, so no trial may start
+        monkeypatch.setattr(adversary, "map_trials", None)
+        big = explicit_params(n, CrossoverPair(0.25, 0.25), "one", alpha1=0.2,
+                              challenge_bits=2, commit_bits=1)
+        with pytest.raises(ScaleError, match=f"n <= {SCAN_LIMIT}"):
+            concealment_monte_carlo(big, make_channel(0.25, 0.25), trials=10,
+                                    seed=0, view="eve", hide_challenge=True)
+
 
 # ---------------------------------------------------------------------------
-# workers on bulk keys against the per-trial SeedSequence loops they replaced
+# batched workers against the per-trial Generator loops they replaced
+
+
+def _generator_noise_pair(ch, n: int, rng: np.random.Generator):
+    """Draw n iid flip pairs.
+
+    Per symbol: u1 decides N_B; u2 decides N_E through its conditional
+    law given N_B, so the pair follows the joint noise pmf exactly and
+    the uniform stream consumed is the same for every coupling.
+    """
+    u = rng.random((n, 2))
+    nb = u[:, 0] < ch.p
+    cond1 = ch.r / ch.p              # P(N_E=1 | N_B=1)
+    cond0 = (ch.q - ch.r) / (1.0 - ch.p)  # P(N_E=1 | N_B=0)
+    ne = np.where(nb, u[:, 1] < cond1, u[:, 1] < cond0)
+    return nb.astype(np.uint8), ne.astype(np.uint8)
+
+
+def _generator_commit_draws(params, channel, streams):
+    """Every random draw of the commit phase, as uint8 arrays.
+
+    Returns (x, nb, ne, g_seed, e_seed): Alice's word, Bob's and Eve's
+    noise, and the challenge and extractor seeds.  streams are the three
+    party generators, a session generator's spawn(3): Alice's (x, then
+    the extractor seed), Bob's (the challenge seed) and the channel's
+    (the noise pair).  This fixes the stream contract of commit_phase;
+    callers that work on arrays call it directly after checking the
+    channel once.
+    """
+    n = params.n
+    alice_rng, bob_rng, channel_rng = streams
+
+    def uniform_bits(stream, size):
+        return stream.integers(0, 2, size=size, dtype=np.uint8)
+
+    x = uniform_bits(alice_rng, n)                                 # C1
+    nb, ne = _generator_noise_pair(channel, n, channel_rng)
+    g_seed = uniform_bits(bob_rng, n + params.challenge_bits - 1)  # C2
+    e_seed = uniform_bits(alice_rng, n + params.commit_bits - 1)   # C4
+    return x, nb, ne, g_seed, e_seed
 
 
 def _per_trial_soundness_worker(payload, seeds):
@@ -1145,7 +1204,7 @@ def _per_trial_soundness_worker(payload, seeds):
 
 def _per_trial_binding_worker(payload, seeds):
     """The binding worker with one SeedSequence, Philox and Generator per trial."""
-    (n, p, q, r, alpha1, x_int, ne_bits, hashes, target, ext_all, thresh_mode) = payload
+    (n, p, q, r, alpha1, x_int, ne_bits, candidates, candidate_ext, thresh_mode) = payload
     lo, hi = n * (p - alpha1), n * (p + alpha1)
     if thresh_mode == "alone":
         thresh = np.full(n, p)
@@ -1153,8 +1212,6 @@ def _per_trial_binding_worker(payload, seeds):
         cond1 = r / q              # P(N_B=1 | N_E=1)
         cond0 = (p - r) / (1.0 - q)  # P(N_B=1 | N_E=0)
         thresh = np.where(ne_bits == 1, cond1, cond0)
-    candidates = np.flatnonzero(hashes == target).astype(np.uint32)
-    candidate_ext = ext_all[candidates]
     weights = (1 << np.arange(n - 1, -1, -1)).astype(np.uint64)
     out = np.empty((len(seeds), 2), dtype=np.int64)
     for i in range(len(seeds)):
@@ -1180,7 +1237,7 @@ def _per_trial_concealment_mc_worker(payload, seeds):
     for i in range(len(seeds)):
         rng = make_rng(seeds[i])
         c = int(rng.integers(0, 2, size=1, dtype=np.uint8)[0])
-        x, nb, ne, g_seed, e_seed = _commit_draws(params, channel, rng.spawn(3))
+        x, nb, ne, g_seed, e_seed = _generator_commit_draws(params, channel, rng.spawn(3))
         x_int = int(x @ big_endian)
         ext_mask = int(e_seed @ big_endian[::-1])
         pad_bit = c ^ ((x_int & ext_mask).bit_count() & 1)
@@ -1206,6 +1263,38 @@ def _per_trial_concealment_mc_worker(payload, seeds):
     return out
 
 
+def _reference_commit_phase(params, c, channel, rng):
+    """commit_phase on the per-stream Generator draws."""
+    x_bits, nb, ne, g_seed, e_seed = _generator_commit_draws(params, channel, rng.spawn(3))
+    x = BitVector(x_bits)
+    challenge = HashSpec(params.n, params.challenge_bits, BitVector(g_seed))
+    extractor = HashSpec(params.n, params.commit_bits, BitVector(e_seed))
+    return {"x": x, "y": BitVector(x_bits ^ nb), "z": BitVector(x_bits ^ ne),
+            "G": challenge, "g_bar": hash_evaluate(challenge, x), "Ext": extractor,
+            "Q": c ^ hash_evaluate(extractor, x)}
+
+
+@pytest.mark.parametrize("n,lg,mc,coupling,r", [
+    (1, 1, 1, "independent", None),
+    (7, 3, 2, "custom", 0.05),
+    (2000, 100, 737, "degraded", None),
+    (8000, 400, 2951, "independent", None),
+])
+def test_commit_phase_draws_what_the_party_generators_draw(n, lg, mc, coupling, r):
+    params = explicit_params(n, CrossoverPair(0.1, 0.2), "one", alpha1=0.04,
+                             challenge_bits=lg, commit_bits=mc,
+                             coupling=coupling, coupling_r=r)
+    channel = make_channel(0.1, 0.2, coupling, r=r)
+    for seed in (0, 9173, 2**64 - 1):
+        c = BitVector.random(make_rng(seed), mc)
+        session = commit_phase(params, c, channel, make_rng(seed))
+        t = session.transcript
+        got = {"x": session.alice_view.x, "y": session.bob_view.y,
+               "z": session.eve_view.z, "G": t.challenge, "g_bar": t.challenge_value,
+               "Ext": t.extractor, "Q": t.pad}
+        assert got == _reference_commit_phase(params, c, channel, make_rng(seed))
+
+
 @pytest.fixture(scope="module")
 def trial_pool():
     with TrialPool() as pool:
@@ -1226,21 +1315,74 @@ def test_soundness_worker_matches_per_trial_streams(monkeypatch, trial_pool, n, 
                                   trial_seeds(n, 45))
 
 
-@pytest.mark.parametrize("mode", ["alone", "with_eve"])
-@pytest.mark.parametrize("coupling,r", [("independent", None), ("custom", 0.1)])
-def test_binding_worker_matches_per_trial_streams(monkeypatch, trial_pool, mode,
-                                                  coupling, r):
+def _binding_payload(monkeypatch, n, lg, mode, coupling, r, seed=29):
+    """The payload binding_attack hands its worker for one commit."""
     params, channel, session = small_session(
-        n=12, p=0.25, q=0.3, alpha1=0.15, lg=8, mc=1, seed=29, coupling=coupling, r=r)
+        n=n, p=0.25, q=0.3, alpha1=0.15, lg=lg, mc=min(n, 3), seed=seed,
+        coupling=coupling, r=r)
     payloads = []
     with monkeypatch.context() as m:
         m.setattr(adversary, "map_trials",
                   lambda worker, payload, seeds, *args: payloads.append(payload)
                   or worker(payload, seeds))
         binding_attack(session, params, channel, mode=mode, trials=1, seed=0)
+    return payloads[0]
+
+
+@pytest.mark.parametrize("mode", ["alone", "with_eve"])
+@pytest.mark.parametrize("coupling,r", [("independent", None), ("custom", 0.1)])
+def test_binding_worker_matches_per_trial_streams(monkeypatch, trial_pool, mode,
+                                                  coupling, r):
+    payload = _binding_payload(monkeypatch, 12, 8, mode, coupling, r)
     _check_at_one_and_two_workers(monkeypatch, trial_pool, _binding_worker,
-                                  _per_trial_binding_worker, payloads[0],
+                                  _per_trial_binding_worker, payload,
                                   trial_seeds(30, 60))
+
+
+@pytest.mark.parametrize("mode", ["alone", "with_eve"])
+@pytest.mark.parametrize("coupling,r", [("independent", None), ("custom", 0.1),
+                                        ("degraded", None)])
+@pytest.mark.parametrize("n,lg", [(2, 1), (5, 2), (9, 3), (13, 4), (16, 8), (20, 5)])
+def test_binding_worker_matches_per_trial_streams_at_each_size(monkeypatch, trial_pool,
+                                                               mode, coupling, r, n, lg):
+    payload = _binding_payload(monkeypatch, n, lg, mode, coupling, r, seed=n)
+    _check_at_one_and_two_workers(monkeypatch, trial_pool, _binding_worker,
+                                  _per_trial_binding_worker, payload,
+                                  trial_seeds(30 + n, 60))
+
+
+@pytest.mark.parametrize("trials", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1])
+def test_binding_worker_blocks_of_trials(monkeypatch, trial_pool, trials):
+    payload = _binding_payload(monkeypatch, 12, 8, "with_eve", "custom", 0.1)
+    _check_at_one_and_two_workers(monkeypatch, trial_pool, _binding_worker,
+                                  _per_trial_binding_worker, payload,
+                                  trial_seeds(2**64 - 1, trials))
+
+
+@pytest.mark.parametrize("scan,block", [(1, 1), (8, 5), (200, 7), (1 << 10, 3)])
+def test_binding_worker_tiles_change_nothing(monkeypatch, scan, block):
+    payload = _binding_payload(monkeypatch, 10, 2, "alone", "independent", None)
+    seeds = trial_seeds(17, 23)
+    expected = _per_trial_binding_worker(payload, seeds)
+    monkeypatch.setattr(adversary, "SCAN_BLOCK", scan)
+    monkeypatch.setattr(adversary, "MC_BLOCK", block)
+    assert np.array_equal(_binding_worker(payload, seeds), expected)
+
+
+_COUPLINGS = (("independent", None), ("degraded", None), ("custom", 0.05))
+_SEEDS = (0, 11, 2**64 - 1)
+
+
+def _secrecy_payload(n, lg, coupling, r, view, uniform_pad, hide_challenge):
+    params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.1,
+                             challenge_bits=lg, commit_bits=1,
+                             coupling=coupling, coupling_r=r)
+    channel = make_channel(0.2, 0.3, coupling, r=r)
+    return params, channel, view, uniform_pad, hide_challenge
+
+
+_VARIANTS = [(view, pad, hide) for view in VIEWS for pad in (False, True)
+             for hide in (False, True)]
 
 
 @pytest.mark.parametrize("hide_challenge", [False, True])
@@ -1248,12 +1390,77 @@ def test_binding_worker_matches_per_trial_streams(monkeypatch, trial_pool, mode,
 @pytest.mark.parametrize("view", VIEWS)
 def test_concealment_worker_matches_per_trial_streams(monkeypatch, trial_pool, view,
                                                       uniform_pad, hide_challenge):
-    params = explicit_params(8, CrossoverPair(0.2, 0.3), "one", alpha1=0.1,
-                             challenge_bits=2, commit_bits=1)
-    payload = (params, make_channel(0.2, 0.3), view, uniform_pad, hide_challenge)
+    payload = _secrecy_payload(8, 2, "independent", None, view, uniform_pad,
+                               hide_challenge)
     _check_at_one_and_two_workers(monkeypatch, trial_pool, _concealment_mc_worker,
                                   _per_trial_concealment_mc_worker, payload,
                                   trial_seeds(2**64 - 1, 40))
+
+
+@pytest.mark.parametrize("n", range(2, ENUM_LIMIT + 1))
+def test_concealment_worker_matches_per_trial_streams_at_each_size(monkeypatch,
+                                                                   trial_pool, n):
+    # every view x uniform_pad x hide_challenge, with l_G, the coupling
+    # and the seed varying along n; a few trials at the largest n
+    trials = 12 if n <= 14 else 4 if n < ENUM_LIMIT else 2
+    lg = min(n, 1 + n % 5)
+    coupling, r = _COUPLINGS[n % 3]
+    seeds = trial_seeds(_SEEDS[n % 3], trials)
+    for view, uniform_pad, hide_challenge in _VARIANTS:
+        payload = _secrecy_payload(n, lg, coupling, r, view, uniform_pad, hide_challenge)
+        _check_at_one_and_two_workers(monkeypatch, trial_pool, _concealment_mc_worker,
+                                      _per_trial_concealment_mc_worker, payload, seeds)
+
+
+@pytest.mark.parametrize("trials", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1])
+@pytest.mark.parametrize("view", VIEWS)
+def test_concealment_worker_blocks_of_trials(monkeypatch, trial_pool, view, trials):
+    pad, hide = trials % 2 == 1, trials > MC_BLOCK
+    payload = _secrecy_payload(4, 2, "custom", 0.05, view, pad, hide)
+    _check_at_one_and_two_workers(monkeypatch, trial_pool, _concealment_mc_worker,
+                                  _per_trial_concealment_mc_worker, payload,
+                                  trial_seeds(2**64 - 1, trials))
+
+
+@pytest.mark.parametrize("scan,block", [(1, 1), (8, 5), (200, 7), (1 << 10, 3)])
+@pytest.mark.parametrize("view", VIEWS)
+def test_concealment_worker_tiles_change_nothing(monkeypatch, view, scan, block):
+    # tiles narrower than 2^n split each trial's scan; wider ones stack trials
+    seeds = trial_seeds(23, 11)
+    for pad, hide in ((False, False), (True, True)):
+        payload = _secrecy_payload(6, 2, "independent", None, view, pad, hide)
+        expected = _per_trial_concealment_mc_worker(payload, seeds)
+        with monkeypatch.context() as m:
+            m.setattr(adversary, "SCAN_BLOCK", scan)
+            m.setattr(adversary, "MC_BLOCK", block)
+            assert np.array_equal(_concealment_mc_worker(payload, seeds), expected)
+
+
+def _traced_peak(worker, payload, seeds) -> int:
+    tracemalloc.start()
+    try:
+        worker(payload, seeds)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("view", VIEWS)
+def test_concealment_worker_memory_at_the_demo_size(view):
+    # the secrecy_mc demo's n = 12, l_G = 2, one call over 3000 trials
+    payload = _secrecy_payload(12, 2, "independent", None, view, False, False)
+    assert _traced_peak(_concealment_mc_worker, payload, trial_seeds(11, 3000)) <= 4 << 20
+
+
+@pytest.mark.parametrize("lg", [1, 2])
+@pytest.mark.parametrize("view", ["eve", "joint"])
+def test_concealment_worker_memory_at_the_enumeration_limit(view, lg):
+    # at n = ENUM_LIMIT the batched scan holds no more than the
+    # per-trial loop, which builds a 2^n table per trial
+    payload = _secrecy_payload(ENUM_LIMIT, lg, "independent", None, view, False, False)
+    seeds = trial_seeds(5, 2)
+    assert (_traced_peak(_concealment_mc_worker, payload, seeds)
+            <= _traced_peak(_per_trial_concealment_mc_worker, payload, seeds))
 
 
 def test_cs_table_matches_the_count_loop():

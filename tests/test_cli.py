@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from wiretap_commit import adversary
+from wiretap_commit import adversary, harness
 from wiretap_commit.adversary import TRIAL_LIMIT
 from wiretap_commit.bits import BitVector
 from wiretap_commit.channel import make_channel
@@ -232,19 +232,19 @@ def test_sweep_point_with_long_challenge_exits_before_any_trial(tmp_path, capsys
     assert "challenge_bits = 13" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("kind,method,variable,values,message", [
-    ("binding", "exact", "params.n", [12, 21], "limited to n <= 20, got 21"),
-    ("secrecy", "monte-carlo", "params.commit_bits", [1, 2],
+@pytest.mark.parametrize("kind,fields,variable,values,message", [
+    ("binding", {}, "params.n", [12, 21], "limited to n <= 20, got 21"),
+    ("secrecy", {"method": "monte-carlo"}, "params.commit_bits", [1, 2],
      "defined for commit_bits == 1"),
 ], ids=["binding-beyond-enumeration", "monte-carlo-with-two-commit-bits"])
 def test_sweep_point_beyond_scale_limit_exits_before_any_trial(
-        tmp_path, capsys, monkeypatch, kind, method, variable, values, message):
+        tmp_path, capsys, monkeypatch, kind, fields, variable, values, message):
     # the first point is valid: only validate() can stop it from running
     def no_trials(*args, **kwargs):
         raise AssertionError("map_trials ran before every sweep point was validated")
 
     monkeypatch.setattr(adversary, "map_trials", no_trials)
-    inner = {"version": 1, "kind": kind, "method": method,
+    inner = {"version": 1, "kind": kind, **fields,
              "params": {"n": 12, "p": 0.2, "q": 0.3, "privacy": "one",
                         "alpha1": 0.1, "achievable": False,
                         "challenge_bits": 4, "commit_bits": 1}}
@@ -334,3 +334,49 @@ def test_each_view_reported_once(tmp_path):
     metrics = [row[0] for row in ResultTable.from_csv(out.read_text()).rows]
     assert sorted(metrics) == ["concealment_mi_bob", "concealment_mi_joint",
                                "concealment_sd_bob", "concealment_sd_joint"]
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("secrecy", dict(_SECRECY, views=["bob", "bob", "nobody"]), "'views' applies only"),
+    ("secrecy", dict(_SECRECY, views=["eve"]), "'views' applies only"),
+    ("binding", dict(_BINDING, views=["bob"]), "'views' applies only"),
+    ("soundness", _soundness_doc(mode="alone"), "'mode' applies only"),
+    ("secrecy", dict(_SECRECY, mode="with_eve"), "'mode' applies only"),
+    ("concealment", dict(_CONCEALMENT, mode="alone"), "'mode' applies only"),
+    ("soundness", _soundness_doc(method="exact"), "'method' applies only"),
+    ("binding", dict(_BINDING, method="monte-carlo"), "'method' applies only"),
+    ("binding", dict(_BINDING, mode="bogus"), "unknown binding mode 'bogus'"),
+], ids=["secrecy-views", "secrecy-eve-view", "binding-views", "soundness-mode",
+        "secrecy-mode", "concealment-mode", "soundness-method", "binding-method",
+        "binding-bogus-mode"])
+def test_field_a_kind_does_not_read_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                      command, doc, message):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was rejected")
+
+    monkeypatch.setattr(adversary, "map_trials", no_work)
+    monkeypatch.setattr(harness, "commit_phase", no_work)
+    cfg = tmp_path / "unread.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_sweep_point_with_a_field_its_kind_does_not_read_is_a_config_error(tmp_path,
+                                                                           capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "version": 1, "kind": "sweep", "seed": 3, "trials": 20,
+        "sweep": {"variable": "params.n", "values": [250, 500],
+                  "experiment": _soundness_doc(views=["eve"])}}))
+    assert main(["sweep", "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
+    assert "'views' applies only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc", [
+    dict(_BINDING, mode="alone"), dict(_BINDING, mode="with_eve"),
+    dict(_CONCEALMENT, kind="secrecy"), dict(_CONCEALMENT, views=["eve"], method="exact"),
+], ids=["binding-alone", "binding-with-eve", "secrecy-exact", "concealment-views"])
+def test_fields_a_kind_reads_still_validate(doc):
+    ExperimentConfig.from_dict(doc).validate()

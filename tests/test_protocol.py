@@ -117,6 +117,19 @@ class TestCommitPhase:
             commit_phase(params, BitVector.zeros(params.commit_bits + 1),
                          channel, make_rng(3))
 
+    def test_other_64_bit_generators_draw_by_the_same_words(self):
+        # the word rules are numpy's for every 64-bit bit generator; a
+        # 32-bit MT19937 would silently draw other sessions
+        params, channel, _ = reference_session(2)
+        c = BitVector.zeros(params.commit_bits)
+        for bit_generator in (np.random.PCG64, np.random.SFC64):
+            session = commit_phase(params, c, channel, np.random.Generator(bit_generator(8)))
+            alice = np.random.Generator(bit_generator(8)).spawn(3)[0]
+            assert session.alice_view.x == BitVector(
+                alice.integers(0, 2, size=params.n, dtype=np.uint8))
+        with pytest.raises(TypeError):
+            commit_phase(params, c, channel, np.random.Generator(np.random.MT19937(8)))
+
     def test_channel_mismatch_rejected(self):
         params, _, _ = reference_session(3)
         other = make_channel(0.2, 0.2, "independent")
