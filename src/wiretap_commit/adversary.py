@@ -68,6 +68,8 @@ TRIAL_LIMIT = INDEX_LIMIT  # trial seeds per Monte Carlo estimate
 SCAN_LIMIT = 28           # Monte Carlo MAP guess, hidden challenge: 2^n words per trial
 MC_BLOCK = 1 << 10        # Monte Carlo: trials per array Philox pass
 SCAN_BLOCK = 1 << 17      # Monte Carlo: (trial, word) entries per tile of a word scan
+WORD_LIMIT = 1 << 20      # soundness: raw channel words per trial (2n)
+WORD_BLOCK = 1 << 16      # soundness: raw words per block of trials (512 KiB)
 
 _Z95 = 1.959963984540054
 
@@ -146,8 +148,9 @@ def _check_trials(trials: int, seeds_per_trial: int = 1):
 # soundness
 
 
-def _soundness_worker(payload, seeds) -> np.ndarray:
-    """Per-trial honest-rejection indicators.
+def _soundness_worker(points, seeds) -> np.ndarray:
+    """(trials, points) honest-rejection indicators, one column per
+    (n, p, alpha1) point.
 
     For an honest reveal the hash and pad conditions hold identically,
     so a trial rejects exactly when the Bob-side flip count leaves the
@@ -160,19 +163,66 @@ def _soundness_worker(payload, seeds) -> np.ndarray:
     Bob's flip at symbol j is random() < p for raw word 2j, and
     (word >> 11) 2^-53 < p exactly when word < ceil(p 2^53) << 11, so
     the count compares raw words and draws no doubles.  A trial reads
-    2n words, past the array Philox's break-even, so one C Philox is
-    re-keyed per trial from seeds.keys(2).
+    2 max(n) words, past the array Philox's break-even, so one C Philox
+    is re-keyed per trial from seeds.keys(2).  Philox is counter-based,
+    so a point at n reads a prefix of those words, the 2n a call of its
+    own would draw.  Blocks of at most WORD_BLOCK words are counted one
+    point at a time; a trial's words depend on its index alone, so the
+    blocking changes no indicator.
     """
-    n, p, alpha1 = payload
-    lo, hi = n * (p - alpha1), n * (p + alpha1)
-    below = np.uint64(math.ceil(p * 2.0 ** 53) << 11)  # p < 1/2: fits in 64 bits
+    span = 2 * max(n for n, _, _ in points)
+    bands = [(2 * n, np.uint64(math.ceil(p * 2.0 ** 53) << 11),  # p < 1/2: fits in 64 bits
+              n * (p - alpha1), n * (p + alpha1)) for n, p, alpha1 in points]
+    block = np.empty((max(1, min(len(seeds), WORD_BLOCK // span)), span), dtype=np.uint64)
     noise = make_rng(0)  # re-keyed per trial
-    out = np.empty(len(seeds), dtype=np.uint8)
-    for i, key in enumerate(seeds.keys(2)):
-        words = rekey(noise, key).bit_generator.random_raw(2 * n)
-        d = np.count_nonzero(words[::2] < below)
-        out[i] = 0 if lo <= d <= hi else 1
+    keys = seeds.keys(2)
+    out = np.empty((len(seeds), len(points)), dtype=np.uint8)
+    for b0 in range(0, len(seeds), len(block)):
+        rows = keys[b0:b0 + len(block)]
+        words = block[:len(rows)]
+        for row, key in zip(words, rows):
+            row[:] = rekey(noise, key).bit_generator.random_raw(span)
+        for k, (prefix, below, lo, hi) in enumerate(bands):
+            d = np.count_nonzero(words[:, :prefix:2] < below, axis=1)
+            out[b0:b0 + len(rows), k] = (d < lo) | (d > hi)
     return out
+
+
+def _check_words(n: int):
+    if 2 * n > WORD_LIMIT:
+        raise ScaleError(f"a soundness trial reads 2n raw words, at most {WORD_LIMIT} "
+                         f"(n <= {WORD_LIMIT // 2}); got n = {n}")
+
+
+def soundness_reports(points, seed: int, threads: int = 1, pool=None) -> list:
+    """One estimate_soundness report per (params, channel, trials) point,
+    all on seed, from one map_trials call.
+
+    The call runs max(trials) trials and each point reads its first
+    trials rows, the indicators a call of its own would give.
+    """
+    for params, channel, trials in points:
+        _check_words(params.n)
+        _check_trials(trials)
+        _check_channel(params, channel)
+    payload = tuple((params.n, params.pq.p, params.alpha1) for params, _, _ in points)
+    rejects = map_trials(_soundness_worker, payload,
+                         trial_seeds(seed, max(t for *_, t in points)), threads, pool)
+    reports = []
+    for (params, _, trials), column in zip(points, rejects.T):
+        k = int(column[:trials].sum())
+        lo, hi = wilson_interval(k, trials)
+        reports.append(SecurityReport(
+            metric="soundness_rejection_rate",
+            estimate=k / trials,
+            ci_lo=lo, ci_hi=hi,
+            trials=trials,
+            reference_bound=min(1.0, 2.0 * math.exp(-2.0 * params.n * params.alpha1 ** 2)),
+            seed=seed,
+            details={"rejections": k},
+            **_report_context(params),
+        ))
+    return reports
 
 
 def estimate_soundness(params: ProtocolParams, channel, trials: int,
@@ -182,23 +232,7 @@ def estimate_soundness(params: ProtocolParams, channel, trials: int,
     Reference bound: the two-sided Hoeffding tail 2 exp(-2 n alpha1^2)
     on the flip count leaving the band.
     """
-    _check_trials(trials)
-    _check_channel(params, channel)
-    payload = (params.n, params.pq.p, params.alpha1)
-    rejects = map_trials(_soundness_worker, payload, trial_seeds(seed, trials),
-                         threads, pool)
-    k = int(rejects.sum())
-    lo, hi = wilson_interval(k, trials)
-    return SecurityReport(
-        metric="soundness_rejection_rate",
-        estimate=k / trials,
-        ci_lo=lo, ci_hi=hi,
-        trials=trials,
-        reference_bound=min(1.0, 2.0 * math.exp(-2.0 * params.n * params.alpha1 ** 2)),
-        seed=seed,
-        details={"rejections": k},
-        **_report_context(params),
-    )
+    return soundness_reports([(params, channel, trials)], seed, threads, pool)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,14 @@ from .adversary import (
     SecurityReport,
     _check_enum_scale,
     _check_trials,
+    _check_words,
     _exact_scale_check,
     _monte_carlo_scale_check,
     binding_attack,
     concealment_exact,
     concealment_monte_carlo,
     estimate_soundness,
+    soundness_reports,
 )
 from .bits import BitVector
 from .channel import degradation_check, make_channel
@@ -290,6 +292,8 @@ class ExperimentConfig:
             self.build_channel(params)
             if self.kind in ("soundness", "binding"):
                 _check_trials(self.trials)
+            if self.kind == "soundness":
+                _check_words(params.n)
             if self.kind == "binding":
                 _check_enum_scale(params.n)
                 if self.mode not in BINDING_MODES:
@@ -337,17 +341,23 @@ def _grid_axes(grid):
     return ps, qs
 
 
+SWEEP_FIELDS = ("variable", "values", "experiment")
+
+
 def _sweep_spec(sweep):
+    unknown = sorted(set(sweep) - set(SWEEP_FIELDS))
+    if unknown:
+        raise ConfigError(f"unknown sweep fields: {unknown}; expected {list(SWEEP_FIELDS)}")
     variable = sweep.get("variable")
     values = sweep.get("values")
     inner = sweep.get("experiment")
     if not variable or not isinstance(variable, str):
         raise ConfigError("sweep.variable must be a dotted field path")
-    if not values:
-        raise ConfigError("sweep.values must be a non-empty list")
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"sweep.values must be a non-empty list, got {values!r}")
     if not isinstance(inner, dict):
         raise ConfigError("sweep.experiment must be a config object")
-    return variable, list(values), inner
+    return variable, values, inner
 
 
 def run_capacity_grid(p_range, q_range, steps: int) -> ResultTable:
@@ -482,10 +492,30 @@ def _sweep_points(config: ExperimentConfig):
 
 
 def _run_sweep(config: ExperimentConfig, pool: TrialPool) -> ResultTable:
+    """One row block per point, in point order.
+
+    Soundness points that share a seed run as one soundness_reports
+    call, which draws each trial's channel words once for all of them;
+    every other point runs on its own.
+    """
     variable, points = _sweep_points(config)
+    groups = {}
+    for i, (_, sub) in enumerate(points):
+        if sub.kind == "soundness":
+            groups.setdefault(sub.seed, []).append((i, sub))
+    tables = {}
+    for seed, members in groups.items():
+        specs = []
+        for _, sub in members:
+            params = sub.build_params()
+            specs.append((params, sub.build_channel(params), sub.trials))
+        threads = max(sub.threads for _, sub in members)
+        for (i, _), report in zip(members, soundness_reports(specs, seed, threads, pool)):
+            tables[i] = ResultTable(REPORT_COLUMNS)
+            _report_rows(tables[i], report)
     table = None
-    for v, sub in points:
-        sub_table = run_experiment(sub, pool)
+    for i, (v, sub) in enumerate(points):
+        sub_table = tables[i] if i in tables else run_experiment(sub, pool)
         if table is None:
             table = ResultTable(
                 [variable] + sub_table.columns,

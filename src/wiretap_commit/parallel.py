@@ -8,7 +8,11 @@ the Philox keys of its whole chunk at once (rng.TrialSeeds.keys).  The
 secrecy and binding workers then compute the raw words of a block of
 trials in one array pass (rng.philox_words) and turn them into draws by
 the word rules of rng; the soundness worker re-keys one C Philox per
-trial.  Either way trial i's draws depend on i alone, not on the chunk.
+trial and draws the 2 max(n) channel words of all its points at once.
+Either way trial i's draws depend on i alone, not on the chunk, and a
+prefix of a counter-based stream is the same words whatever follows
+it, so a soundness point at n reads the 2n words a call of its own
+would, and the first t trials of a longer call are a t-trial call.
 
 One TrialPool serves every map_trials call of a run (each estimator
 and each sweep point), so a run starts its worker processes once.

@@ -19,6 +19,8 @@ from wiretap_commit.adversary import (
     SCAN_LIMIT,
     TRIAL_LIMIT,
     VIEWS,
+    WORD_BLOCK,
+    WORD_LIMIT,
     _all_seed_tables,
     _binding_worker,
     _concealment_mc_worker,
@@ -33,6 +35,7 @@ from wiretap_commit.adversary import (
     concealment_monte_carlo,
     enumerate_confusables,
     estimate_soundness,
+    soundness_reports,
     wilson_interval,
 )
 from wiretap_commit.bits import BitVector
@@ -55,7 +58,7 @@ from wiretap_commit.protocol import (
     explicit_params,
     honest_run,
 )
-from wiretap_commit.rng import make_rng, trial_seeds
+from wiretap_commit.rng import make_rng, rekey, trial_seeds
 
 
 def small_session(n=16, p=0.25, alpha1=0.125, lg=8, mc=4, seed=7,
@@ -90,8 +93,8 @@ class TestSoundness:
         params = derive_params(300, CrossoverPair(0.1, 0.15), "one",
                                alpha1=0.035, beta1=0.05, beta2=0.1)
         channel = make_channel(0.1, 0.15)
-        fast = _soundness_worker((params.n, params.pq.p, params.alpha1),
-                                 trial_seeds(99, 60))
+        fast = _soundness_worker(((params.n, params.pq.p, params.alpha1),),
+                                 trial_seeds(99, 60))[:, 0]
         slow = np.array([0 if honest_run(params, channel, make_rng(s))[0] else 1
                          for s in trial_seeds(99, 60)], dtype=np.uint8)
         assert np.array_equal(fast, slow)
@@ -142,6 +145,32 @@ class TestSoundness:
         r1 = estimate_soundness(params, channel, trials=120, seed=6, threads=1)
         r2 = estimate_soundness(params, channel, trials=120, seed=6, threads=3)
         assert r1.estimate == r2.estimate and r1.ci_lo == r2.ci_lo
+
+    def test_points_of_one_call_equal_their_own_estimates(self):
+        # one draw for all points; each reads the first trials rows of it
+        points = []
+        for n, p, alpha1, trials in ((200, 0.2, 0.05, 120), (60, 0.1, 0.1, 7),
+                                     (500, 0.3, 0.02, 300), (200, 0.2, 0.05, 1)):
+            params = derive_params(n, CrossoverPair(p, p), "one",
+                                   alpha1=alpha1, beta1=0.05, beta2=0.1)
+            points.append((params, make_channel(p, p), trials))
+        for threads in (1, 2):
+            assert soundness_reports(points, seed=8, threads=threads) == [
+                estimate_soundness(*point, seed=8) for point in points]
+
+    def test_word_limit_checked_before_any_trial(self, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("map_trials ran past the word limit")
+
+        monkeypatch.setattr(adversary, "map_trials", no_trials)
+        channel = make_channel(0.1, 0.1)
+        small = derive_params(200, CrossoverPair(0.1, 0.1), "one",
+                              alpha1=0.05, beta1=0.05, beta2=0.1)
+        big = dataclasses.replace(small, n=WORD_LIMIT // 2 + 1)
+        with pytest.raises(ScaleError, match="2n raw words"):
+            estimate_soundness(big, channel, trials=1, seed=0)
+        with pytest.raises(ScaleError, match="2n raw words"):
+            soundness_reports([(small, channel, 5), (big, channel, 5)], seed=0)
 
 
 class TestConfusables:
@@ -1202,6 +1231,20 @@ def _per_trial_soundness_worker(payload, seeds):
     return out
 
 
+def _reference_soundness_worker(payload, seeds):
+    """The soundness worker with one re-keyed C Philox and one count per trial."""
+    n, p, alpha1 = payload
+    lo, hi = n * (p - alpha1), n * (p + alpha1)
+    below = np.uint64(math.ceil(p * 2.0 ** 53) << 11)  # p < 1/2: fits in 64 bits
+    noise = make_rng(0)  # re-keyed per trial
+    out = np.empty(len(seeds), dtype=np.uint8)
+    for i, key in enumerate(seeds.keys(2)):
+        words = rekey(noise, key).bit_generator.random_raw(2 * n)
+        d = np.count_nonzero(words[::2] < below)
+        out[i] = 0 if lo <= d <= hi else 1
+    return out
+
+
 def _per_trial_binding_worker(payload, seeds):
     """The binding worker with one SeedSequence, Philox and Generator per trial."""
     (n, p, q, r, alpha1, x_int, ne_bits, candidates, candidate_ext, thresh_mode) = payload
@@ -1308,11 +1351,59 @@ def _check_at_one_and_two_workers(monkeypatch, pool, worker, reference, payload,
         assert np.array_equal(map_trials(worker, payload, seeds, threads, pool), expected)
 
 
-@pytest.mark.parametrize("n,p,alpha1", [(1, 0.1, 0.05), (300, 0.1, 0.035), (2000, 0.1, 0.01)])
-def test_soundness_worker_matches_per_trial_streams(monkeypatch, trial_pool, n, p, alpha1):
-    _check_at_one_and_two_workers(monkeypatch, trial_pool, _soundness_worker,
-                                  _per_trial_soundness_worker, (n, p, alpha1),
-                                  trial_seeds(n, 45))
+def _each_point(reference):
+    """A multi-point soundness reference: reference's column for each point."""
+    def worker(points, seeds):
+        return np.stack([reference(point, seeds) for point in points], axis=1)
+    return worker
+
+
+_SOUNDNESS_REFERENCES = [_each_point(_reference_soundness_worker),
+                         _each_point(_per_trial_soundness_worker)]
+# (4, 0.25, 0.25) and (8, 0.25, 0.125) put both band ends on integers
+_SOUNDNESS_POINTS = ((1, 0.1, 0.05), (300, 0.1, 0.035), (2000, 0.1, 0.01),
+                     (300, 0.3, 0.035), (700, 0.45, 0.2), (2000, 0.25, 0.04),
+                     (1, 0.4, 0.45), (4, 0.25, 0.25), (8, 0.25, 0.125))
+
+
+@pytest.mark.parametrize("reference", _SOUNDNESS_REFERENCES, ids=["rekeyed", "per-trial"])
+@pytest.mark.parametrize("points", [_SOUNDNESS_POINTS, _SOUNDNESS_POINTS[::-1],
+                                    *((point,) for point in _SOUNDNESS_POINTS)])
+def test_soundness_worker_matches_each_point_alone(monkeypatch, trial_pool, reference,
+                                                   points):
+    _check_at_one_and_two_workers(monkeypatch, trial_pool, _soundness_worker, reference,
+                                  points, trial_seeds(points[0][0], 45))
+
+
+@pytest.mark.parametrize("reference", _SOUNDNESS_REFERENCES, ids=["rekeyed", "per-trial"])
+@pytest.mark.parametrize("offset", [None, -1, 0, 1])
+def test_soundness_worker_blocks_of_trials(monkeypatch, trial_pool, reference, offset):
+    # a block holds WORD_BLOCK // 2000 trials of the widest point; None is one trial
+    block = WORD_BLOCK // 2000
+    trials = 1 if offset is None else block + offset
+    points = ((1000, 0.1, 0.04), (250, 0.2, 0.03), (1000, 0.1, 0.01))
+    _check_at_one_and_two_workers(monkeypatch, trial_pool, _soundness_worker, reference,
+                                  points, trial_seeds(2**64 - 1, trials))
+
+
+def test_soundness_worker_one_trial_per_block(monkeypatch):
+    # a fresh pool forks after the patch, so both workers see it
+    seeds = trial_seeds(9173, 23)
+    expected = [reference(_SOUNDNESS_POINTS, seeds) for reference in _SOUNDNESS_REFERENCES]
+    assert np.array_equal(*expected)
+    monkeypatch.setattr(adversary, "WORD_BLOCK", 1)
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    for threads in (1, 2):
+        got = map_trials(_soundness_worker, _SOUNDNESS_POINTS, seeds, threads)
+        assert np.array_equal(got, expected[0])
+
+
+def test_soundness_worker_memory_stays_at_one_block():
+    # the soundness sweep's points: one 512 KiB block of words plus the
+    # chunk's keys and flip masks (0.83 MiB measured), not a copy per trial
+    points = tuple((n, 0.1, 0.04) for n in (250, 500, 1000, 2000))
+    peak = _traced_peak(_soundness_worker, points, trial_seeds(42, 4000))
+    assert peak <= 1 << 20, peak
 
 
 def _binding_payload(monkeypatch, n, lg, mode, coupling, r, seed=29):

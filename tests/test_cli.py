@@ -5,7 +5,7 @@ import json
 import pytest
 
 from wiretap_commit import adversary, harness
-from wiretap_commit.adversary import TRIAL_LIMIT
+from wiretap_commit.adversary import TRIAL_LIMIT, WORD_LIMIT
 from wiretap_commit.bits import BitVector
 from wiretap_commit.channel import make_channel
 from wiretap_commit.cli import EXIT_BAD_CONFIG, EXIT_OK, main
@@ -294,6 +294,31 @@ def test_trial_count_beyond_the_seed_limit_exits_before_any_trial(
 ], ids=["soundness", "binding", "secrecy"])
 def test_trial_count_at_the_seed_limit_validates(doc):
     ExperimentConfig.from_dict(doc).validate()
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("soundness", _soundness_doc(params=dict(_PARAMS, n=10**12))),
+    ("soundness", _soundness_doc(params=dict(_PARAMS, n=WORD_LIMIT // 2 + 1))),
+    ("sweep", {"version": 1, "kind": "sweep", "seed": 3, "trials": 20,
+               "sweep": {"variable": "params.n", "values": [200, WORD_LIMIT // 2 + 1],
+                         "experiment": _soundness_doc()}}),
+], ids=["soundness-terabytes", "soundness-one-past", "sweep-point"])
+def test_soundness_beyond_the_word_limit_exits_before_any_trial(
+        tmp_path, capsys, monkeypatch, command, doc):
+    # n = 10^12 once asked numpy for 14.6 TiB of raw words and exited 1
+    def no_trials(*args, **kwargs):
+        raise AssertionError("map_trials ran past the word limit")
+
+    monkeypatch.setattr(adversary, "map_trials", no_trials)
+    cfg = tmp_path / "long.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg), "--threads", "2"]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "2n raw words" in err
+
+
+def test_soundness_at_the_word_limit_validates():
+    ExperimentConfig.from_dict(_soundness_doc(params=dict(_PARAMS, n=WORD_LIMIT // 2))).validate()
 
 
 _CONCEALMENT = {"version": 1, "kind": "concealment", "method": "exact", "seed": 3,

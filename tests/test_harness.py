@@ -2,9 +2,11 @@
 
 import json
 import math
+import os
 
 import pytest
 
+from wiretap_commit import adversary, parallel
 from wiretap_commit.channel import make_channel
 from wiretap_commit.cli import EXIT_BAD_CONFIG, main
 from wiretap_commit.errors import ConfigError, DimensionError, RateError
@@ -209,6 +211,25 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="non-object"):
             config.validate()
 
+    @pytest.mark.parametrize("change,message", [
+        ({"extra": 1}, "unknown sweep fields: ['extra']"),
+        ({"values": "abc"}, "sweep.values must be a non-empty list, got 'abc'"),
+        ({"values": {"200": 1}}, "sweep.values must be a non-empty list"),
+        ({"values": 200}, "sweep.values must be a non-empty list, got 200"),
+        ({"values": []}, "sweep.values must be a non-empty list"),
+    ], ids=["unknown-field", "string", "object", "number", "empty"])
+    def test_sweep_block_checked(self, tmp_path, capsys, change, message):
+        doc = {"version": 1, "kind": "sweep",
+               "sweep": {"variable": "params.n", "values": [200, 400],
+                         "experiment": soundness_doc(), **change}}
+        with pytest.raises(ConfigError) as raised:
+            ExperimentConfig.from_dict(doc).validate()
+        assert message in str(raised.value)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["sweep", "--config", str(path), "--threads", "1"]) == EXIT_BAD_CONFIG
+        assert message in capsys.readouterr().err
+
     def test_validation_runs_module_preconditions(self):
         bad = soundness_doc()
         bad["params"]["beta2"] = binary_entropy(0.1)  # rate collapses to 0
@@ -348,3 +369,78 @@ class TestReplay:
         path = tmp_path / "session.json"
         path.write_text(json.dumps(doc))
         assert main(["replay", "--config", str(path)]) == EXIT_BAD_CONFIG
+
+
+def _point_by_point(doc) -> str:
+    """A sweep's CSV as a loop of one run_experiment call per point."""
+    sweep = doc["sweep"]
+    *path, last = sweep["variable"].split(".")
+    table = None
+    for value in sweep["values"]:
+        inner = json.loads(json.dumps(sweep["experiment"]))
+        for key in ("seed", "trials", "threads"):
+            inner.setdefault(key, doc[key])
+        node = inner
+        for key in path:
+            node = node[key]
+        node[last] = value
+        point = run_experiment(ExperimentConfig.from_dict(inner))
+        if table is None:
+            table = ResultTable([sweep["variable"]] + point.columns,
+                                metadata={"kind": "sweep", "seed": doc["seed"],
+                                          "variable": sweep["variable"],
+                                          "inner_kind": inner["kind"]})
+        for row in point.rows:
+            table.append([value] + row)
+    return table.to_csv()
+
+
+def _counting_map_trials(monkeypatch) -> list:
+    calls = []
+    original = adversary.map_trials
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[2]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(adversary, "map_trials", counted)
+    return calls
+
+
+_SWEEP_INNER = {key: value for key, value in soundness_doc().items()
+                if key not in ("seed", "trials")}
+_SWEEP_INNER["params"] = dict(_SWEEP_INNER["params"], n=300)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("variable,values", [
+    ("params.n", [250, 60, 1000, 250, 20]),
+    ("params.p", [0.05, 0.3, 0.1, 0.45]),
+    ("params.alpha1", [0.01, 0.08, 0.04]),
+    ("trials", [120, 1, 300, 17]),
+    ("seed", [0, 9173, 2**64 - 1, 0]),
+])
+def test_soundness_sweep_equals_its_points_run_one_by_one(tmp_path, capsys, monkeypatch,
+                                                          variable, values, threads):
+    doc = {"version": 1, "kind": "sweep", "seed": 5, "trials": 150, "threads": threads,
+           "sweep": {"variable": variable, "values": values, "experiment": _SWEEP_INNER}}
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+    expected = _point_by_point(doc)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    calls = _counting_map_trials(monkeypatch)
+    assert main(["sweep", "--config", str(path), "--threads", str(threads)]) == 0
+    assert capsys.readouterr().out == expected
+    # one draw per seed, as long as the longest point at that seed
+    seeds = values if variable == "seed" else [doc["seed"]]
+    assert len(calls) == len(set(seeds))
+    assert calls == [max(values) if variable == "trials" else doc["trials"]] * len(calls)
+
+
+def test_soundness_sweep_demo_draws_once(capsys, monkeypatch):
+    config = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                          "demos", "configs", "soundness_sweep.json")
+    calls = _counting_map_trials(monkeypatch)
+    assert main(["sweep", "--config", config, "--threads", "1"]) == 0
+    assert calls == [4000]  # four points, one call of 4000 trials
+    assert len(capsys.readouterr().out.splitlines()) == 6
