@@ -32,9 +32,9 @@ from typing import Optional
 import numpy as np
 
 from .bits import BitVector
-from .channel import WiretapChannel, _flips
+from .channel import WiretapChannel, _flips, make_channel
 from .errors import ConfigError, CouplingError, DimensionError, RateError
-from .hashing import HashSpec, hash_evaluate
+from .hashing import HashSpec, _toeplitz_bits
 from .measures import CrossoverPair, capacity_one_private, capacity_two_private
 from .rng import byte_bits, doubles
 
@@ -85,6 +85,10 @@ class ProtocolParams:
             raise CouplingError(
                 "two-privacy mode is analyzed only for independent coupling"
             )
+        # the channel is the one judge of the coupling and its r; a custom
+        # coupling may leave r to the channel object (see _check_channel)
+        if self.coupling != "custom" or self.coupling_r is not None:
+            make_channel(self.pq.p, self.pq.q, self.coupling, self.coupling_r)
 
     def to_config(self) -> dict:
         cfg = {
@@ -282,14 +286,14 @@ def commit_phase(params: ProtocolParams, c: BitVector,
     words = [stream.random_raw(count) for stream, count
              in zip(rng.bit_generator.spawn(3), _commit_words(params))]
     x_bits, nb, ne, g_seed, e_seed = _commit_draws(params, channel, *words)
+    g_bar, ext = _toeplitz_bits(x_bits, g_seed, e_seed)    # C3, and Ext(x) for C4
     x = BitVector(x_bits)
     y, z = BitVector(x_bits ^ nb), BitVector(x_bits ^ ne)
     challenge = HashSpec(params.n, params.challenge_bits, BitVector(g_seed))
-    g_bar = hash_evaluate(challenge, x)                    # C3
     extractor = HashSpec(params.n, params.commit_bits, BitVector(e_seed))
-    pad = c ^ hash_evaluate(extractor, x)
+    pad = BitVector(c.bits ^ ext)
 
-    transcript = Transcript(challenge=challenge, challenge_value=g_bar,
+    transcript = Transcript(challenge=challenge, challenge_value=BitVector(g_bar),
                             extractor=extractor, pad=pad)
     return SessionState(
         alice_view=AliceView(c=c, x=x, transcript=transcript),
@@ -306,7 +310,10 @@ def list_membership(x: BitVector, y: BitVector, params: ProtocolParams) -> bool:
     """
     if len(x) != len(y):
         raise DimensionError(f"length mismatch {len(x)} vs {len(y)}")
-    d = x.hamming_distance(y)
+    return _in_band(x.hamming_distance(y), params)
+
+
+def _in_band(d: int, params: ProtocolParams) -> bool:
     n, p, a = params.n, params.pq.p, params.alpha1
     return n * (p - a) <= d <= n * (p + a)
 
@@ -315,18 +322,27 @@ def bob_test(bob_view: BobView, transcript: Transcript,
              claim: RevealClaim, params: ProtocolParams) -> TestResult:
     """Bob's reveal test; rejects with the first failed condition.
 
+    Condition (i) reads the raw bits; once it holds, one _toeplitz_bits
+    call gives both G(x_tilde) and Ext(x_tilde) for (ii) and (iii).
     The protocol parameters are public configuration, agreed before the
     run, hence the explicit argument rather than a view field.
     """
-    if len(claim.x_tilde) != len(bob_view.y):
+    x, c = claim.x_tilde.bits, claim.c_tilde.bits
+    challenge, extractor = transcript.challenge, transcript.extractor
+    if len(x) != len(bob_view.y):
         raise DimensionError("claimed x length does not match the block length")
-    if len(claim.c_tilde) != len(transcript.pad):
+    if len(c) != len(transcript.pad):
         raise DimensionError("claimed commit string length does not match the pad")
-    if not list_membership(claim.x_tilde, bob_view.y, params):
+    if challenge.input_bits != len(x) or extractor.input_bits != len(x):
+        raise DimensionError("the transcript hashes do not take the block length")
+    if extractor.output_bits != len(c):
+        raise DimensionError("the extractor output length does not match the pad")
+    if not _in_band(int(np.count_nonzero(x ^ bob_view.y.bits)), params):
         return TestResult(accepted=False, failed_condition=1)
-    if hash_evaluate(transcript.challenge, claim.x_tilde) != transcript.challenge_value:
+    g_bar, ext = _toeplitz_bits(x, challenge.seed.bits, extractor.seed.bits)
+    if not np.array_equal(g_bar, transcript.challenge_value.bits):
         return TestResult(accepted=False, failed_condition=2)
-    if claim.c_tilde != transcript.pad ^ hash_evaluate(transcript.extractor, claim.x_tilde):
+    if not np.array_equal(c, transcript.pad.bits ^ ext):
         return TestResult(accepted=False, failed_condition=3)
     return TestResult(accepted=True)
 

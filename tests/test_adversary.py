@@ -60,6 +60,8 @@ from wiretap_commit.protocol import (
 )
 from wiretap_commit.rng import make_rng, rekey, trial_seeds
 
+from toeplitz_reference import toeplitz_matrix
+
 
 def small_session(n=16, p=0.25, alpha1=0.125, lg=8, mc=4, seed=7,
                   coupling="independent", r=None, q=None):
@@ -840,7 +842,7 @@ class TestConcealmentExact:
         n = 5
         sign = 1 - 2 * _all_seed_hashes(n, 1).astype(np.int64)
         for s, values in enumerate(_all_seed_hashes(n, lg)):
-            rank = _gf2_rank(HashSpec(n, lg, BitVector.from_int(s, n + lg - 1)).as_matrix())
+            rank = _gf2_rank(toeplitz_matrix(HashSpec(n, lg, BitVector.from_int(s, n + lg - 1))))
             kernel = np.flatnonzero(values == 0)
             assert kernel.size == 1 << (n - rank)
             _, counts = np.unique(sign[:, kernel], axis=0, return_counts=True)

@@ -142,6 +142,38 @@ def test_malformed_transcript_is_a_config_error(tmp_path, capsys, edit, message)
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.parametrize("coupling,r,message", [
+    ("weird", None, "unknown coupling 'weird'"),
+    ("independent", 0.5, "independent coupling takes no r parameter"),
+    ("custom", 5.0, "r=5.0 outside Frechet bounds"),
+    ("degraded", -1.0, "degraded coupling takes no r parameter"),
+], ids=["unknown", "independent-with-r", "custom-r-out-of-bounds", "degraded-with-r"])
+def test_transcript_with_invalid_coupling_is_a_config_error(tmp_path, capsys, coupling,
+                                                            r, message):
+    params = derive_params(200, CrossoverPair(0.1, 0.1), "one",
+                           alpha1=0.1, beta1=0.05, beta2=0.1)
+    rng = make_rng(8)
+    c = BitVector.random(rng, params.commit_bits)
+    doc = session_to_config(commit_phase(params, c, make_channel(0.1, 0.1), rng), params)
+    doc["params"]["coupling"] = coupling
+    if r is not None:
+        doc["params"]["r"] = r
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", "--config", str(path)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_unknown_coupling_in_params_is_named(tmp_path, capsys):
+    # the params are checked first, so the channel block is not blamed
+    cfg = tmp_path / "weird.json"
+    cfg.write_text(json.dumps(_soundness_doc(params=dict(_PARAMS, coupling="weird"),
+                                             channel={"coupling": "independent"})))
+    assert main(["soundness", "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
+    assert "unknown coupling 'weird'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_below_one_rejected(soundness_config, capsys, threads):
     assert main(["soundness", "--config", str(soundness_config),

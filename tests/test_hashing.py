@@ -7,15 +7,22 @@ import numpy as np
 import pytest
 
 from wiretap_commit.bits import BitVector
+from wiretap_commit.channel import make_channel
 from wiretap_commit.errors import DimensionError
 from wiretap_commit.hashing import (
     HashSpec,
+    _fft_length,
+    _toeplitz_bits,
     hash_all_inputs,
     hash_evaluate,
     lhl_bound,
     sample_hash,
 )
+from wiretap_commit.measures import CrossoverPair
+from wiretap_commit.protocol import RevealClaim, bob_test, commit_phase, explicit_params
 from wiretap_commit.rng import make_rng
+
+from toeplitz_reference import pow2_hash_evaluate, toeplitz_matrix
 
 
 def all_specs(n, l):
@@ -84,7 +91,7 @@ class TestHashEvaluate:
         n = 5
         seed = BitVector([1 if i == n - 1 else 0 for i in range(2 * n - 1)])
         h = HashSpec(n, n, seed)
-        assert np.array_equal(h.as_matrix(), np.eye(n, dtype=np.uint8))
+        assert np.array_equal(toeplitz_matrix(h), np.eye(n, dtype=np.uint8))
         rng = make_rng(2)
         for _ in range(10):
             x = BitVector.random(rng, n)
@@ -101,7 +108,7 @@ class TestHashEvaluate:
         rng = make_rng(4)
         h = sample_hash(rng, 8, 3)
         x = BitVector.random(rng, 8)
-        expected = (h.as_matrix() @ x.bits.astype(np.int64)) & 1
+        expected = (toeplitz_matrix(h) @ x.bits.astype(np.int64)) & 1
         assert np.array_equal(hash_evaluate(h, x).bits, expected.astype(np.uint8))
 
     def test_length_mismatch(self):
@@ -132,13 +139,29 @@ class TestHashEvaluate:
 
 
 def matrix_eval(spec: HashSpec, x: BitVector) -> np.ndarray:
-    """Reference product (as_matrix() @ x) mod 2, in row blocks so the
-    int64 product stays small at n = 8000."""
-    m = spec.as_matrix()
+    """Reference product (toeplitz_matrix @ x) mod 2, in row blocks so
+    the int64 product stays small at n = 8000."""
+    m = toeplitz_matrix(spec)
     xs = x.bits.astype(np.int64)
     blocks = [(m[i : i + 512].astype(np.int64) @ xs) & 1 for i in range(0, len(m), 512)]
     return np.concatenate(blocks).astype(np.uint8)
 
+
+def _is_prime(m):
+    return m > 1 and all(m % d for d in range(2, int(m ** 0.5) + 1))
+
+
+def _is_5_smooth(m):
+    for p in (2, 3, 5):
+        while m % p == 0:
+            m //= p
+    return m == 1
+
+
+# (n, l) with n + l - 1 prime, exactly 5-smooth, or a power of two plus one
+PRIME_SIZES = [(2000, 12), (63, 5), (8000, 10)]              # 2011, 67, 8009
+SMOOTH_SIZES = [(2000, 161), (2000, 881), (8000, 641)]       # 2160, 2880, 8640
+POW2_PLUS_ONE_SIZES = [(64, 2), (4000, 98), (8000, 194)]     # 65, 4097, 8193
 
 GRID_SIZES = sorted({(n, l) for n in (1, 2, 63, 64, 65, 2000, 8000)
                      for l in (1, n // 3, n) if l >= 1})
@@ -148,7 +171,8 @@ PROTOCOL_SIZES = [(2000, 100), (2000, 737), (8000, 400), (8000, 2951)]
 class TestFFTProduct:
     """hash_evaluate's FFT convolution against the matrix, bit for bit."""
 
-    @pytest.mark.parametrize("n,l", GRID_SIZES + PROTOCOL_SIZES)
+    @pytest.mark.parametrize("n,l", GRID_SIZES + PROTOCOL_SIZES + PRIME_SIZES
+                             + SMOOTH_SIZES + POW2_PLUS_ONE_SIZES)
     def test_random_matches_matrix(self, n, l):
         rng = make_rng(n * 10_007 + l)
         for _ in range(2):
@@ -173,6 +197,77 @@ class TestFFTProduct:
         h = sample_hash(make_rng(13), 64, 21)
         with pytest.raises(FloatingPointError):
             hash_evaluate(h, BitVector.random(make_rng(14), 64))
+
+    @pytest.mark.parametrize("noise", [0.3, np.nan])
+    def test_inexact_transform_raises_in_the_protocol(self, monkeypatch, noise):
+        # commit_phase and bob_test call the joint kernel, not hash_evaluate
+        params = explicit_params(64, CrossoverPair(0.1, 0.1), "one", alpha1=0.5,
+                                 challenge_bits=21, commit_bits=9)
+        channel = make_channel(0.1, 0.1)
+        c = BitVector.random(make_rng(15), 9)
+        session = commit_phase(params, c, channel, make_rng(16))
+        claim = RevealClaim(c, session.alice_view.x)
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + noise)
+        with pytest.raises(FloatingPointError):
+            commit_phase(params, c, channel, make_rng(16))
+        with pytest.raises(FloatingPointError):
+            bob_test(session.bob_view, session.transcript, claim, params)
+
+
+class TestFFTLength:
+    def test_least_5_smooth_by_brute_force(self):
+        limit = 20_000
+        smooth = np.array(sorted(2 ** a * 3 ** b * 5 ** c
+                                 for a in range(16) for b in range(10) for c in range(7)
+                                 if 2 ** a * 3 ** b * 5 ** c < 2 * limit))
+        m = np.arange(1, limit + 1)
+        expected = smooth[np.searchsorted(smooth, m)]
+        search = _fft_length.__wrapped__  # uncached, so the cache stays small
+        lengths = [search(v) for v in m.tolist()]
+        assert lengths == expected.tolist()
+        assert all(size <= 1 << (v - 1).bit_length() for v, size in zip(m.tolist(), lengths))
+
+    def test_protocol_lengths(self):
+        # n + l - 1 at the protocol sizes: 2099, 2736, 8399, 10950
+        assert [_fft_length(n + l - 1) for n, l in PROTOCOL_SIZES] == [2160, 2880, 8640, 11250]
+
+
+class TestToeplitzKernel:
+    """_toeplitz_bits: the one transform under hash_evaluate, commit_phase
+    and bob_test, against two one-seed calls and the power-of-two product."""
+
+    def test_size_classes(self):
+        # the premise of the extra TestFFTProduct sizes
+        assert all(_is_prime(n + l - 1) for n, l in PRIME_SIZES)
+        assert all(_is_5_smooth(n + l - 1) for n, l in SMOOTH_SIZES)
+        assert all(n + l - 2 == 1 << (n + l - 2).bit_length() - 1
+                   for n, l in POW2_PLUS_ONE_SIZES)
+
+    @pytest.mark.parametrize("n,lg,le", [(1, 1, 1), (5, 5, 2), (64, 21, 9),
+                                         (2000, 100, 737), (8000, 2951, 400)])
+    def test_joint_equals_two_one_seed_calls(self, n, lg, le):
+        rng = make_rng(n + 31 * lg + le)
+        g, e = sample_hash(rng, n, lg), sample_hash(rng, n, le)
+        x = BitVector.random(rng, n)
+        g_bits, e_bits = _toeplitz_bits(x.bits, g.seed.bits, e.seed.bits)
+        assert g_bits.dtype == e_bits.dtype == np.uint8
+        assert np.array_equal(g_bits, hash_evaluate(g, x).bits)
+        assert np.array_equal(e_bits, hash_evaluate(e, x).bits)
+
+    def test_equals_power_of_two_product_on_random_sizes(self):
+        rng = make_rng(17)
+        for n in rng.integers(1, 8001, size=200).tolist():
+            l = int(rng.integers(1, n + 1))
+            h = sample_hash(rng, n, l)
+            x = BitVector.random(rng, n)
+            assert hash_evaluate(h, x) == pow2_hash_evaluate(h, x), (n, l)
+
+    @pytest.mark.parametrize("n,l", PROTOCOL_SIZES + [(8000, 8000), (7999, 1)])
+    def test_equals_power_of_two_product_all_ones(self, n, l):
+        h = HashSpec(n, l, BitVector(np.ones(n + l - 1, dtype=np.uint8)))
+        x = BitVector(np.ones(n, dtype=np.uint8))
+        assert hash_evaluate(h, x) == pow2_hash_evaluate(h, x)
 
 
 def exact_extractor_distance(n, l, subset):

@@ -11,7 +11,7 @@ import pytest
 from wiretap_commit.bits import BitVector
 from wiretap_commit.channel import make_channel
 from wiretap_commit.errors import CouplingError, DimensionError, RateError
-from wiretap_commit.hashing import hash_all_inputs, hash_evaluate
+from wiretap_commit.hashing import hash_all_inputs, hash_evaluate, sample_hash
 from wiretap_commit.measures import CrossoverPair, binary_entropy
 from wiretap_commit.protocol import (
     EveView,
@@ -77,6 +77,30 @@ class TestDeriveParams:
         params = explicit_params(3, CrossoverPair(0.2, 0.3), "one", alpha1=0.1,
                                  challenge_bits=3, commit_bits=3)
         assert (params.challenge_bits, params.commit_bits) == (3, 3)
+
+    @pytest.mark.parametrize("coupling,r,message", [
+        ("weird", None, "unknown coupling 'weird'"),
+        ("weird", 0.05, "unknown coupling 'weird'"),
+        ("independent", 0.5, "takes no r parameter"),
+        ("degraded", -1.0, "takes no r parameter"),
+        ("degraded", None, "needs q >= p"),
+        ("custom", 5.0, "outside Frechet bounds"),
+    ])
+    def test_invalid_coupling_rejected(self, coupling, r, message):
+        # p = 0.3 > q = 0.2, so the degraded coupling is infeasible too
+        with pytest.raises(CouplingError, match=message):
+            explicit_params(10, CrossoverPair(0.3, 0.2), "one", alpha1=0.1,
+                            challenge_bits=1, commit_bits=1,
+                            coupling=coupling, coupling_r=r)
+
+    @pytest.mark.parametrize("coupling,r", [("independent", None), ("custom", None),
+                                            ("custom", 0.05), ("custom", 0.2)])
+    def test_valid_coupling_accepted(self, coupling, r):
+        # a custom coupling may leave r to its channel object
+        params = explicit_params(10, CrossoverPair(0.3, 0.2), "one", alpha1=0.1,
+                                 challenge_bits=1, commit_bits=1,
+                                 coupling=coupling, coupling_r=r)
+        assert (params.coupling, params.coupling_r) == (coupling, r)
 
 
 def reference_session(seed=0, n=200, p=0.1):
@@ -218,6 +242,53 @@ class TestBobTest:
         result = bob_test(session.bob_view, session.transcript,
                           RevealClaim(claim.c_tilde, x_bad), params)
         assert not result.accepted
+
+    def neighbour(self, params, session, claim):
+        """x_tilde one bit away from x, inside the band, with a G value and
+        an Ext value that both differ from x's."""
+        t = session.transcript
+        x = claim.x_tilde
+        for j in range(params.n):
+            x2 = x ^ BitVector(np.arange(params.n) == j)
+            if (list_membership(x2, session.bob_view.y, params)
+                    and hash_evaluate(t.challenge, x2) != t.challenge_value
+                    and hash_evaluate(t.extractor, x2) != hash_evaluate(t.extractor, x)):
+                return x2
+        raise AssertionError("no suitable neighbour")
+
+    def test_far_word_fails_band(self):
+        params, session, claim = self.find_accepting_session()
+        far = BitVector(1 - claim.x_tilde.bits)  # distance n - d, far above the band
+        t = session.transcript
+        result = bob_test(session.bob_view, t,
+                          RevealClaim(t.pad ^ hash_evaluate(t.extractor, far), far), params)
+        assert (result.accepted, result.failed_condition) == (False, 1)
+
+    def test_hash_mismatch_alone_reports_2(self):
+        params, session, claim = self.find_accepting_session()
+        x2 = self.neighbour(params, session, claim)
+        t = session.transcript
+        c2 = t.pad ^ hash_evaluate(t.extractor, x2)  # (iii) holds for x2
+        result = bob_test(session.bob_view, t, RevealClaim(c2, x2), params)
+        assert (result.accepted, result.failed_condition) == (False, 2)
+
+    def test_claim_breaking_hash_and_pad_reports_2(self):
+        params, session, claim = self.find_accepting_session()
+        x2 = self.neighbour(params, session, claim)
+        t = session.transcript
+        assert claim.c_tilde != t.pad ^ hash_evaluate(t.extractor, x2)  # (iii) fails too
+        result = bob_test(session.bob_view, t, RevealClaim(claim.c_tilde, x2), params)
+        assert (result.accepted, result.failed_condition) == (False, 2)
+
+    def test_transcript_of_other_dimensions_raises(self):
+        params, session, claim = self.find_accepting_session()
+        t = session.transcript
+        short = sample_hash(make_rng(1), params.n - 1, t.challenge.output_bits)
+        narrow = sample_hash(make_rng(2), params.n, t.extractor.output_bits - 1)
+        for bad in (dataclasses.replace(t, challenge=short),
+                    dataclasses.replace(t, extractor=narrow)):
+            with pytest.raises(DimensionError):
+                bob_test(session.bob_view, bad, claim, params)
 
     def test_random_claims_rejected_at_union_bound_rate(self):
         # n=16, l_g=8: a uniform substitute passes only by hash luck
