@@ -166,13 +166,18 @@ def _soundness_worker(points, seeds) -> np.ndarray:
     2 max(n) words, past the array Philox's break-even, so one C Philox
     is re-keyed per trial from seeds.keys(2).  Philox is counter-based,
     so a point at n reads a prefix of those words, the 2n a call of its
-    own would draw.  Blocks of at most WORD_BLOCK words are counted one
-    point at a time; a trial's words depend on its index alone, so the
-    blocking changes no indicator.
+    own would draw.  Points with the same p share a flip threshold, so
+    each segment of words between their consecutive prefixes is counted
+    once and a point's count is the running sum up to its prefix.
+    Blocks of at most WORD_BLOCK words are counted one threshold at a
+    time; a trial's words depend on its index alone, so the blocking
+    changes no indicator.
     """
     span = 2 * max(n for n, _, _ in points)
-    bands = [(2 * n, np.uint64(math.ceil(p * 2.0 ** 53) << 11),  # p < 1/2: fits in 64 bits
-              n * (p - alpha1), n * (p + alpha1)) for n, p, alpha1 in points]
+    bands = {}  # flip threshold -> [(prefix, point, lo, hi)] in prefix order
+    for k, (n, p, alpha1) in sorted(enumerate(points), key=lambda item: item[1][0]):
+        below = np.uint64(math.ceil(p * 2.0 ** 53) << 11)  # p < 1/2: fits in 64 bits
+        bands.setdefault(below, []).append((2 * n, k, n * (p - alpha1), n * (p + alpha1)))
     block = np.empty((max(1, min(len(seeds), WORD_BLOCK // span)), span), dtype=np.uint64)
     noise = make_rng(0)  # re-keyed per trial
     keys = seeds.keys(2)
@@ -182,9 +187,12 @@ def _soundness_worker(points, seeds) -> np.ndarray:
         words = block[:len(rows)]
         for row, key in zip(words, rows):
             row[:] = rekey(noise, key).bit_generator.random_raw(span)
-        for k, (prefix, below, lo, hi) in enumerate(bands):
-            d = np.count_nonzero(words[:, :prefix:2] < below, axis=1)
-            out[b0:b0 + len(rows), k] = (d < lo) | (d > hi)
+        for below, segments in bands.items():
+            d, start = 0, 0
+            for prefix, k, lo, hi in segments:
+                d = d + np.count_nonzero(words[:, start:prefix:2] < below, axis=1)
+                out[b0:b0 + len(rows), k] = (d < lo) | (d > hi)
+                start = prefix
     return out
 
 
@@ -194,7 +202,7 @@ def _check_words(n: int):
                          f"(n <= {WORD_LIMIT // 2}); got n = {n}")
 
 
-def soundness_reports(points, seed: int, threads: int = 1, pool=None) -> list:
+def soundness_reports(points, seed: int, threads: int = 1) -> list:
     """One estimate_soundness report per (params, channel, trials) point,
     all on seed, from one map_trials call.
 
@@ -207,7 +215,8 @@ def soundness_reports(points, seed: int, threads: int = 1, pool=None) -> list:
         _check_channel(params, channel)
     payload = tuple((params.n, params.pq.p, params.alpha1) for params, _, _ in points)
     rejects = map_trials(_soundness_worker, payload,
-                         trial_seeds(seed, max(t for *_, t in points)), threads, pool)
+                         trial_seeds(seed, max(t for *_, t in points)), threads,
+                         2 * max(n for n, _, _ in payload))
     reports = []
     for (params, _, trials), column in zip(points, rejects.T):
         k = int(column[:trials].sum())
@@ -226,13 +235,13 @@ def soundness_reports(points, seed: int, threads: int = 1, pool=None) -> list:
 
 
 def estimate_soundness(params: ProtocolParams, channel, trials: int,
-                       seed: int, threads: int = 1, pool=None) -> SecurityReport:
+                       seed: int, threads: int = 1) -> SecurityReport:
     """Empirical honest-rejection rate with Wilson 95% interval.
 
     Reference bound: the two-sided Hoeffding tail 2 exp(-2 n alpha1^2)
     on the flip count leaving the band.
     """
-    return soundness_reports([(params, channel, trials)], seed, threads, pool)[0]
+    return soundness_reports([(params, channel, trials)], seed, threads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +363,7 @@ def _binding_worker(payload, seeds) -> np.ndarray:
 
 def binding_attack(session: SessionState, params: ProtocolParams, channel,
                    mode: str = "alone", trials: int = 1000, seed: int = 0,
-                   threads: int = 1, pool=None) -> SecurityReport:
+                   threads: int = 1) -> SecurityReport:
     """Success rate of the hash-collision binding attack on one commit.
 
     Alice (with Eve's z when mode="with_eve") fixes her commit-phase
@@ -380,7 +389,8 @@ def binding_attack(session: SessionState, params: ProtocolParams, channel,
         params.n, params.pq.p, params.pq.q, channel.r, params.alpha1,
         x.to_int(), ne_bits, candidates, hash_all_inputs(t.extractor)[candidates], mode,
     )
-    stats = map_trials(_binding_worker, payload, trial_seeds(seed, trials), threads, pool)
+    stats = map_trials(_binding_worker, payload, trial_seeds(seed, trials), threads,
+                       params.n + candidates.size)
     successes = int(stats[:, 0].sum())
     sizes = stats[:, 1].astype(float)
     ceilings = np.minimum(1.0, sizes ** 2 * 2.0 ** (-params.challenge_bits))
@@ -806,7 +816,7 @@ def concealment_monte_carlo(params: ProtocolParams, channel, trials: int,
                             seed: int, view: str = "bob",
                             uniform_pad: bool = False,
                             hide_challenge: bool = False,
-                            threads: int = 1, pool=None) -> SecurityReport:
+                            threads: int = 1) -> SecurityReport:
     """Sampled lower bound on concealment leakage for one view.
 
     The distinguisher guesses the extractor input as the hash-consistent
@@ -824,7 +834,7 @@ def concealment_monte_carlo(params: ProtocolParams, channel, trials: int,
     _check_channel(params, channel)
     payload = (params, channel, view, uniform_pad, hide_challenge)
     samples = map_trials(_concealment_mc_worker, payload,
-                         trial_seeds(seed, 2 * trials), threads, pool)
+                         trial_seeds(seed, 2 * trials), threads, 1 << params.n)
     train, test = samples[:trials], samples[trials:]
 
     counts = _cs_table(train)

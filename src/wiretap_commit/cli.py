@@ -3,19 +3,21 @@
 Every subcommand reads a versioned JSON config (--config), runs the
 experiment deterministically, and writes one CSV or JSON table.  A
 --seed flag overrides the config seed; the effective seed is recorded
-in the output metadata.  There are deliberately no environment-variable
-overrides: a run is fully described by its config file and flags.
+in the output metadata.  A --threads flag overrides the config's
+threads, which default to the CPUs this process may use.  There are
+deliberately no environment-variable overrides: a run is fully
+described by its config file and flags.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import ConfigError, WiretapCommitError
 from .harness import CONFIG_VERSION, ExperimentConfig, run_experiment, run_replay
+from .parallel import usable_cpus
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -48,8 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON experiment config (session document for replay)")
         sp.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="override the config seed")
-        sp.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        metavar="INT", help="worker pool size (trial-level)")
+        sp.add_argument("--threads", type=int, default=None, metavar="INT",
+                        help="worker processes, forked per estimate; small "
+                             "estimates run in this process (default: the "
+                             "config, then the usable CPUs)")
         sp.add_argument("--out", default=None, metavar="PATH",
                         help="output file (stdout when omitted)")
         sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
@@ -87,7 +91,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out_path = args.out
     try:
-        if args.threads < 1:
+        if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         doc = _load_json(args.config)
         if args.command == "replay":
@@ -105,7 +109,10 @@ def main(argv=None) -> int:
             doc.setdefault("version", CONFIG_VERSION)
             if args.seed is not None:
                 doc["seed"] = args.seed
-            doc["threads"] = args.threads
+            if args.threads is not None:
+                doc["threads"] = args.threads
+            else:
+                doc.setdefault("threads", usable_cpus())
             config = ExperimentConfig.from_dict(doc)
             config.validate()
             table = run_experiment(config)

@@ -41,7 +41,6 @@ from .measures import (
     rate_bound_one_private,
     rate_bound_two_private,
 )
-from .parallel import TrialPool
 from .protocol import (
     bob_test,
     commit_phase,
@@ -399,16 +398,8 @@ def _report_rows(table: ResultTable, reports):
         table.append(rep.to_record())
 
 
-def run_experiment(config: ExperimentConfig, pool: Optional[TrialPool] = None) -> ResultTable:
-    """Dispatch one validated experiment and return its table.
-
-    Every estimator call of the run, at every sweep point, shares one
-    TrialPool: pool when given (the caller closes it), else one this
-    run starts on first use and shuts down when it ends.
-    """
-    if pool is None:
-        with TrialPool() as pool:
-            return run_experiment(config, pool)
+def run_experiment(config: ExperimentConfig) -> ResultTable:
+    """Dispatch one validated experiment and return its table."""
     config.validate()
     kind = config.kind
     meta = {"kind": kind, "seed": config.seed, "trials": config.trials}
@@ -421,7 +412,7 @@ def run_experiment(config: ExperimentConfig, pool: Optional[TrialPool] = None) -
         return table
 
     if kind == "sweep":
-        return _run_sweep(config, pool)
+        return _run_sweep(config)
 
     params = config.build_params()
     channel = config.build_channel(params)
@@ -429,8 +420,7 @@ def run_experiment(config: ExperimentConfig, pool: Optional[TrialPool] = None) -
     if kind == "soundness":
         table = ResultTable(REPORT_COLUMNS, metadata=meta)
         _report_rows(table, estimate_soundness(
-            params, channel, config.trials, config.seed, threads=config.threads,
-            pool=pool))
+            params, channel, config.trials, config.seed, threads=config.threads))
         return table
 
     if kind == "binding":
@@ -441,7 +431,7 @@ def run_experiment(config: ExperimentConfig, pool: Optional[TrialPool] = None) -
         session = commit_phase(params, c, channel, commit_rng)
         report = binding_attack(session, params, channel, mode=config.mode,
                                 trials=config.trials, seed=config.seed,
-                                threads=config.threads, pool=pool)
+                                threads=config.threads)
         table = ResultTable(REPORT_COLUMNS, metadata={**meta, "mode": config.mode})
         _report_rows(table, report)
         return table
@@ -455,7 +445,7 @@ def run_experiment(config: ExperimentConfig, pool: Optional[TrialPool] = None) -
             reports = [
                 concealment_monte_carlo(params, channel, config.trials,
                                         config.seed, view=v,
-                                        threads=config.threads, pool=pool)
+                                        threads=config.threads)
                 for v in views
             ]
             _report_rows(table, reports)
@@ -491,7 +481,7 @@ def _sweep_points(config: ExperimentConfig):
     return variable, points
 
 
-def _run_sweep(config: ExperimentConfig, pool: TrialPool) -> ResultTable:
+def _run_sweep(config: ExperimentConfig) -> ResultTable:
     """One row block per point, in point order.
 
     Soundness points that share a seed run as one soundness_reports
@@ -510,12 +500,12 @@ def _run_sweep(config: ExperimentConfig, pool: TrialPool) -> ResultTable:
             params = sub.build_params()
             specs.append((params, sub.build_channel(params), sub.trials))
         threads = max(sub.threads for _, sub in members)
-        for (i, _), report in zip(members, soundness_reports(specs, seed, threads, pool)):
+        for (i, _), report in zip(members, soundness_reports(specs, seed, threads)):
             tables[i] = ResultTable(REPORT_COLUMNS)
             _report_rows(tables[i], report)
     table = None
     for i, (v, sub) in enumerate(points):
-        sub_table = tables[i] if i in tables else run_experiment(sub, pool)
+        sub_table = tables[i] if i in tables else run_experiment(sub)
         if table is None:
             table = ResultTable(
                 [variable] + sub_table.columns,

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wiretap_commit import adversary, parallel
+from wiretap_commit import adversary
 from wiretap_commit.adversary import (
     ENUM_LIMIT,
     EXACT_JOINT_LIMIT,
@@ -49,7 +49,7 @@ from wiretap_commit.hashing import (
     lhl_bound,
 )
 from wiretap_commit.measures import CrossoverPair
-from wiretap_commit.parallel import TrialPool, map_trials
+from wiretap_commit.parallel import map_trials
 from wiretap_commit.protocol import (
     RevealClaim,
     bob_test,
@@ -140,7 +140,7 @@ class TestSoundness:
             estimate_soundness(params, make_channel(0.2, 0.2, "custom", r=0.2),
                                trials=10, seed=0)
 
-    def test_threads_do_not_change_results(self):
+    def test_threads_do_not_change_results(self, fork_small_calls):
         params = derive_params(200, CrossoverPair(0.2, 0.2), "one",
                                alpha1=0.05, beta1=0.05, beta2=0.1)
         channel = make_channel(0.2, 0.2)
@@ -148,7 +148,7 @@ class TestSoundness:
         r2 = estimate_soundness(params, channel, trials=120, seed=6, threads=3)
         assert r1.estimate == r2.estimate and r1.ci_lo == r2.ci_lo
 
-    def test_points_of_one_call_equal_their_own_estimates(self):
+    def test_points_of_one_call_equal_their_own_estimates(self, fork_small_calls):
         # one draw for all points; each reads the first trials rows of it
         points = []
         for n, p, alpha1, trials in ((200, 0.2, 0.05, 120), (60, 0.1, 0.1, 7),
@@ -332,7 +332,7 @@ class TestBindingAttack:
         with pytest.raises(DomainError):
             binding_attack(session, params, channel, mode="sideways", trials=10, seed=0)
 
-    def test_reproducible_and_pool_invariant(self):
+    def test_reproducible_and_pool_invariant(self, fork_small_calls):
         params, channel, session = small_session(n=12, p=0.25, alpha1=0.25,
                                                  lg=4, mc=2, seed=28)
         r1 = binding_attack(session, params, channel, trials=60, seed=28, threads=1)
@@ -1340,17 +1340,11 @@ def test_commit_phase_draws_what_the_party_generators_draw(n, lg, mc, coupling, 
         assert got == _reference_commit_phase(params, c, channel, make_rng(seed))
 
 
-@pytest.fixture(scope="module")
-def trial_pool():
-    with TrialPool() as pool:
-        yield pool
-
-
-def _check_at_one_and_two_workers(monkeypatch, pool, worker, reference, payload, seeds):
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
+def _check_at_one_and_two_workers(worker, reference, payload, seeds):
+    # callers hold fork_small_calls, so two workers fork even for a few trials
     expected = reference(payload, seeds)
     for threads in (1, 2):
-        assert np.array_equal(map_trials(worker, payload, seeds, threads, pool), expected)
+        assert np.array_equal(map_trials(worker, payload, seeds, threads), expected)
 
 
 def _each_point(reference):
@@ -1371,30 +1365,28 @@ _SOUNDNESS_POINTS = ((1, 0.1, 0.05), (300, 0.1, 0.035), (2000, 0.1, 0.01),
 @pytest.mark.parametrize("reference", _SOUNDNESS_REFERENCES, ids=["rekeyed", "per-trial"])
 @pytest.mark.parametrize("points", [_SOUNDNESS_POINTS, _SOUNDNESS_POINTS[::-1],
                                     *((point,) for point in _SOUNDNESS_POINTS)])
-def test_soundness_worker_matches_each_point_alone(monkeypatch, trial_pool, reference,
-                                                   points):
-    _check_at_one_and_two_workers(monkeypatch, trial_pool, _soundness_worker, reference,
-                                  points, trial_seeds(points[0][0], 45))
+def test_soundness_worker_matches_each_point_alone(fork_small_calls, reference, points):
+    _check_at_one_and_two_workers(_soundness_worker, reference, points,
+                                  trial_seeds(points[0][0], 45))
 
 
 @pytest.mark.parametrize("reference", _SOUNDNESS_REFERENCES, ids=["rekeyed", "per-trial"])
 @pytest.mark.parametrize("offset", [None, -1, 0, 1])
-def test_soundness_worker_blocks_of_trials(monkeypatch, trial_pool, reference, offset):
+def test_soundness_worker_blocks_of_trials(fork_small_calls, reference, offset):
     # a block holds WORD_BLOCK // 2000 trials of the widest point; None is one trial
     block = WORD_BLOCK // 2000
     trials = 1 if offset is None else block + offset
     points = ((1000, 0.1, 0.04), (250, 0.2, 0.03), (1000, 0.1, 0.01))
-    _check_at_one_and_two_workers(monkeypatch, trial_pool, _soundness_worker, reference,
-                                  points, trial_seeds(2**64 - 1, trials))
+    _check_at_one_and_two_workers(_soundness_worker, reference, points,
+                                  trial_seeds(2**64 - 1, trials))
 
 
-def test_soundness_worker_one_trial_per_block(monkeypatch):
-    # a fresh pool forks after the patch, so both workers see it
+def test_soundness_worker_one_trial_per_block(monkeypatch, fork_small_calls):
+    # the child forks after the patch, so both workers see it
     seeds = trial_seeds(9173, 23)
     expected = [reference(_SOUNDNESS_POINTS, seeds) for reference in _SOUNDNESS_REFERENCES]
     assert np.array_equal(*expected)
     monkeypatch.setattr(adversary, "WORD_BLOCK", 1)
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     for threads in (1, 2):
         got = map_trials(_soundness_worker, _SOUNDNESS_POINTS, seeds, threads)
         assert np.array_equal(got, expected[0])
@@ -1424,11 +1416,10 @@ def _binding_payload(monkeypatch, n, lg, mode, coupling, r, seed=29):
 
 @pytest.mark.parametrize("mode", ["alone", "with_eve"])
 @pytest.mark.parametrize("coupling,r", [("independent", None), ("custom", 0.1)])
-def test_binding_worker_matches_per_trial_streams(monkeypatch, trial_pool, mode,
+def test_binding_worker_matches_per_trial_streams(monkeypatch, fork_small_calls, mode,
                                                   coupling, r):
     payload = _binding_payload(monkeypatch, 12, 8, mode, coupling, r)
-    _check_at_one_and_two_workers(monkeypatch, trial_pool, _binding_worker,
-                                  _per_trial_binding_worker, payload,
+    _check_at_one_and_two_workers(_binding_worker, _per_trial_binding_worker, payload,
                                   trial_seeds(30, 60))
 
 
@@ -1436,19 +1427,17 @@ def test_binding_worker_matches_per_trial_streams(monkeypatch, trial_pool, mode,
 @pytest.mark.parametrize("coupling,r", [("independent", None), ("custom", 0.1),
                                         ("degraded", None)])
 @pytest.mark.parametrize("n,lg", [(2, 1), (5, 2), (9, 3), (13, 4), (16, 8), (20, 5)])
-def test_binding_worker_matches_per_trial_streams_at_each_size(monkeypatch, trial_pool,
+def test_binding_worker_matches_per_trial_streams_at_each_size(monkeypatch, fork_small_calls,
                                                                mode, coupling, r, n, lg):
     payload = _binding_payload(monkeypatch, n, lg, mode, coupling, r, seed=n)
-    _check_at_one_and_two_workers(monkeypatch, trial_pool, _binding_worker,
-                                  _per_trial_binding_worker, payload,
+    _check_at_one_and_two_workers(_binding_worker, _per_trial_binding_worker, payload,
                                   trial_seeds(30 + n, 60))
 
 
 @pytest.mark.parametrize("trials", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1])
-def test_binding_worker_blocks_of_trials(monkeypatch, trial_pool, trials):
+def test_binding_worker_blocks_of_trials(monkeypatch, fork_small_calls, trials):
     payload = _binding_payload(monkeypatch, 12, 8, "with_eve", "custom", 0.1)
-    _check_at_one_and_two_workers(monkeypatch, trial_pool, _binding_worker,
-                                  _per_trial_binding_worker, payload,
+    _check_at_one_and_two_workers(_binding_worker, _per_trial_binding_worker, payload,
                                   trial_seeds(2**64 - 1, trials))
 
 
@@ -1481,18 +1470,17 @@ _VARIANTS = [(view, pad, hide) for view in VIEWS for pad in (False, True)
 @pytest.mark.parametrize("hide_challenge", [False, True])
 @pytest.mark.parametrize("uniform_pad", [False, True])
 @pytest.mark.parametrize("view", VIEWS)
-def test_concealment_worker_matches_per_trial_streams(monkeypatch, trial_pool, view,
-                                                      uniform_pad, hide_challenge):
+def test_concealment_worker_matches_per_trial_streams(fork_small_calls, view, uniform_pad,
+                                                      hide_challenge):
     payload = _secrecy_payload(8, 2, "independent", None, view, uniform_pad,
                                hide_challenge)
-    _check_at_one_and_two_workers(monkeypatch, trial_pool, _concealment_mc_worker,
+    _check_at_one_and_two_workers(_concealment_mc_worker,
                                   _per_trial_concealment_mc_worker, payload,
                                   trial_seeds(2**64 - 1, 40))
 
 
 @pytest.mark.parametrize("n", range(2, ENUM_LIMIT + 1))
-def test_concealment_worker_matches_per_trial_streams_at_each_size(monkeypatch,
-                                                                   trial_pool, n):
+def test_concealment_worker_matches_per_trial_streams_at_each_size(fork_small_calls, n):
     # every view x uniform_pad x hide_challenge, with l_G, the coupling
     # and the seed varying along n; a few trials at the largest n
     trials = 12 if n <= 14 else 4 if n < ENUM_LIMIT else 2
@@ -1501,16 +1489,16 @@ def test_concealment_worker_matches_per_trial_streams_at_each_size(monkeypatch,
     seeds = trial_seeds(_SEEDS[n % 3], trials)
     for view, uniform_pad, hide_challenge in _VARIANTS:
         payload = _secrecy_payload(n, lg, coupling, r, view, uniform_pad, hide_challenge)
-        _check_at_one_and_two_workers(monkeypatch, trial_pool, _concealment_mc_worker,
+        _check_at_one_and_two_workers(_concealment_mc_worker,
                                       _per_trial_concealment_mc_worker, payload, seeds)
 
 
 @pytest.mark.parametrize("trials", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1])
 @pytest.mark.parametrize("view", VIEWS)
-def test_concealment_worker_blocks_of_trials(monkeypatch, trial_pool, view, trials):
+def test_concealment_worker_blocks_of_trials(fork_small_calls, view, trials):
     pad, hide = trials % 2 == 1, trials > MC_BLOCK
     payload = _secrecy_payload(4, 2, "custom", 0.05, view, pad, hide)
-    _check_at_one_and_two_workers(monkeypatch, trial_pool, _concealment_mc_worker,
+    _check_at_one_and_two_workers(_concealment_mc_worker,
                                   _per_trial_concealment_mc_worker, payload,
                                   trial_seeds(2**64 - 1, trials))
 

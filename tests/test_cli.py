@@ -1,10 +1,11 @@
 """Command-line behavior: determinism, seed override, error reporting."""
 
 import json
+import os
 
 import pytest
 
-from wiretap_commit import adversary, harness
+from wiretap_commit import adversary, cli, harness
 from wiretap_commit.adversary import TRIAL_LIMIT, WORD_LIMIT
 from wiretap_commit.bits import BitVector
 from wiretap_commit.channel import make_channel
@@ -50,7 +51,7 @@ def test_byte_identical_reruns(soundness_config, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_threads_do_not_change_output(soundness_config, tmp_path):
+def test_threads_do_not_change_output(soundness_config, tmp_path, fork_small_calls):
     out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
     assert main(["soundness", "--config", str(soundness_config),
                  "--out", str(out1), "--threads", "1"]) == EXIT_OK
@@ -179,6 +180,41 @@ def test_threads_below_one_rejected(soundness_config, capsys, threads):
     assert main(["soundness", "--config", str(soundness_config),
                  "--threads", threads]) == EXIT_BAD_CONFIG
     assert "--threads must be >= 1" in capsys.readouterr().err
+
+
+def _threads_run(monkeypatch, tmp_path, config_threads, argv_tail=()):
+    """The threads field of the config main runs, with 4 CPUs in the
+    machine and 3 usable by the process."""
+    doc = _soundness_doc()
+    if config_threads is not None:
+        doc["threads"] = config_threads
+    cfg = tmp_path / "threads.json"
+    cfg.write_text(json.dumps(doc))
+    seen = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(cli, "run_experiment",
+                        lambda config: seen.append(config.threads) or
+                        harness.run_experiment(config))
+    code = main(["soundness", "--config", str(cfg), *argv_tail])
+    return code, seen
+
+
+def test_config_threads_hold_without_the_flag(monkeypatch, tmp_path, capsys):
+    assert _threads_run(monkeypatch, tmp_path, 1) == (EXIT_OK, [1])
+
+
+def test_threads_flag_overrides_the_config(monkeypatch, tmp_path, capsys):
+    assert _threads_run(monkeypatch, tmp_path, 1, ["--threads", "2"]) == (EXIT_OK, [2])
+
+
+def test_threads_default_to_the_usable_cpus(monkeypatch, tmp_path, capsys):
+    assert _threads_run(monkeypatch, tmp_path, None) == (EXIT_OK, [3])
+
+
+def test_config_threads_below_one_rejected_without_the_flag(monkeypatch, tmp_path, capsys):
+    assert _threads_run(monkeypatch, tmp_path, 0) == (EXIT_BAD_CONFIG, [])
+    assert "threads must be >= 1" in capsys.readouterr().err
 
 
 def test_stdout_emission(soundness_config, capsys):

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from wiretap_commit import adversary, parallel
+from wiretap_commit import adversary
 from wiretap_commit.channel import make_channel
 from wiretap_commit.cli import EXIT_BAD_CONFIG, main
 from wiretap_commit.errors import ConfigError, DimensionError, RateError
@@ -421,10 +421,10 @@ _SWEEP_INNER["params"] = dict(_SWEEP_INNER["params"], n=300)
     ("seed", [0, 9173, 2**64 - 1, 0]),
 ])
 def test_soundness_sweep_equals_its_points_run_one_by_one(tmp_path, capsys, monkeypatch,
-                                                          variable, values, threads):
+                                                          fork_small_calls, variable, values,
+                                                          threads):
     doc = {"version": 1, "kind": "sweep", "seed": 5, "trials": 150, "threads": threads,
            "sweep": {"variable": variable, "values": values, "experiment": _SWEEP_INNER}}
-    monkeypatch.setattr(parallel, "usable_cpus", lambda: 2)
     expected = _point_by_point(doc)
     path = tmp_path / "sweep.json"
     path.write_text(json.dumps(doc))
