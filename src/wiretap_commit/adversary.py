@@ -63,13 +63,19 @@ ENUM_LIMIT = 20           # exhaustive search over {0,1}^n
 EXACT_MARGINAL_LIMIT = 8  # exact concealment, single-party views
 EXACT_JOINT_LIMIT = 6     # exact concealment, joint view: 2^(n+l_G-1) seeds x 4^n entries
 EXACT_SEED_LIMIT = 14     # exact concealment, n + l_G
-EXACT_BLOCK = 1 << 13     # exact concealment: kernel entries per block of G seeds
+# Exact concealment: kernel entries per sub-block of G seeds, and words
+# per block of the one seed pass.  At n = 6, l_G = 1 and 2, all views, a
+# call pair took 36.9, 29.2, 24.8, 25.1 and 31.4 ms (median of 20
+# interleaved rounds on a 2-core x86-64 host) at 2^12 to 2^16, with a
+# traced peak of 0.23, 0.38, 0.70, 1.35 and 2.64 MiB.  Below 2^14 the
+# per-block overhead shows; above it nothing is gained for more memory.
+EXACT_BLOCK = 1 << 14
 TRIAL_LIMIT = INDEX_LIMIT  # trial seeds per Monte Carlo estimate
 SCAN_LIMIT = 28           # Monte Carlo MAP guess, hidden challenge: 2^n words per trial
 MC_BLOCK = 1 << 10        # Monte Carlo: trials per array Philox pass
 SCAN_BLOCK = 1 << 17      # Monte Carlo: (trial, word) entries per tile of a word scan
 WORD_LIMIT = 1 << 20      # soundness: raw channel words per trial (2n)
-WORD_BLOCK = 1 << 16      # soundness: raw words per block of trials (512 KiB)
+WORD_BLOCK = 1 << 16      # soundness: raw words per block of trials (32 KiB of flags per threshold)
 
 _Z95 = 1.959963984540054
 
@@ -166,31 +172,37 @@ def _soundness_worker(points, seeds) -> np.ndarray:
     2 max(n) words, past the array Philox's break-even, so one C Philox
     is re-keyed per trial from seeds.keys(2).  Philox is counter-based,
     so a point at n reads a prefix of those words, the 2n a call of its
-    own would draw.  Points with the same p share a flip threshold, so
-    each segment of words between their consecutive prefixes is counted
-    once and a point's count is the running sum up to its prefix.
-    Blocks of at most WORD_BLOCK words are counted one threshold at a
-    time; a trial's words depend on its index alone, so the blocking
+    own would draw.  Each trial's Bob words are compared with every
+    flip threshold straight into a block of flip flags, one row per
+    trial and no copy of the words.  Points with the same p share a
+    threshold, so each segment of flags between their consecutive
+    prefixes is counted once and a point's count is the running sum up
+    to its prefix.  A block holds the trials of at most WORD_BLOCK
+    words; a trial's words depend on its index alone, so the blocking
     changes no indicator.
     """
     span = 2 * max(n for n, _, _ in points)
     bands = {}  # flip threshold -> [(prefix, point, lo, hi)] in prefix order
     for k, (n, p, alpha1) in sorted(enumerate(points), key=lambda item: item[1][0]):
-        below = np.uint64(math.ceil(p * 2.0 ** 53) << 11)  # p < 1/2: fits in 64 bits
-        bands.setdefault(below, []).append((2 * n, k, n * (p - alpha1), n * (p + alpha1)))
-    block = np.empty((max(1, min(len(seeds), WORD_BLOCK // span)), span), dtype=np.uint64)
+        below = math.ceil(p * 2.0 ** 53) << 11  # p < 1/2: fits in 64 bits
+        bands.setdefault(below, []).append((n, k, n * (p - alpha1), n * (p + alpha1)))
+    block = max(1, min(len(seeds), WORD_BLOCK // span))
+    thresholds = [np.array(below, dtype=np.uint64) for below in bands]  # 0-d: no scalar boxing
+    flips = np.empty((len(bands), block, span // 2), dtype=bool)
     noise = make_rng(0)  # re-keyed per trial
     keys = seeds.keys(2)
     out = np.empty((len(seeds), len(points)), dtype=np.uint8)
-    for b0 in range(0, len(seeds), len(block)):
-        rows = keys[b0:b0 + len(block)]
-        words = block[:len(rows)]
-        for row, key in zip(words, rows):
-            row[:] = rekey(noise, key).bit_generator.random_raw(span)
-        for below, segments in bands.items():
+    for b0 in range(0, len(seeds), block):
+        rows = keys[b0:b0 + block]
+        for t, key in enumerate(rows):
+            bob = rekey(noise, key).bit_generator.random_raw(span)[::2]
+            for below, flip in zip(thresholds, flips):
+                np.less(bob, below, out=flip[t])
+            del bob  # one trial's words alive at a time, also during the next draw
+        for flip, segments in zip(flips, bands.values()):
             d, start = 0, 0
             for prefix, k, lo, hi in segments:
-                d = d + np.count_nonzero(words[:, start:prefix:2] < below, axis=1)
+                d = d + np.count_nonzero(flip[:len(rows), start:prefix], axis=1)
                 out[b0:b0 + len(rows), k] = (d < lo) | (d > hi)
                 start = prefix
     return out
@@ -443,9 +455,15 @@ def _kernel(table: np.ndarray, x: np.ndarray, y: np.ndarray,
     that x reaches the view as y (and as z = y XOR w at Eve for the
     joint view).  Columns run over y, then w; x and y may carry the
     same leading axes (one per G seed of a block)."""
+    side = table.shape[0]
     d = x[..., :, None, None] ^ y[..., None, :, None]
-    return table[np.bitwise_count(d), np.bitwise_count(w),
-                 np.bitwise_count(d & w)].reshape(*x.shape, -1)
+    # one flat index into the raveled table: (|d| side + |w|) side + |d & w|
+    index = np.bitwise_count(d).astype(np.intp)
+    index *= side
+    index = index + np.bitwise_count(w)
+    index *= side
+    index += np.bitwise_count(d & w)
+    return table.ravel()[index].reshape(*x.shape, -1)
 
 
 def _exact_scale_check(params: ProtocolParams, views):
@@ -469,10 +487,11 @@ def _mi_rows(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
     mu *= 0.5
     total = np.zeros(m0.shape[:-1])
     for m in (m0, m1):
-        # entries with m = 0 add 0 lg 1
-        ratio = np.divide(m, mu, out=np.ones_like(m), where=m > 0.0)
-        np.log2(ratio, out=ratio)
-        ratio *= m
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = m / mu
+            np.log2(ratio, out=ratio)
+            ratio *= m
+        ratio[m == 0.0] = 0.0  # entries with m = 0 add 0 lg 1, not 0 * -inf
         total += ratio.sum(axis=-1)
     return total
 
@@ -571,10 +590,14 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
       The leaders need no search: they are the words with none of the
       pivots set, the pivots being the leading bits of K's elements 2^j.
     * Blocks.  G seeds with the same dim(K) share every shape, so they
-      run stacked, in blocks of at most EXACT_BLOCK kernel entries; the
-      per-seed sums are then added in seed order.  Only the table of
-      every seed's hash values, 2^(n + l_G - 1) x 2^n bytes, grows with
-      the seed count.
+      run stacked.  One pass over the seeds serves every view: it finds
+      K and the coset leaders for blocks of EXACT_BLOCK / 2^n seeds, and
+      each view evaluates a block in sub-blocks of at most EXACT_BLOCK
+      kernel entries (EXACT_BLOCK / (2^n |w|) seeds, w the view's
+      columns per leader).  The per-seed sums are kept by seed index and
+      added in seed order, so neither the blocking nor the other views
+      requested change a report.  Only the table of every seed's hash
+      values, 2^(n + l_G - 1) x 2^n bytes, grows with the seed count.
 
     Each evaluated entry is weighted by its row count times
     cosets * |K|, and cosets * |K| = 2^n for every G seed.  Per seed and
@@ -608,49 +631,53 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
     g_hash = _all_seed_tables(n, lg)
     x_weight = 1.0 / big_n
     seed_weight = 1.0 / (g_hash.shape[0] * big_n)  # G seeds times Ext seeds
+    tables = {v: _noise_table(n, pmfs[v]) for v in views}
+    columns = {v: words if v == "joint" else words[:1] for v in views}
+    sd_seed = {v: np.zeros(g_hash.shape[0]) for v in views}
+    mi_seed = {v: np.zeros(g_hash.shape[0]) for v in views}
+    max_posterior = dict.fromkeys(views, 0.0)
     pad_rows = {}  # dim K -> the scaled rows, built when first needed
+    for dim, seeds, kernel, leaders in _seed_blocks(g_hash, max(1, EXACT_BLOCK // big_n)):
+        if not uniform_pad and dim not in pad_rows:
+            pad_rows[dim] = _pad_rows(dim) * x_weight
+        # each row stands for 2^rank Ext seeds, and cosets * |K| = 2^n views
+        weight = np.full((1 << dim, 1), float(big_n << (n - dim)))
+        for v in views:
+            w = columns[v]
+            step = max(1, EXACT_BLOCK // (big_n * w.size))
+            for i in range(0, seeds.size, step):
+                sub = slice(i, i + step)
+                k_rep = _kernel(tables[v], kernel[sub], leaders[sub], w)
+                colsum = k_rep.sum(axis=1)
+                # worst-case posterior of x given the pad-free view
+                ratio = np.divide(k_rep.max(axis=1), colsum,
+                                  out=np.zeros_like(colsum), where=colsum > 0.0)
+                max_posterior[v] = max(max_posterior[v], float(ratio.max()))
+                if uniform_pad:
+                    continue  # one all-zero pad row: no distance, no MI
+                d_mat = pad_rows[dim] @ k_rep
+                del k_rep  # at most four sub-block-sized arrays live at a time
+                s_vec = (colsum * x_weight)[:, None, :]
+                m0 = s_vec + d_mat
+                m1 = s_vec - d_mat
+                # one dot product of row sums and weights per seed (a
+                # matrix-vector product would add them in another order)
+                np.abs(d_mat, out=d_mat)
+                sd_seed[v][seeds[sub]] = (d_mat.sum(axis=-1)[:, None, :] @ weight)[:, 0, 0]
+                del d_mat
+                for m in (m0, m1):
+                    m *= 0.5
+                    np.maximum(m, 0.0, out=m)  # np.clip(m, 0.0, None)'s own ufunc
+                mi_seed[v][seeds[sub]] = (_mi_rows(m0, m1)[:, None, :] @ weight)[:, 0, 0]
+
     reports = {}
     context = _report_context(params)
     for v in views:
-        table = _noise_table(n, pmfs[v])
-        w = words if v == "joint" else words[:1]
-        sd_seed = np.zeros(g_hash.shape[0])
-        mi_seed = np.zeros(g_hash.shape[0])
-        max_posterior = 0.0
-        block = max(1, EXACT_BLOCK // (big_n * w.size))
-        for dim, seeds, kernel, leaders in _seed_blocks(g_hash, block):
-            k_rep = _kernel(table, kernel, leaders, w)
-            colsum = k_rep.sum(axis=1)
-            # worst-case posterior of x given the pad-free view
-            ratio = np.divide(k_rep.max(axis=1), colsum,
-                              out=np.zeros_like(colsum), where=colsum > 0.0)
-            max_posterior = max(max_posterior, float(ratio.max()))
-            if uniform_pad:
-                continue  # one all-zero pad row: no distance, no MI
-            if dim not in pad_rows:
-                pad_rows[dim] = _pad_rows(dim) * x_weight
-            d_mat = pad_rows[dim] @ k_rep
-            del k_rep  # at most four block-sized arrays live at a time
-            s_vec = (colsum * x_weight)[:, None, :]
-            m0 = s_vec + d_mat
-            m1 = s_vec - d_mat
-            # each row stands for 2^rank Ext seeds, and cosets * |K| = 2^n
-            # views; one dot product of row sums and weights per seed (a
-            # matrix-vector product would add them in another order)
-            weight = np.full((1 << dim, 1), float(big_n << (n - dim)))
-            np.abs(d_mat, out=d_mat)
-            sd_seed[seeds] = (d_mat.sum(axis=-1)[:, None, :] @ weight)[:, 0, 0]
-            del d_mat
-            for m in (m0, m1):
-                m *= 0.5
-                np.clip(m, 0.0, None, out=m)
-            mi_seed[seeds] = (_mi_rows(m0, m1)[:, None, :] @ weight)[:, 0, 0]
-
-        k_hat = -math.log2(max_posterior) if max_posterior > 0 else math.inf
+        k_hat = -math.log2(max_posterior[v]) if max_posterior[v] > 0 else math.inf
         ref = min(1.0, 2.0 * lhl_bound(k_hat, 1))
         # a running sum in seed order, whatever the blocks were
-        sd = seed_weight * float(np.cumsum(sd_seed)[-1])
-        mi = seed_weight * float(np.cumsum(mi_seed)[-1])
+        sd = seed_weight * float(np.cumsum(sd_seed[v])[-1])
+        mi = seed_weight * float(np.cumsum(mi_seed[v])[-1])
         detail = {"k_hat": k_hat, "uniform_pad": uniform_pad}
         reports[f"sd_{v}"] = SecurityReport(
             metric=f"concealment_sd_{v}", estimate=sd, exact=True,

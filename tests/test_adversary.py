@@ -26,6 +26,7 @@ from wiretap_commit.adversary import (
     _concealment_mc_worker,
     _cs_table,
     _kernel,
+    _mi_rows,
     _noise_table,
     _pad_rows,
     _seed_blocks,
@@ -622,6 +623,27 @@ def _reference_mi_rows(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
     return total
 
 
+def _three_index_kernel(table, x, y, w):
+    """_kernel as a three-array fancy index into the (n+1)^3 table."""
+    d = x[..., :, None, None] ^ y[..., None, :, None]
+    return table[np.bitwise_count(d), np.bitwise_count(w),
+                 np.bitwise_count(d & w)].reshape(*x.shape, -1)
+
+
+def _masked_divide_mi_rows(m0, m1):
+    """_mi_rows with the ratio taken by a divide masked to m > 0."""
+    mu = m0 + m1
+    mu *= 0.5
+    total = np.zeros(m0.shape[:-1])
+    for m in (m0, m1):
+        # entries with m = 0 add 0 lg 1
+        ratio = np.divide(m, mu, out=np.ones_like(m), where=m > 0.0)
+        np.log2(ratio, out=ratio)
+        ratio *= m
+        total += ratio.sum(axis=-1)
+    return total
+
+
 def _reference_pad_row_concealment_exact(params, channel, views=VIEWS,
                                          uniform_pad=False):
     """concealment_exact as one loop over the G seeds, with the distinct
@@ -741,6 +763,40 @@ class TestNoiseKernel:
                         assert np.array_equal(block == 0.0, expected == 0.0)
                     else:
                         np.testing.assert_array_equal(block, expected)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_flat_gather_matches_three_index_gather(self, n):
+        # random blocks with and without leading seed axes, for Bob's and
+        # Eve's w = 0 and for the joint view's every w
+        rng = np.random.default_rng(n)
+        big_n = 1 << n
+        words = np.arange(big_n, dtype=np.min_scalar_type(big_n - 1))
+        table = _noise_table(n, rng.dirichlet(np.ones(4)))
+        for shape_x, shape_y in (((1,), (1,)), ((big_n,), (3,)), ((3, 1), (3, big_n)),
+                                 ((5, 1 << (n // 2)), (5, big_n >> (n // 2)))):
+            x = rng.choice(words, size=shape_x)
+            y = rng.choice(words, size=shape_y)
+            for w in (words[:1], words):
+                got = _kernel(table, x, y, w)
+                expected = _three_index_kernel(table, x, y, w)
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (4, 8, 64), (16, 2, 33), (3, 64, 8)])
+    def test_mi_rows_match_masked_divide(self, shape):
+        # scattered zeros, and whole rows where m0, m1 or both (mu = 0) are 0
+        rng = np.random.default_rng(sum(shape))
+        m0 = rng.random(shape) * 10.0 ** -rng.integers(0, 12, size=shape)
+        m1 = rng.random(shape) * 10.0 ** -rng.integers(0, 12, size=shape)
+        m0[rng.random(shape) < 0.2] = 0.0
+        m1[rng.random(shape) < 0.2] = 0.0
+        rows = m0.reshape(-1, shape[-1]).shape[0]
+        for m, every in ((m0, slice(0, rows, 3)), (m1, slice(1, rows, 3)),
+                         (m0, slice(2, rows, 5)), (m1, slice(2, rows, 5))):
+            m.reshape(-1, shape[-1])[every] = 0.0
+        got = _mi_rows(m0.copy(), m1.copy())
+        expected = _masked_divide_mi_rows(m0.copy(), m1.copy())
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("coupling,r", P_Q_COUPLINGS)
     def test_table_matches_exact_rationals(self, coupling, r):
@@ -1026,10 +1082,32 @@ class TestSeedBlocks:
             monkeypatch.setattr(adversary, "EXACT_BLOCK", block)
             assert run() == default
 
+    @pytest.mark.parametrize("uniform_pad", [False, True])
+    @pytest.mark.parametrize("n,lg", [(n, lg) for n in range(1, 6) for lg in (1, 3)
+                                      if lg <= n])
+    def test_reports_do_not_depend_on_the_other_views(self, n, lg, uniform_pad):
+        # the views share one pass over the seeds; each keeps its own sums
+        params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
+                                 challenge_bits=lg, commit_bits=1,
+                                 coupling="custom", coupling_r=0.05)
+        channel = make_channel(0.2, 0.3, "custom", r=0.05)
+
+        def run(views):
+            return {key: (r.estimate, r.reference_bound, r.details["k_hat"])
+                    for key, r in concealment_exact(params, channel, views=views,
+                                                    uniform_pad=uniform_pad).items()}
+
+        every = run(VIEWS)
+        for size in range(1, len(VIEWS) + 1):
+            for views in itertools.permutations(VIEWS, size):
+                assert run(views) == {f"{metric}_{v}": every[f"{metric}_{v}"]
+                                      for v in views for metric in ("sd", "mi")}
+
     @pytest.mark.parametrize("n,lg,views", [
         (8, 6, ("bob", "eve")),
         (6, 6, ("joint",)),
-    ], ids=["n8-single-party", "n6-joint"])
+        (6, 6, VIEWS),
+    ], ids=["n8-single-party", "n6-joint", "n6-all-views"])
     def test_traced_peak_within_budget(self, n, lg, views):
         # the largest seed spaces at the limits; an unblocked search over
         # every seed's leaders needed about 140 MiB here
@@ -1393,8 +1471,9 @@ def test_soundness_worker_one_trial_per_block(monkeypatch, fork_small_calls):
 
 
 def test_soundness_worker_memory_stays_at_one_block():
-    # the soundness sweep's points: one 512 KiB block of words plus the
-    # chunk's keys and flip masks (0.83 MiB measured), not a copy per trial
+    # the soundness sweep's points: one trial's words and one block of
+    # flip flags (about 31 KiB each) plus the chunk's keys (0.37 MiB
+    # measured), not a copy per trial
     points = tuple((n, 0.1, 0.04) for n in (250, 500, 1000, 2000))
     peak = _traced_peak(_soundness_worker, points, trial_seeds(42, 4000))
     assert peak <= 1 << 20, peak

@@ -27,3 +27,26 @@ def test_numpy_floor_covers_bitwise_count():
 def test_installed_numpy_meets_the_floor():
     installed = tuple(int(part) for part in np.__version__.split(".")[:2])
     assert installed >= _declared_numpy_floor()
+
+
+def _readme_limits():
+    """(name, value) per row of the README's limits table: `2^k` reads as
+    1 << k, and a bound `... <= v` as its right-hand side v."""
+    rows = re.findall(r"^\| `([A-Z_]+)` \| ([^|]+) \|", (ROOT / "README.md").read_text(),
+                      flags=re.MULTILINE)
+    limits = []
+    for name, value in rows:
+        bound = value.split("<=")[-1].strip()
+        match = re.match(r"2\^(\d+)\b|(\d+)\b", bound)
+        assert match, f"README limit {name}: cannot read the value {value!r}"
+        limits.append((name, 1 << int(match[1]) if match[1] else int(match[2])))
+    return limits
+
+
+def test_readme_limits_table_matches_the_code():
+    from wiretap_commit import adversary
+
+    limits = _readme_limits()
+    assert {"ENUM_LIMIT", "EXACT_SEED_LIMIT", "EXACT_BLOCK", "WORD_LIMIT"} <= dict(limits).keys()
+    for name, value in limits:
+        assert getattr(adversary, name, None) == value, f"README states {name} = {value}"
