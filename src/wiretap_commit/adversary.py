@@ -697,7 +697,7 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
 _TRIAL_STREAMS = ((), (0,), (1,), (2,))  # the trial, then Alice, Bob and the channel
 
 
-def _map_guess(n: int, anchors: list, weights, cols: np.ndarray,
+def _map_guess(n: int, hash_bits: int, anchors: list, weights, cols: np.ndarray,
                h_x: np.ndarray) -> np.ndarray:
     """Per trial the MAP guess of x: the hash-consistent word closest to
     the anchors, ties to the lowest encoding.
@@ -707,8 +707,8 @@ def _map_guess(n: int, anchors: list, weights, cols: np.ndarray,
     the integer distance to the one anchor, else the float cost
     wp d(w, y) + wq d(w, z) with weights (wp, wq).  cols[t, k] is the
     hash under trial t's G of the word whose only set index bit is k,
-    h_x the hash of x; all zero when the challenge is hidden, so that
-    every word is a candidate.
+    h_x the hash of x, both below 2^hash_bits; all zero when the
+    challenge is hidden, so that every word is a candidate.
 
     One masked argmin scans all 2^n words in tiles of at most SCAN_BLOCK
     entries.  Word w's key packs (h(w) XOR h(x)) above its distances to
@@ -719,39 +719,44 @@ def _map_guess(n: int, anchors: list, weights, cols: np.ndarray,
     lies below 2^s, s the width of the distance fields, and below every
     other word's, so for one anchor the key is the masked cost itself.
     The joint view reads its float cost off a table by the distance
-    fields, with inf past them.  Keys fit 32 bits: a shown challenge
-    needs n <= ENUM_LIMIT, so l_G + s <= 30.
+    fields, with inf past them.  Keys are the narrowest unsigned type
+    that holds hash_bits + s bits and one spare bit, which holds the
+    joint view's sentinel 2^s: uint8, uint16 or uint32.  They fit 32
+    bits: a shown challenge needs n <= ENUM_LIMIT, so
+    hash_bits + s <= 30, and a hidden one has hash_bits 0.
     """
     width = n.bit_length()
-    shift = np.uint32(width * len(anchors))
+    shift = width * len(anchors)
+    key_type = next(t for t in (np.uint8, np.uint16, np.uint32)
+                    if hash_bits + shift < np.iinfo(t).bits)
     index_bits = np.arange(n, dtype=np.uint64)
-    key0 = h_x.astype(np.uint32) << shift  # word 0, whose hash is 0
+    key0 = h_x.astype(key_type) << key_type(shift)  # word 0, whose hash is 0
     step = np.zeros(cols.shape, dtype=np.int64)
     for field, anchor in enumerate(anchors):
-        key0 += np.bitwise_count(anchor).astype(np.uint32) << np.uint32(width * field)
+        key0 += np.bitwise_count(anchor).astype(key_type) << key_type(width * field)
         anchor_bits = ((anchor[:, None] >> index_bits) & np.uint64(1)).astype(np.int64)
         step += (1 - 2 * anchor_bits) << (width * field)
-    step = step.astype(np.uint32)  # -1 wraps around; the sums never do
-    hash_step = cols.astype(np.uint32) << shift
+    step = step.astype(key_type)  # -1 wraps around; the sums never do
+    hash_step = cols.astype(key_type) << key_type(shift)
     if weights is None:
-        best = np.full(key0.size, np.iinfo(np.uint32).max, dtype=np.uint32)
+        best = np.full(key0.size, np.iinfo(key_type).max, dtype=key_type)
     else:
         dist = np.arange(1 << width)
-        cost = np.full((1 << int(shift)) + 1, np.inf)
+        cost = np.full((1 << shift) + 1, np.inf)
         cost[:-1] = (weights[0] * dist[None, :] + weights[1] * dist[:, None]).reshape(-1)
         best = np.full(key0.size, np.inf)
     guess = np.zeros(key0.size, dtype=np.uint64)
     for rows, words in _tiles(key0.size, 1 << n):
         high = ((words.start >> index_bits) & np.uint64(1)) == 1
-        key = np.empty((best[rows].size, words.stop - words.start), dtype=np.uint32)
-        key[:, 0] = key0[rows] + step[rows][:, high].sum(axis=1).astype(np.uint32)
+        key = np.empty((best[rows].size, words.stop - words.start), dtype=key_type)
+        key[:, 0] = key0[rows] + step[rows][:, high].sum(axis=1).astype(key_type)
         key[:, 0] ^= np.bitwise_xor.reduce(hash_step[rows][:, high], axis=1)
         for k in range(key.shape[1].bit_length() - 1):
             half, rest = key[:, :1 << k], key[:, 1 << k:2 << k]
             np.bitwise_xor(half, hash_step[rows, k, None], out=rest)
             rest += step[rows, k, None]
         if weights is not None:
-            key = cost[np.minimum(key, 1 << int(shift))]
+            key = cost[np.minimum(key, 1 << shift)]
         j = key.argmin(axis=1)
         value = key[np.arange(key.shape[0]), j]
         better = value < best[rows]
@@ -781,6 +786,7 @@ def _concealment_mc_worker(payload, seeds) -> np.ndarray:
     """
     params, channel, view, uniform_pad, hide_challenge = payload
     n, lg = params.n, params.challenge_bits
+    hash_bits = 0 if hide_challenge else lg  # a hidden challenge shows no hash
     wp = math.log2((1.0 - params.pq.p) / params.pq.p)
     wq = math.log2((1.0 - params.pq.q) / params.pq.q)
     little_endian = np.uint64(1) << np.arange(n, dtype=np.uint64)
@@ -800,13 +806,14 @@ def _concealment_mc_worker(payload, seeds) -> np.ndarray:
         # cols[t, k]: seed bits [k, k + l_G) MSB-first, the hash of the
         # word whose only set index bit is k (as in hashing._packed_table)
         cols = np.zeros((len(block), n), dtype=np.uint32)
-        for j in range(0 if hide_challenge else lg):
+        for j in range(hash_bits):
             cols |= g_seed[:, j:j + n].astype(np.uint32) << np.uint32(lg - 1 - j)
         x_index = ((x_int[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)) == 1
         h_x = np.bitwise_xor.reduce(cols * x_index, axis=1)
         y_int, z_int = x_int ^ _big_endian(nb), x_int ^ _big_endian(ne)
         anchors = {"bob": [y_int], "eve": [z_int], "joint": [y_int, z_int]}[view]
-        x_hat = _map_guess(n, anchors, (wp, wq) if view == "joint" else None, cols, h_x)
+        x_hat = _map_guess(n, hash_bits, anchors, (wp, wq) if view == "joint" else None,
+                           cols, h_x)
         out[b0:b0 + len(block), 0] = c
         out[b0:b0 + len(block), 1] = pad_bit ^ (np.bitwise_count(x_hat & ext_mask) & 1)
     return out

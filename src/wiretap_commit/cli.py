@@ -4,15 +4,23 @@ Every subcommand reads a versioned JSON config (--config), runs the
 experiment deterministically, and writes one CSV or JSON table.  A
 --seed flag overrides the config seed; the effective seed is recorded
 in the output metadata.  A --threads flag overrides the config's
-threads, which default to the CPUs this process may use.  There are
-deliberately no environment-variable overrides: a run is fully
-described by its config file and flags.
+threads, which default to the CPUs this process may use.  The output
+path (--out, else the config's out) must name a file in an existing
+directory; that is checked before any work.  There are deliberately no
+environment-variable overrides: a run is fully described by its config
+file and flags.
+
+The argument parser is built once per process, on the first main()
+call, and reused by every later call; build_parser() returns a fresh
+one.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import os
 import sys
 
 from .errors import ConfigError, WiretapCommitError
@@ -61,6 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves them all
+    return build_parser()
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -77,24 +91,38 @@ def _load_json(path: str) -> dict:
     return doc
 
 
+def _check_out_path(path):
+    """Raise ConfigError unless path names a file in an existing directory."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise ConfigError(f"output path {path} is a directory, not a file")
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"output directory {parent} of {path} does not exist")
+
+
 def _emit(table, fmt: str, out_path):
     text = table.render(fmt)
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as e:
+        raise WiretapCommitError(f"cannot write output {out_path}: {e}") from e
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     out_path = args.out
     try:
         if args.threads is not None and args.threads < 1:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         doc = _load_json(args.config)
         if args.command == "replay":
+            _check_out_path(out_path)
             table = run_replay(doc)
             fmt = args.fmt or "csv"
         else:
@@ -115,10 +143,11 @@ def main(argv=None) -> int:
                 doc.setdefault("threads", usable_cpus())
             config = ExperimentConfig.from_dict(doc)
             config.validate()
+            out_path = args.out or config.out
+            _check_out_path(out_path)
             table = run_experiment(config)
             table.metadata.setdefault("seed", config.seed)
             fmt = args.fmt or config.fmt or "csv"
-            out_path = args.out or config.out
         _emit(table, fmt, out_path)
         return EXIT_OK
     except WiretapCommitError as e:

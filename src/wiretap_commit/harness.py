@@ -9,7 +9,6 @@ parsing an emitted file reproduces the table.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass
 from typing import Optional
@@ -100,6 +99,8 @@ class ResultTable:
 
     @staticmethod
     def _format_cell(v) -> str:
+        if type(v) is float:  # most cells, so tested first
+            return f"{v:.12g}"
         if v is None:
             return ""
         if isinstance(v, bool):
@@ -118,6 +119,11 @@ class ResultTable:
             return True
         if s == "false":
             return False
+        if "." in s:  # int() takes no ".", so only float() can parse it
+            try:
+                return float(s)
+            except ValueError:
+                return s
         try:
             return int(s)
         except ValueError:
@@ -128,13 +134,11 @@ class ResultTable:
             return s
 
     def to_csv(self) -> str:
-        meta = " ".join(f"{k}={self._format_cell(v)}" for k, v in sorted(self.metadata.items()))
-        out = io.StringIO()
-        out.write(f"# wiretap-commit-result {meta}\n")
-        out.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            out.write(",".join(self._format_cell(v) for v in row) + "\n")
-        return out.getvalue()
+        cell = self._format_cell
+        meta = " ".join(f"{k}={cell(v)}" for k, v in sorted(self.metadata.items()))
+        lines = [f"# wiretap-commit-result {meta}", ",".join(self.columns)]
+        lines += [",".join([cell(v) for v in row]) for row in self.rows]
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "ResultTable":

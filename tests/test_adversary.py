@@ -1187,6 +1187,30 @@ def test_concealment_worker_matches_commit_phase_sessions(n, lg, uniform_pad,
                               _reference_concealment_mc_worker(payload, seeds))
 
 
+# (n, l_G, views, packed MAP key width): l_G hash bits, n.bit_length()
+# bits per anchor and one spare bit; uint8 keys hold 8 bits, uint16 16
+_KEY_WIDTHS = [
+    (8, 3, ("bob", "eve"), 8), (8, 4, ("bob", "eve"), 9),
+    (16, 10, ("bob", "eve"), 16), (16, 11, ("bob", "eve"), 17),
+    (4, 1, ("joint",), 8), (4, 2, ("joint",), 9),
+    (12, 7, ("joint",), 16), (12, 8, ("joint",), 17),
+]
+
+
+@pytest.mark.parametrize("n,lg,views,key_bits", _KEY_WIDTHS,
+                         ids=[f"{v[0]}-{b}bit" for _, _, v, b in _KEY_WIDTHS])
+def test_concealment_worker_at_the_key_width_boundaries(n, lg, views, key_bits):
+    assert lg + n.bit_length() * (2 if views == ("joint",) else 1) + 1 == key_bits
+    params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.1,
+                             challenge_bits=lg, commit_bits=1)
+    channel = make_channel(0.2, 0.3)
+    seeds = trial_seeds(100 * n + lg, 24)
+    for view in views:
+        payload = (params, channel, view, False, False)
+        assert np.array_equal(_concealment_mc_worker(payload, seeds),
+                              _reference_concealment_mc_worker(payload, seeds))
+
+
 class TestConcealmentMonteCarlo:
     def setup_method(self):
         self.params = explicit_params(6, CrossoverPair(0.25, 0.25), "two",

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -473,3 +475,99 @@ def test_sweep_point_with_a_field_its_kind_does_not_read_is_a_config_error(tmp_p
 ], ids=["binding-alone", "binding-with-eve", "secrecy-exact", "concealment-views"])
 def test_fields_a_kind_reads_still_validate(doc):
     ExperimentConfig.from_dict(doc).validate()
+
+
+def _no_experiment(config):
+    raise AssertionError("the experiment ran before the output path was checked")
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_bad_output_path_exits_before_any_work(tmp_path, capsys, monkeypatch, via,
+                                               target):
+    out = tmp_path / "missing" / "x.csv" if target == "missing-dir" else tmp_path
+    doc, argv_tail = _soundness_doc(), []
+    if via == "flag":
+        argv_tail = ["--out", str(out)]
+    else:
+        doc["out"] = str(out)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    monkeypatch.setattr(cli, "run_experiment", _no_experiment)
+    assert main(["soundness", "--config", str(cfg), "--threads", "1",
+                 *argv_tail]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+    assert ("does not exist" if target == "missing-dir" else "is a directory") in err
+
+
+def test_replay_to_a_missing_directory_exits_before_the_replay(tmp_path, capsys,
+                                                               monkeypatch):
+    path = tmp_path / "session.json"
+    path.write_text("{}")
+    monkeypatch.setattr(cli, "run_replay", _no_experiment)
+    assert main(["replay", "--config", str(path),
+                 "--out", str(tmp_path / "missing" / "r.csv")]) == EXIT_BAD_CONFIG
+    assert "does not exist" in capsys.readouterr().err
+
+
+def test_output_write_failure_names_the_path(tmp_path, capsys, monkeypatch):
+    # the directory goes away while the experiment runs
+    out_dir = tmp_path / "gone"
+    out_dir.mkdir()
+    out = out_dir / "x.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_soundness_doc()))
+
+    def run_then_remove(config):
+        table = harness.run_experiment(config)
+        out_dir.rmdir()
+        return table
+
+    monkeypatch.setattr(cli, "run_experiment", run_then_remove)
+    assert main(["soundness", "--config", str(cfg), "--threads", "1",
+                 "--out", str(out)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output") and str(out) in err
+
+
+def _fresh_interpreter(*args):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, *args], capture_output=True, env=env,
+                          timeout=120, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_the_cached_parser_carries_nothing_between_calls(tmp_path, capsys):
+    cfg = tmp_path / "soundness.json"
+    cfg.write_text(json.dumps(_soundness_doc()))
+    assert main(["soundness", "--config", str(cfg), "--seed", "5",
+                 "--format", "json"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["soundness", "--config", str(cfg)]) == EXIT_OK
+    assert capsys.readouterr().out == _fresh_interpreter(
+        "-m", "wiretap_commit.cli", "soundness", "--config", str(cfg))
+
+
+def test_a_bad_flag_reads_the_same_on_every_call(capsys):
+    cli._parser.cache_clear()
+    usage = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["soundness", "--config", "x.json", "--format", "xml"])
+        assert exit_info.value.code == EXIT_BAD_CONFIG
+        usage.append(capsys.readouterr().err)
+    assert usage[0] == usage[1] and "invalid choice: 'xml'" in usage[0]
+
+
+def test_build_parser_returns_a_new_parser():
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_import_builds_no_parser():
+    assert _fresh_interpreter(
+        "-c", "import wiretap_commit.cli as c; print(c._parser.cache_info().currsize)",
+    ) == "0\n"

@@ -4,9 +4,11 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from wiretap_commit import adversary
+import csv_reference
+from wiretap_commit import adversary, cli
 from wiretap_commit.channel import make_channel
 from wiretap_commit.cli import EXIT_BAD_CONFIG, main
 from wiretap_commit.errors import ConfigError, DimensionError, RateError
@@ -28,6 +30,9 @@ from wiretap_commit.measures import (
 from wiretap_commit.protocol import commit_phase, derive_params, session_to_config
 from wiretap_commit.rng import make_rng
 from wiretap_commit.bits import BitVector
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "demos", "configs")
 
 
 def soundness_doc(**overrides):
@@ -136,6 +141,51 @@ class TestResultTable:
         t = ResultTable(["a", "b"])
         with pytest.raises(ConfigError):
             t.append([1, 2, 3])
+
+
+def _typed(v):
+    # repr tells -0.0 from 0.0, and nan equals itself
+    return type(v), repr(v)
+
+
+_CELL_TEXTS = [
+    "", "true", "false", "0", "-3", "+4", " 7 ", "1_000", "١٢", "²", "1.5", "1.",
+    ".5", "-0.0", "1e5", "1E-3", "nan", "inf", "-Infinity", "1_0.5", "a.b",
+    "params.n", "independent", "0x10", "1.2.3",
+]
+
+_CELL_VALUES = [
+    None, True, False, np.bool_(True), np.bool_(False), 0, -3, 2 ** 70,
+    np.int64(-5), np.uint8(200), 0.1, 1 / 3, -0.0, math.nan, math.inf, -math.inf,
+    1e-300, np.float64(2 / 3), np.float32(0.1), "independent",
+]
+
+
+@pytest.mark.parametrize("text", _CELL_TEXTS)
+def test_cell_parser_matches_the_reference(text):
+    assert _typed(ResultTable._parse_cell(text)) == _typed(csv_reference.parse_cell(text))
+
+
+@pytest.mark.parametrize("value", _CELL_VALUES, ids=repr)
+def test_cell_formatter_matches_the_reference(value):
+    assert ResultTable._format_cell(value) == csv_reference.format_cell(value)
+
+
+def test_codec_matches_the_reference_on_every_demo_config(tmp_path):
+    command = {kind: cmd for cmd, kind in cli._KIND_BY_COMMAND.items()}
+    for name in sorted(os.listdir(CONFIGS)):
+        with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+            kind = json.load(fh)["kind"]
+        out = tmp_path / f"{name}.csv"
+        assert main([command[kind], "--config", os.path.join(CONFIGS, name),
+                     "--threads", "1", "--format", "csv", "--out", str(out)]) == 0
+        text = out.read_text(encoding="utf-8")
+        table = ResultTable.from_csv(text)
+        reference = csv_reference.from_csv(text)
+        assert table == reference, name
+        assert [[_typed(v) for v in row] for row in table.rows] == \
+            [[_typed(v) for v in row] for row in reference.rows], name
+        assert table.to_csv() == csv_reference.to_csv(table) == text, name
 
 
 class TestExperimentConfig:
