@@ -2,10 +2,10 @@
 """Capacity landscape of the binary symmetric broadcast channel.
 
 Walks a small (p, q) grid and prints, per point, the one-private and
-two-private commitment capacities next to the converse rate bounds
-computed from the exact one-shot joint distribution.  The last two
-columns show whether Bob's channel is a degraded version of Eve's and
-the crossover of the degrading channel when it is.
+two-private commitment capacities next to the converse rate bounds,
+all four in closed form.  The last two columns show whether Bob's
+channel is a degraded version of Eve's and the crossover of the
+degrading channel when it is.
 """
 
 import numpy as np
@@ -31,7 +31,7 @@ def main():
             c1 = capacity_one_private(pq)
             c2 = capacity_two_private(pq)
             b1 = rate_bound_one_private(pq)
-            b2 = rate_bound_two_private(make_channel(pq.p, pq.q)).value
+            b2 = rate_bound_two_private(make_channel(pq.p, pq.q))
             theta = degradation_check(pq.p, pq.q)
             deg = "yes" if theta is not None else "no"
             theta_s = f"{theta:7.4f}" if theta is not None else "      -"

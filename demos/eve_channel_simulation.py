@@ -4,8 +4,9 @@
 When Bob's channel BSC(p) is a degraded version of Eve's BSC(q)
 (p >= q), Eve can cascade her received word through a local BSC(theta)
 with q conv theta = p and obtain a word distributed exactly like
-Bob's.  This script solves for theta, verifies the composition law
-exactly on the one-shot joint, and confirms it by simulation.
+Bob's.  This script solves for theta, checks the composition law
+q conv theta = p with binary_convolution, and confirms it by
+simulation.
 """
 
 import math

@@ -1,29 +1,21 @@
 """Commitment over binary symmetric broadcast wiretap channels.
 
-A desk-scale simulator and analysis toolkit: exact information
-measures and capacity formulas, Toeplitz universal hashing, coupled
-channel noise simulation, the one-round commit/reveal protocol, and
-estimators for its soundness, concealment, binding and eavesdropper
-secrecy under the 1-privacy and 2-privacy adversary models.
+A desk-scale simulator and analysis toolkit: capacity formulas and
+converse bounds, Toeplitz universal hashing, coupled channel noise
+simulation, the one-round commit/reveal protocol, and estimators for
+its soundness, concealment, binding and eavesdropper secrecy under the
+1-privacy and 2-privacy adversary models.
 """
 
 from .bits import BitVector
 from .measures import (
     CrossoverPair,
-    Pmf,
     binary_convolution,
     binary_entropy,
     capacity_one_private,
     capacity_two_private,
-    conditional_entropy,
-    conditional_min_entropy,
-    conditional_mutual_information,
-    entropy,
-    min_entropy,
-    mutual_information,
     rate_bound_one_private,
     rate_bound_two_private,
-    statistical_distance,
 )
 from .hashing import HashSpec, hash_evaluate, lhl_bound, sample_hash
 from .channel import (
@@ -31,7 +23,6 @@ from .channel import (
     degradation_check,
     eve_degrade,
     make_channel,
-    one_shot_joint,
     transmit,
 )
 from .protocol import (
@@ -74,7 +65,6 @@ __all__ = [
     "CrossoverPair",
     "ExperimentConfig",
     "HashSpec",
-    "Pmf",
     "ProtocolParams",
     "ResultTable",
     "RevealClaim",
@@ -90,12 +80,8 @@ __all__ = [
     "commit_phase",
     "concealment_exact",
     "concealment_monte_carlo",
-    "conditional_entropy",
-    "conditional_min_entropy",
-    "conditional_mutual_information",
     "degradation_check",
     "derive_params",
-    "entropy",
     "enumerate_confusables",
     "estimate_soundness",
     "eve_degrade",
@@ -106,9 +92,6 @@ __all__ = [
     "list_membership",
     "make_channel",
     "make_rng",
-    "min_entropy",
-    "mutual_information",
-    "one_shot_joint",
     "rate_bound_one_private",
     "rate_bound_two_private",
     "run_capacity_grid",
@@ -117,7 +100,6 @@ __all__ = [
     "sample_hash",
     "session_from_config",
     "session_to_config",
-    "statistical_distance",
     "transmit",
     "wilson_interval",
 ]

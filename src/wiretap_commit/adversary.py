@@ -39,7 +39,7 @@ import numpy as np
 
 from .bits import BitVector
 from .errors import DomainError, ScaleError
-from .hashing import hash_all_inputs, lhl_bound
+from .hashing import _linear_table, _toeplitz_columns, hash_all_inputs, lhl_bound
 from .parallel import map_trials
 from .protocol import (
     ProtocolParams,
@@ -326,6 +326,12 @@ def _big_endian(bits: np.ndarray) -> np.ndarray:
 BINDING_MODES = ("alone", "with_eve")
 
 
+def _check_binding_mode(mode: str):
+    if mode not in BINDING_MODES:
+        raise DomainError(f"unknown binding mode {mode!r}; expected one of "
+                          f"{list(BINDING_MODES)}")
+
+
 def _binding_worker(payload, seeds) -> np.ndarray:
     """Per-trial (success, |A|) for fresh y draws against a fixed commit.
 
@@ -386,8 +392,7 @@ def binding_attack(session: SessionState, params: ProtocolParams, channel,
     exponent 2^(-n(beta1 - 2 eta_hat)) with eta_hat measured from the
     mean confusable-set size.
     """
-    if mode not in BINDING_MODES:
-        raise DomainError(f"mode must be 'alone' or 'with_eve', got {mode!r}")
+    _check_binding_mode(mode)
     _check_trials(trials)
     _check_enum_scale(params.n)
     _check_channel(params, channel)
@@ -435,6 +440,18 @@ def binding_attack(session: SessionState, params: ProtocolParams, channel,
 
 
 VIEWS = ("bob", "eve", "joint")
+
+
+def _check_views(views):
+    """Raise DomainError unless views names known views, at least one,
+    each once."""
+    if not views:
+        raise DomainError(f"views must name at least one of {list(VIEWS)}")
+    for v in views:
+        if v not in VIEWS:
+            raise DomainError(f"unknown view {v!r}; expected a subset of {list(VIEWS)}")
+    if len(set(views)) != len(views):
+        raise DomainError(f"views {list(views)} name a view more than once")
 
 
 def _noise_table(n: int, pmf) -> np.ndarray:
@@ -500,16 +517,10 @@ def _all_seed_tables(n: int, l: int) -> np.ndarray:
     """Row s: the packed table of the (n -> l) Toeplitz hash whose seed
     is the big-endian expansion of s, on every word; one byte per entry
     for l <= 8."""
-    dtype = np.min_scalar_type((1 << l) - 1)
     seeds = np.arange(1 << (n + l - 1))
-    # column k: seed bits [k, k + l) packed MSB-first, the hash of the
-    # word whose only set bit is index bit k (as in _packed_table)
-    cols = ((seeds[:, None] >> np.arange(n - 1, -1, -1)) & ((1 << l) - 1)).astype(dtype)
-    out = np.empty((seeds.size, 1 << n), dtype=dtype)
-    out[:, 0] = 0
-    for k in range(n):
-        np.bitwise_xor(out[:, : 1 << k], cols[:, k : k + 1], out=out[:, 1 << k : 2 << k])
-    return out
+    bits = ((seeds[:, None] >> np.arange(n + l - 2, -1, -1)) & 1).astype(np.uint8)
+    cols = _toeplitz_columns(bits, n, l).astype(np.min_scalar_type((1 << l) - 1))
+    return _linear_table(cols)
 
 
 def _pad_rows(dim: int) -> np.ndarray:
@@ -613,11 +624,7 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
     carries exactly zero information about c.
     """
     views = tuple(views)
-    for v in views:
-        if v not in VIEWS:
-            raise DomainError(f"unknown view {v!r}; expected subset of {VIEWS}")
-    if not views or len(set(views)) != len(views):
-        raise DomainError(f"views must name one or more distinct views, got {views}")
+    _check_views(views)
     _exact_scale_check(params, views)
     _check_channel(params, channel)
     n, lg = params.n, params.challenge_bits
@@ -785,8 +792,9 @@ def _concealment_mc_worker(payload, seeds) -> np.ndarray:
     little-endian.
     """
     params, channel, view, uniform_pad, hide_challenge = payload
-    n, lg = params.n, params.challenge_bits
-    hash_bits = 0 if hide_challenge else lg  # a hidden challenge shows no hash
+    n = params.n
+    # a hidden challenge shows no hash: G's columns are 0 bits wide
+    hash_bits = 0 if hide_challenge else params.challenge_bits
     wp = math.log2((1.0 - params.pq.p) / params.pq.p)
     wq = math.log2((1.0 - params.pq.q) / params.pq.q)
     little_endian = np.uint64(1) << np.arange(n, dtype=np.uint64)
@@ -803,11 +811,9 @@ def _concealment_mc_worker(payload, seeds) -> np.ndarray:
         pad_bit = c ^ (np.bitwise_count(x_int & ext_mask) & 1).astype(np.uint8)
         if uniform_pad:
             pad_bit = c ^ uint32_bit(own, 1)
-        # cols[t, k]: seed bits [k, k + l_G) MSB-first, the hash of the
-        # word whose only set index bit is k (as in hashing._packed_table)
-        cols = np.zeros((len(block), n), dtype=np.uint32)
-        for j in range(hash_bits):
-            cols |= g_seed[:, j:j + n].astype(np.uint32) << np.uint32(lg - 1 - j)
+        # cols[t, k]: the hash under trial t's G of the word whose only
+        # set index bit is k
+        cols = _toeplitz_columns(g_seed, n, hash_bits)
         x_index = ((x_int[:, None] >> np.arange(n, dtype=np.uint64)) & np.uint64(1)) == 1
         h_x = np.bitwise_xor.reduce(cols * x_index, axis=1)
         y_int, z_int = x_int ^ _big_endian(nb), x_int ^ _big_endian(ne)
@@ -862,8 +868,7 @@ def concealment_monte_carlo(params: ProtocolParams, channel, trials: int,
     Details carry a plug-in mutual-information estimate over (commit
     bit, distinguisher statistic) with the Miller-Madow correction.
     """
-    if view not in VIEWS:
-        raise DomainError(f"unknown view {view!r}; expected one of {VIEWS}")
+    _check_views((view,))
     _monte_carlo_scale_check(params, trials, hide_challenge)
     _check_channel(params, channel)
     payload = (params, channel, view, uniform_pad, hide_challenge)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bits import BitVector
 from .errors import CouplingError, DomainError
-from .measures import CrossoverPair, Pmf
+from .measures import CrossoverPair
 
 COUPLINGS = ("independent", "degraded", "custom")
 
@@ -120,16 +120,3 @@ def eve_degrade(z: BitVector, theta: float, rng: np.random.Generator) -> BitVect
     flips = (rng.random(len(z)) < theta).astype(np.uint8)
     return BitVector(z.bits ^ flips)
 
-
-def one_shot_joint(ch: WiretapChannel, px1: float) -> Pmf:
-    """Exact 8-outcome joint pmf of (X, Y, Z) for a single channel use."""
-    if not 0.0 <= px1 <= 1.0:
-        raise DomainError(f"px1 must lie in [0,1], got {px1}")
-    pi = np.asarray(ch.noise_pair_pmf()).reshape(2, 2)
-    px = (1.0 - px1, px1)
-    outcomes = []
-    for x in (0, 1):
-        for y in (0, 1):
-            for z in (0, 1):
-                outcomes.append(((x, y, z), px[x] * pi[x ^ y, x ^ z]))
-    return Pmf(outcomes)

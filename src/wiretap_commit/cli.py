@@ -142,7 +142,6 @@ def main(argv=None) -> int:
             else:
                 doc.setdefault("threads", usable_cpus())
             config = ExperimentConfig.from_dict(doc)
-            config.validate()
             out_path = args.out or config.out
             _check_out_path(out_path)
             table = run_experiment(config)

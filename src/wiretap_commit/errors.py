@@ -9,14 +9,6 @@ class DomainError(WiretapCommitError, ValueError):
     """A numeric argument lies outside its mathematical domain."""
 
 
-class CoordinateError(WiretapCommitError, ValueError):
-    """Bad coordinate indices for a joint distribution."""
-
-
-class OutcomeSpaceError(WiretapCommitError, ValueError):
-    """Two distributions do not share the same outcome space."""
-
-
 class DimensionError(WiretapCommitError, ValueError):
     """Inconsistent bit-vector or hash dimensions."""
 

@@ -16,11 +16,11 @@ from typing import Optional
 import numpy as np
 
 from .adversary import (
-    BINDING_MODES,
-    VIEWS,
     SecurityReport,
+    _check_binding_mode,
     _check_enum_scale,
     _check_trials,
+    _check_views,
     _check_words,
     _exact_scale_check,
     _monte_carlo_scale_check,
@@ -286,7 +286,12 @@ class ExperimentConfig:
         elif self.kind == "sweep":
             if not self.sweep or "experiment" not in self.sweep:
                 raise ConfigError("sweep requires a sweep block with an inner experiment")
-            for _, sub in _sweep_points(self)[1]:
+            points = _sweep_points(self)[1]
+            kinds = sorted({sub.kind for _, sub in points})
+            if len(kinds) > 1:
+                raise ConfigError(f"sweep points must share one experiment kind, "
+                                  f"got {kinds}")
+            for _, sub in points:
                 sub.validate()
         else:
             if self.trials < 1:
@@ -299,9 +304,7 @@ class ExperimentConfig:
                 _check_words(params.n)
             if self.kind == "binding":
                 _check_enum_scale(params.n)
-                if self.mode not in BINDING_MODES:
-                    raise ConfigError(f"unknown binding mode {self.mode!r}; expected "
-                                      f"one of {list(BINDING_MODES)}")
+                _check_binding_mode(self.mode)
             if self.kind == "concealment":
                 _check_views(self.views)
             if self.kind in ("concealment", "secrecy"):
@@ -313,17 +316,6 @@ class ExperimentConfig:
                 else:
                     raise ConfigError(f"unknown method {self.method!r}")
         return self
-
-
-def _check_views(views):
-    """A concealment config names each view it measures once."""
-    if not views:
-        raise ConfigError(f"views must name at least one of {list(VIEWS)}")
-    for v in views:
-        if v not in VIEWS:
-            raise ConfigError(f"unknown view {v!r}; expected a subset of {list(VIEWS)}")
-    if len(set(views)) != len(views):
-        raise ConfigError(f"views {list(views)} name a view more than once")
 
 
 def _grid_axes(grid):
@@ -387,7 +379,7 @@ def run_capacity_grid(p_range, q_range, steps: int) -> ResultTable:
             table.append([
                 pq.p, pq.q,
                 capacity_one_private(pq), capacity_two_private(pq),
-                rate_bound_one_private(pq), rb2.value,
+                rate_bound_one_private(pq), rb2,
                 theta is not None, theta,
             ])
     return table
@@ -453,8 +445,6 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                 for v in views
             ]
             _report_rows(table, reports)
-        else:
-            raise ConfigError(f"unknown method {config.method!r}")
         return table
 
     raise ConfigError(f"unhandled experiment kind {kind!r}")

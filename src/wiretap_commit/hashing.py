@@ -184,15 +184,36 @@ def hash_all_inputs(h: HashSpec) -> np.ndarray:
 
 def _packed_table(seed: np.ndarray, n: int, l: int) -> np.ndarray:
     """hash_all_inputs on a raw uint8 seed of n + l - 1 bits, unchecked."""
-    # word k = seed[k : k+l] packed MSB-first is column n-1-k of T, the
-    # hash of the word whose only set bit is index bit k (weight 2^k)
-    weights = 1 << np.arange(l - 1, -1, -1, dtype=np.uint32)
-    cols = np.correlate(seed, weights, "valid")
-    out = np.empty(1 << n, dtype=np.uint32)
-    out[0] = 0
-    # the words with index bit k set are those below 2^k plus column k
-    for k, col in enumerate(cols.tolist()):
-        np.bitwise_xor(out[: 1 << k], col, out=out[1 << k : 2 << k])
+    return _linear_table(_toeplitz_columns(seed, n, l))
+
+
+def _toeplitz_columns(seeds: np.ndarray, n: int, l: int) -> np.ndarray:
+    """Packed columns of (n -> l) Toeplitz hashes, as uint32.
+
+    seeds holds uint8 seed bits on its last axis, after any leading
+    axes.  Entry k of the result is seed bits [k, k + l) read MSB-first:
+    column n-1-k of T, the hash of the word whose only set bit is index
+    bit k (weight 2^k in the big-endian encoding).  With l = 0 every
+    column is 0.
+    """
+    cols = np.zeros((*seeds.shape[:-1], n), dtype=np.uint32)
+    for j in range(l):
+        cols |= seeds[..., j:j + n].astype(np.uint32) << np.uint32(l - 1 - j)
+    return cols
+
+
+def _linear_table(cols: np.ndarray) -> np.ndarray:
+    """Entry i on the last axis: the XOR of cols[..., k] over the set
+    bits k of i, i.e. the packed hash of every word when cols are a
+    hash's columns (_toeplitz_columns), in the dtype of cols.  One
+    doubling pass: the words with index bit k set are those below 2^k
+    plus column k."""
+    n = cols.shape[-1]
+    out = np.empty((*cols.shape[:-1], 1 << n), dtype=cols.dtype)
+    out[..., 0] = 0
+    for k in range(n):
+        np.bitwise_xor(out[..., : 1 << k], cols[..., k:k + 1],
+                       out=out[..., 1 << k : 2 << k])
     return out
 
 

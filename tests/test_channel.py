@@ -11,17 +11,17 @@ from wiretap_commit.channel import (
     degradation_check,
     eve_degrade,
     make_channel,
-    one_shot_joint,
     transmit,
 )
 from wiretap_commit.errors import CouplingError, DomainError
-from wiretap_commit.measures import (
-    binary_convolution,
-    binary_entropy,
+from wiretap_commit.measures import binary_convolution, binary_entropy
+from wiretap_commit.rng import make_rng
+
+from measures_reference import (
     conditional_entropy,
     conditional_mutual_information,
+    one_shot_joint,
 )
-from wiretap_commit.rng import make_rng
 
 
 class TestMakeChannel:

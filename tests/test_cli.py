@@ -215,7 +215,12 @@ def test_threads_default_to_the_usable_cpus(monkeypatch, tmp_path, capsys):
 
 
 def test_config_threads_below_one_rejected_without_the_flag(monkeypatch, tmp_path, capsys):
-    assert _threads_run(monkeypatch, tmp_path, 0) == (EXIT_BAD_CONFIG, [])
+    # run_experiment validates the config before any trial runs
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before the threads were validated")
+
+    monkeypatch.setattr(adversary, "map_trials", no_trials)
+    assert _threads_run(monkeypatch, tmp_path, 0) == (EXIT_BAD_CONFIG, [0])
     assert "threads must be >= 1" in capsys.readouterr().err
 
 
@@ -467,6 +472,27 @@ def test_sweep_point_with_a_field_its_kind_does_not_read_is_a_config_error(tmp_p
                   "experiment": _soundness_doc(views=["eve"])}}))
     assert main(["sweep", "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
     assert "'views' applies only" in capsys.readouterr().err
+
+
+def test_sweep_points_of_different_kinds_fail_before_any_point_runs(tmp_path, capsys,
+                                                                    monkeypatch):
+    # one table holds one kind's rows, so no point may run before that is checked
+    def no_work(*args, **kwargs):
+        raise AssertionError("a sweep point ran before the kinds were checked")
+
+    monkeypatch.setattr(adversary, "map_trials", no_work)
+    monkeypatch.setattr(harness, "run_capacity_grid", no_work)
+    inner = _soundness_doc(grid={"p_min": 0.1, "p_max": 0.2, "q_min": 0.1,
+                                 "q_max": 0.2, "steps": 2})
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({
+        "version": 1, "kind": "sweep", "seed": 3, "trials": 20,
+        "sweep": {"variable": "kind", "values": ["soundness", "capacity-grid"],
+                  "experiment": inner}}))
+    assert main(["sweep", "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "share one experiment kind" in err
+    assert "'capacity-grid', 'soundness'" in err
 
 
 @pytest.mark.parametrize("doc", [

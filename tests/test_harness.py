@@ -76,7 +76,7 @@ class TestCapacityGrid:
         assert row["capacity_1"] == pytest.approx(capacity_one_private(pq), abs=1e-14)
         assert row["capacity_2"] == pytest.approx(capacity_two_private(pq), abs=1e-14)
         rb = rate_bound_two_private(make_channel(0.1, 0.2))
-        assert row["rate_bound_2"] == pytest.approx(rb.value, abs=1e-12)
+        assert row["rate_bound_2"] == pytest.approx(rb, abs=1e-12)
         assert row["bob_degraded"] is False and row["theta"] is None
 
     def test_diagonal(self):
