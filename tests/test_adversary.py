@@ -26,6 +26,7 @@ from wiretap_commit.adversary import (
     _concealment_mc_worker,
     _cs_table,
     _kernel,
+    _kernel_rows,
     _mi_rows,
     _noise_table,
     _pad_rows,
@@ -781,6 +782,22 @@ class TestNoiseKernel:
                 expected = _three_index_kernel(table, x, y, w)
                 assert got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("coupling,r", P_Q_COUPLINGS)
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_rows_by_xor_match_the_kernel(self, n, coupling, r):
+        # every (x, y) pair, for the three views; custom r = 0 and r = p
+        # leave a zero pmf cell, whose entries are exact zeros (0.0**0 == 1)
+        p, q = 0.2, 0.3
+        words = np.arange(1 << n)
+        views = (((1.0 - p, 0.0, 0.0, p), words[:1]), ((1.0 - q, 0.0, 0.0, q), words[:1]),
+                 (make_channel(p, q, coupling, r=r).noise_pair_pmf(), words))
+        for pmf, w in views:
+            table = _noise_table(n, pmf)
+            rows = _kernel_rows(table, w)
+            assert rows.shape == (words.size, w.size)
+            got = rows[words[:, None] ^ words[None, :]].reshape(words.size, -1)
+            assert np.array_equal(got, _kernel(table, words, words, w))
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (4, 8, 64), (16, 2, 33), (3, 64, 8)])
     def test_mi_rows_match_masked_divide(self, shape):

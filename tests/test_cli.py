@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from wiretap_commit import adversary, cli, harness
-from wiretap_commit.adversary import TRIAL_LIMIT, WORD_LIMIT
+from wiretap_commit.adversary import GRID_LIMIT, TRIAL_LIMIT, WORD_LIMIT
 from wiretap_commit.bits import BitVector
 from wiretap_commit.channel import make_channel
 from wiretap_commit.cli import EXIT_BAD_CONFIG, EXIT_OK, main
@@ -72,17 +72,35 @@ def test_seed_flag_overrides_and_is_recorded(soundness_config, tmp_path):
     assert table.rows[0][table.columns.index("seed")] == 99
 
 
+def _grid_doc(steps):
+    return {"version": 1, "kind": "capacity-grid",
+            "grid": {"p_min": 0.1, "p_max": 0.4, "q_min": 0.1, "q_max": 0.4,
+                     "steps": steps}}
+
+
 def test_capacity_subcommand(tmp_path):
     cfg = tmp_path / "cap.json"
-    cfg.write_text(json.dumps({
-        "version": 1, "kind": "capacity-grid",
-        "grid": {"p_min": 0.1, "p_max": 0.4, "q_min": 0.1, "q_max": 0.4,
-                 "steps": 4},
-    }))
+    cfg.write_text(json.dumps(_grid_doc(4)))
     out = tmp_path / "cap.csv"
     assert main(["capacity", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
     table = ResultTable.from_csv(out.read_text())
     assert len(table) == 16
+
+
+def test_grid_past_the_limit_exits_before_any_work(tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the grid ran before its size was checked")
+
+    monkeypatch.setattr(harness, "run_capacity_grid", no_work)
+    cfg = tmp_path / "cap.json"
+    cfg.write_text(json.dumps(_grid_doc(GRID_LIMIT + 1)))
+    assert main(["capacity", "--config", str(cfg)]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"limited to {GRID_LIMIT}" in err
+
+
+def test_grid_at_the_limit_validates():
+    ExperimentConfig.from_dict(_grid_doc(GRID_LIMIT)).validate()
 
 
 def test_malformed_json_reports_line_and_column(tmp_path, capsys):

@@ -9,7 +9,7 @@ import pytest
 
 import csv_reference
 from wiretap_commit import adversary, cli
-from wiretap_commit.channel import make_channel
+from wiretap_commit.channel import degradation_check, make_channel
 from wiretap_commit.cli import EXIT_BAD_CONFIG, main
 from wiretap_commit.errors import ConfigError, DimensionError, RateError
 from wiretap_commit.hashing import sample_hash
@@ -25,6 +25,7 @@ from wiretap_commit.measures import (
     binary_entropy,
     capacity_one_private,
     capacity_two_private,
+    rate_bound_one_private,
     rate_bound_two_private,
 )
 from wiretap_commit.protocol import commit_phase, derive_params, session_to_config
@@ -110,6 +111,33 @@ class TestCapacityGrid:
     def test_range_error(self):
         with pytest.raises(ConfigError):
             run_capacity_grid((0.0, 0.4), (0.1, 0.4), 3)
+
+    @pytest.mark.parametrize("p_range,q_range,steps", [
+        ((0.05, 0.45), (0.05, 0.45), 20),  # demos/configs/capacity.json
+        ((0.05, 0.45), (0.05, 0.45), 1),
+        ((0.05, 0.45), (0.05, 0.45), 2),
+        ((0.05, 0.45), (0.1, 0.3), 37),
+        ((0.02, 0.48), (0.03, 0.47), 97),
+        ((0.2, 0.2), (0.1, 0.4), 7),
+        ((0.001, 0.499), (0.001, 0.499), 37),
+    ], ids=["demo", "steps-1", "steps-2", "steps-37", "steps-97", "p-min-is-p-max",
+            "bounds-0.001-0.499"])
+    def test_every_cell_equals_the_scalar_closed_forms(self, p_range, q_range, steps):
+        # the array forms must not move a single bit, so == and not approx
+        table = run_capacity_grid(p_range, q_range, steps)
+        assert len(table) == steps * steps
+        for row in table.rows:
+            p, q = row[0], row[1]
+            pq = CrossoverPair(p, q)
+            theta = degradation_check(p, q)
+            assert row == [
+                p, q, capacity_one_private(pq), capacity_two_private(pq),
+                rate_bound_one_private(pq),
+                rate_bound_two_private(make_channel(p, q, "independent")),
+                theta is not None, theta,
+            ]
+            assert [type(v) for v in row] == [
+                float, float, float, float, float, float, bool, type(theta)]
 
 
 class TestResultTable:

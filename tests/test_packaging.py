@@ -47,6 +47,7 @@ def test_readme_limits_table_matches_the_code():
     from wiretap_commit import adversary
 
     limits = _readme_limits()
-    assert {"ENUM_LIMIT", "EXACT_SEED_LIMIT", "EXACT_BLOCK", "WORD_LIMIT"} <= dict(limits).keys()
+    assert {"ENUM_LIMIT", "EXACT_SEED_LIMIT", "EXACT_BLOCK", "WORD_LIMIT",
+            "GRID_LIMIT"} <= dict(limits).keys()
     for name, value in limits:
         assert getattr(adversary, name, None) == value, f"README states {name} = {value}"
