@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -48,13 +48,25 @@ CONFIG_VERSION = 1
 EXPERIMENT_KINDS = (
     "capacity-grid", "soundness", "binding", "concealment", "secrecy", "sweep",
 )
+_ESTIMATES = ("soundness", "binding", "concealment", "secrecy")
 
-# config fields that only some experiment kinds read
-KIND_FIELDS = {
-    "views": ("concealment",),
-    "mode": ("binding",),
-    "method": ("concealment", "secrecy"),
-}
+# the config schema, one row per field: JSON key, attribute, JSON type,
+# default, and the kinds that read it (None: every kind); a field that
+# the config's kind never reads is refused
+CONFIG_FIELDS = (
+    ("seed", "seed", int, 0, None),
+    ("trials", "trials", int, 1000, None),
+    ("threads", "threads", int, 1, None),
+    ("format", "fmt", str, "csv", None),
+    ("out", "out", str, None, None),
+    ("params", "params", dict, None, _ESTIMATES),
+    ("channel", "channel", dict, None, _ESTIMATES),
+    ("grid", "grid", dict, None, ("capacity-grid",)),
+    ("views", "views", list, ("bob", "eve", "joint"), ("concealment",)),
+    ("mode", "mode", str, "alone", ("binding",)),
+    ("method", "method", str, "exact", ("concealment", "secrecy")),
+    ("sweep", "sweep", dict, None, ("sweep",)),
+)
 
 REPORT_COLUMNS = (
     "metric", "estimate", "ci_lo", "ci_hi", "reference_bound",
@@ -71,8 +83,6 @@ class ResultTable:
         self.metadata = dict(metadata or {})
 
     def append(self, row):
-        if isinstance(row, dict):
-            row = [row.get(c) for c in self.columns]
         if len(row) != len(self.columns):
             raise ConfigError(
                 f"row width {len(row)} != schema width {len(self.columns)}"
@@ -182,26 +192,27 @@ class ResultTable:
 
 @dataclass
 class ExperimentConfig:
-    """Validated experiment description.
+    """A config document read against CONFIG_FIELDS.
 
-    The constructor only stores fields; validate() builds the params
-    and channel objects, which run every module-level precondition, so
-    invalid configs fail before any simulation work starts.
+    from_dict only reads and type-checks the fields; validate() checks
+    every precondition of the run, building the params and channel
+    objects, which run every module-level check, so invalid configs
+    fail before any simulation work starts.
     """
 
     kind: str
-    seed: int = 0
-    trials: int = 1000
-    threads: int = 1
-    fmt: str = "csv"
-    out: Optional[str] = None
-    params: Optional[dict] = None
-    channel: Optional[dict] = None
-    grid: Optional[dict] = None
-    mode: str = "alone"
-    method: str = "exact"
-    views: tuple = ("bob", "eve", "joint")
-    sweep: Optional[dict] = None
+    seed: int
+    trials: int
+    threads: int
+    fmt: str
+    out: Optional[str]
+    params: Optional[dict]
+    channel: Optional[dict]
+    grid: Optional[dict]
+    views: Sequence[str]
+    mode: str
+    method: str
+    sweep: Optional[dict]
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -213,36 +224,15 @@ class ExperimentConfig:
         kind = doc.get("kind")
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
-        known = {
-            "version", "kind", "seed", "trials", "threads", "format", "out",
-            "params", "channel", "grid", "mode", "method", "views", "sweep",
-        }
-        unknown = set(doc) - known
+        unknown = set(doc) - {"version", "kind"} - {key for key, *_ in CONFIG_FIELDS}
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for key, kinds in KIND_FIELDS.items():
-            if key in doc and kind not in kinds:
+        for key, _, _, _, kinds in CONFIG_FIELDS:
+            if kinds is not None and key in doc and kind not in kinds:
                 raise ConfigError(f"config field {key!r} applies only to kind "
                                   f"{' or '.join(map(repr, kinds))}, not {kind!r}")
-
-        def field(key, kind, default):
-            return config_field(doc, key, kind, "config", default)
-
-        return cls(
-            kind=kind,
-            seed=field("seed", int, 0),
-            trials=field("trials", int, 1000),
-            threads=field("threads", int, 1),
-            fmt=field("format", str, "csv"),
-            out=field("out", str, None),
-            params=field("params", dict, None),
-            channel=field("channel", dict, None),
-            grid=field("grid", dict, None),
-            mode=field("mode", str, "alone"),
-            method=field("method", str, "exact"),
-            views=tuple(field("views", list, ["bob", "eve", "joint"])),
-            sweep=field("sweep", dict, None),
-        )
+        return cls(kind=kind, **{attr: config_field(doc, key, json_type, "config", default)
+                                 for key, attr, json_type, default, _ in CONFIG_FIELDS})
 
     def build_params(self):
         if self.params is None:
@@ -270,6 +260,18 @@ class ExperimentConfig:
 
     def validate(self):
         """Run all parameter preconditions without simulating."""
+        self._plan()
+        return self
+
+    def _plan(self):
+        """Check every precondition and build what the run needs, once.
+
+        An estimate's plan is its (params, channel), a capacity grid's
+        the checked run_capacity_grid arguments, and a sweep's its
+        variable and one (value, config, plan) triple per point.  A
+        sweep builds every point's config, checks that all share one
+        kind, and only then plans each point.
+        """
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.fmt!r}")
         if self.threads < 1:
@@ -277,47 +279,71 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.kind == "capacity-grid":
-            _grid_axes(self.grid)
-        elif self.kind == "sweep":
-            if not self.sweep or "experiment" not in self.sweep:
-                raise ConfigError("sweep requires a sweep block with an inner experiment")
-            points = _sweep_points(self)[1]
+            return _grid_spec(self.grid)
+        if self.kind == "sweep":
+            variable, values, inner = _sweep_spec(self.sweep)
+            points = [(v, ExperimentConfig.from_dict(self._point_doc(inner, variable, v)))
+                      for v in values]
             kinds = sorted({sub.kind for _, sub in points})
             if len(kinds) > 1:
                 raise ConfigError(f"sweep points must share one experiment kind, "
                                   f"got {kinds}")
-            for _, sub in points:
-                sub.validate()
-        else:
-            if self.trials < 1:
-                raise ConfigError("trials must be >= 1")
-            params = self.build_params()
-            self.build_channel(params)
-            if self.kind in ("soundness", "binding"):
-                _check_trials(self.trials)
-            if self.kind == "soundness":
-                _check_words(params.n)
-            if self.kind == "binding":
-                _check_enum_scale(params.n)
-                _check_binding_mode(self.mode)
-            if self.kind == "concealment":
-                _check_views(self.views)
-            if self.kind in ("concealment", "secrecy"):
-                views = ("eve",) if self.kind == "secrecy" else tuple(self.views)
-                if self.method == "exact":
-                    _exact_scale_check(params, views)
-                elif self.method == "monte-carlo":
-                    _monte_carlo_scale_check(params, self.trials)
-                else:
-                    raise ConfigError(f"unknown method {self.method!r}")
-        return self
+            return variable, [(v, sub, sub._plan()) for v, sub in points]
+        if self.trials < 1:
+            raise ConfigError("trials must be >= 1")
+        params = self.build_params()
+        channel = self.build_channel(params)
+        if self.kind in ("soundness", "binding"):
+            _check_trials(self.trials)
+        if self.kind == "soundness":
+            _check_words(params.n)
+        if self.kind == "binding":
+            _check_enum_scale(params.n)
+            _check_binding_mode(self.mode)
+        if self.kind == "concealment":
+            _check_views(self.views)
+        if self.kind in ("concealment", "secrecy"):
+            if self.method == "exact":
+                _exact_scale_check(params, self._views())
+            elif self.method == "monte-carlo":
+                _monte_carlo_scale_check(params, self.trials)
+            else:
+                raise ConfigError(f"unknown method {self.method!r}")
+        return params, channel
+
+    def _views(self):
+        return ("eve",) if self.kind == "secrecy" else tuple(self.views)
+
+    def _point_doc(self, inner, variable, value):
+        """The config document of the sweep point where variable = value."""
+        doc = json.loads(json.dumps(inner))  # deep copy
+        doc.setdefault("version", CONFIG_VERSION)
+        doc.setdefault("seed", self.seed)
+        doc.setdefault("trials", self.trials)
+        doc.setdefault("threads", self.threads)
+        keys = variable.split(".")
+        node = doc
+        for k in keys[:-1]:
+            node = node.setdefault(k, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"sweep.variable {variable!r} runs through a "
+                                  f"non-object field")
+        node[keys[-1]] = value
+        return doc
 
 
-def _grid_axes(grid):
+_GRID_FIELDS = ("p_min", "p_max", "q_min", "q_max", "steps")
+
+
+def _grid_spec(grid):
+    """The checked (p_range, q_range, steps) of a grid block."""
     if not grid:
         raise ConfigError("capacity-grid requires a grid block")
+    unknown = sorted(set(grid) - set(_GRID_FIELDS))
+    if unknown:
+        raise ConfigError(f"unknown grid fields: {unknown}; expected {list(_GRID_FIELDS)}")
     p_lo, p_hi, q_lo, q_hi = (config_field(grid, key, float, "grid")
-                              for key in ("p_min", "p_max", "q_min", "q_max"))
+                              for key in _GRID_FIELDS[:4])
     steps = config_field(grid, "steps", int, "grid")
     for v in (p_lo, p_hi, q_lo, q_hi):
         if not 0.0 < v < 0.5:
@@ -328,15 +354,15 @@ def _grid_axes(grid):
         raise ScaleError(f"grid steps limited to {GRID_LIMIT} per axis, got {steps}")
     if p_hi < p_lo or q_hi < q_lo:
         raise ConfigError("grid bounds out of order")
-    ps = np.linspace(p_lo, p_hi, steps)
-    qs = np.linspace(q_lo, q_hi, steps)
-    return ps, qs
+    return (p_lo, p_hi), (q_lo, q_hi), steps
 
 
 SWEEP_FIELDS = ("variable", "values", "experiment")
 
 
 def _sweep_spec(sweep):
+    if not sweep or "experiment" not in sweep:
+        raise ConfigError("sweep requires a sweep block with an inner experiment")
     unknown = sorted(set(sweep) - set(SWEEP_FIELDS))
     if unknown:
         raise ConfigError(f"unknown sweep fields: {unknown}; expected {list(SWEEP_FIELDS)}")
@@ -364,10 +390,11 @@ def run_capacity_grid(p_range, q_range, steps: int) -> ResultTable:
     bit on about 0.2 % of inputs, and the table would then no longer
     equal the per-point formulas.
     """
-    ps, qs = _grid_axes({
+    (p_lo, p_hi), (q_lo, q_hi), steps = _grid_spec({
         "p_min": p_range[0], "p_max": p_range[1],
         "q_min": q_range[0], "q_max": q_range[1], "steps": steps,
     })
+    ps, qs = np.linspace(p_lo, p_hi, steps), np.linspace(q_lo, q_hi, steps)
     cells = {name: values.ravel().tolist() for name, values in capacity_grid(ps, qs).items()}
     cells["theta"] = [theta if degraded else None
                       for theta, degraded in zip(cells["theta"], cells["bob_degraded"])]
@@ -375,131 +402,79 @@ def run_capacity_grid(p_range, q_range, steps: int) -> ResultTable:
                        metadata={"kind": "capacity-grid"})
 
 
-def _report_rows(table: ResultTable, reports):
+def _report_table(reports, metadata=None) -> ResultTable:
+    """One REPORT_COLUMNS row per report; a dict of reports in key order."""
     if isinstance(reports, SecurityReport):
         reports = [reports]
     elif isinstance(reports, dict):
         reports = [reports[k] for k in sorted(reports)]
-    for rep in reports:
-        table.append(rep.to_record())
+    records = [rep.to_record() for rep in reports]
+    return ResultTable(REPORT_COLUMNS,
+                       [[rec[c] for c in REPORT_COLUMNS] for rec in records], metadata)
 
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:
-    """Dispatch one validated experiment and return its table."""
-    config.validate()
+    """Check and build the experiment once, then run it and return its table."""
+    return _run(config, config._plan())
+
+
+def _run(config: ExperimentConfig, plan) -> ResultTable:
+    """The table of one experiment from its plan (ExperimentConfig._plan)."""
     kind = config.kind
-    meta = {"kind": kind, "seed": config.seed, "trials": config.trials}
-
     if kind == "capacity-grid":
-        g = config.grid
-        table = run_capacity_grid((g["p_min"], g["p_max"]),
-                                  (g["q_min"], g["q_max"]), int(g["steps"]))
-        table.metadata = {"kind": kind}
-        return table
-
+        return run_capacity_grid(*plan)
     if kind == "sweep":
-        return _run_sweep(config)
+        return _run_sweep(config, *plan)
 
-    params = config.build_params()
-    channel = config.build_channel(params)
-
+    params, channel = plan
+    meta = {"kind": kind, "seed": config.seed, "trials": config.trials}
     if kind == "soundness":
-        table = ResultTable(REPORT_COLUMNS, metadata=meta)
-        _report_rows(table, estimate_soundness(
-            params, channel, config.trials, config.seed, threads=config.threads))
-        return table
-
-    if kind == "binding":
+        reports = estimate_soundness(params, channel, config.trials, config.seed,
+                                     threads=config.threads)
+    elif kind == "binding":
         # the commit session gets its own seed root so its stream never
         # collides with the per-trial redraw streams spawned from seed
         commit_rng = make_rng(np.random.SeedSequence([config.seed, 0x5E5510]))
         c = BitVector.random(commit_rng, params.commit_bits)
         session = commit_phase(params, c, channel, commit_rng)
-        report = binding_attack(session, params, channel, mode=config.mode,
-                                trials=config.trials, seed=config.seed,
-                                threads=config.threads)
-        table = ResultTable(REPORT_COLUMNS, metadata={**meta, "mode": config.mode})
-        _report_rows(table, report)
-        return table
-
-    if kind in ("concealment", "secrecy"):
-        views = ("eve",) if kind == "secrecy" else tuple(config.views)
-        table = ResultTable(REPORT_COLUMNS, metadata={**meta, "method": config.method})
+        reports = binding_attack(session, params, channel, mode=config.mode,
+                                 trials=config.trials, seed=config.seed,
+                                 threads=config.threads)
+        meta["mode"] = config.mode
+    else:
+        meta["method"] = config.method
         if config.method == "exact":
-            _report_rows(table, concealment_exact(params, channel, views=views))
-        elif config.method == "monte-carlo":
-            reports = [
-                concealment_monte_carlo(params, channel, config.trials,
-                                        config.seed, view=v,
-                                        threads=config.threads)
-                for v in views
-            ]
-            _report_rows(table, reports)
-        return table
-
-    raise ConfigError(f"unhandled experiment kind {kind!r}")
+            reports = concealment_exact(params, channel, views=config._views())
+        else:
+            reports = [concealment_monte_carlo(params, channel, config.trials, config.seed,
+                                               view=v, threads=config.threads)
+                       for v in config._views()]
+    return _report_table(reports, meta)
 
 
-def _set_dotted(doc: dict, path: str, value):
-    keys = path.split(".")
-    node = doc
-    for k in keys[:-1]:
-        node = node.setdefault(k, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"sweep.variable {path!r} runs through a non-object field")
-    node[keys[-1]] = value
-
-
-def _sweep_points(config: ExperimentConfig):
-    """The sweep variable and one (value, inner config) pair per point."""
-    variable, values, inner = _sweep_spec(config.sweep)
-    points = []
-    for v in values:
-        doc = json.loads(json.dumps(inner))  # deep copy
-        doc.setdefault("version", CONFIG_VERSION)
-        doc.setdefault("seed", config.seed)
-        doc.setdefault("trials", config.trials)
-        doc.setdefault("threads", config.threads)
-        _set_dotted(doc, variable, v)
-        points.append((v, ExperimentConfig.from_dict(doc)))
-    return variable, points
-
-
-def _run_sweep(config: ExperimentConfig) -> ResultTable:
-    """One row block per point, in point order.
+def _run_sweep(config: ExperimentConfig, variable, points) -> ResultTable:
+    """One row block per planned point, in point order.
 
     Soundness points that share a seed run as one soundness_reports
     call, which draws each trial's channel words once for all of them;
     every other point runs on its own.
     """
-    variable, points = _sweep_points(config)
     groups = {}
-    for i, (_, sub) in enumerate(points):
+    for i, (_, sub, plan) in enumerate(points):
         if sub.kind == "soundness":
-            groups.setdefault(sub.seed, []).append((i, sub))
+            groups.setdefault(sub.seed, []).append((i, sub, plan))
     tables = {}
     for seed, members in groups.items():
-        specs = []
-        for _, sub in members:
-            params = sub.build_params()
-            specs.append((params, sub.build_channel(params), sub.trials))
-        threads = max(sub.threads for _, sub in members)
-        for (i, _), report in zip(members, soundness_reports(specs, seed, threads)):
-            tables[i] = ResultTable(REPORT_COLUMNS)
-            _report_rows(tables[i], report)
-    table = None
-    for i, (v, sub) in enumerate(points):
-        sub_table = tables[i] if i in tables else run_experiment(sub)
-        if table is None:
-            table = ResultTable(
-                [variable] + sub_table.columns,
-                metadata={"kind": "sweep", "seed": config.seed,
-                          "variable": variable,
-                          "inner_kind": sub.kind},
-            )
-        for row in sub_table.rows:
-            table.append([v] + row)
-    return table
+        specs = [(*plan, sub.trials) for _, sub, plan in members]
+        threads = max(sub.threads for _, sub, _ in members)
+        for (i, _, _), report in zip(members, soundness_reports(specs, seed, threads)):
+            tables[i] = _report_table(report)
+    tables = [tables[i] if i in tables else _run(sub, plan)
+              for i, (_, sub, plan) in enumerate(points)]
+    rows = [[v] + row for (v, _, _), table in zip(points, tables) for row in table.rows]
+    return ResultTable([variable] + tables[0].columns, rows,
+                       metadata={"kind": "sweep", "seed": config.seed,
+                                 "variable": variable, "inner_kind": points[0][1].kind})
 
 
 def run_replay(session_doc: dict) -> ResultTable:

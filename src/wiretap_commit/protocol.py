@@ -26,6 +26,7 @@ rng.philox_words, so both follow one draw contract.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,7 +80,7 @@ class ProtocolParams:
                 f"commit_bits = {self.commit_bits}, "
                 f"challenge_bits = {self.challenge_bits}"
             )
-        if self.alpha1 <= 0:
+        if not self.alpha1 > 0:  # also refuses NaN
             raise RateError(f"alpha1 must be > 0, got {self.alpha1}")
         if self.privacy == "two" and self.coupling != "independent":
             raise CouplingError(
@@ -122,9 +123,9 @@ def derive_params(n: int, pq: CrossoverPair, privacy: str, alpha1: float,
     """
     if privacy not in PRIVACY_MODES:
         raise RateError(f"privacy must be one of {PRIVACY_MODES}, got {privacy!r}")
-    if beta1 <= 0 or beta2 <= 0:
+    if not (beta1 > 0 and beta2 > 0):  # also refuses NaN
         raise RateError("beta1 and beta2 must be positive")
-    if beta2 <= beta1:
+    if not beta2 > beta1:
         raise RateError(f"need beta2 > beta1, got beta1={beta1}, beta2={beta2}")
     if privacy == "two" and coupling != "independent":
         raise CouplingError("two-privacy mode requires independent coupling")
@@ -155,6 +156,8 @@ def explicit_params(n: int, pq: CrossoverPair, privacy: str, alpha1: float,
     bands) where no beta2 > beta1 produces the wanted lengths.  Only
     structural invariants are enforced; `achievable` is False.
     """
+    if n < 1:  # before beta1 divides by it
+        raise RateError(f"n must be >= 1, got {n}")
     return ProtocolParams(
         n=n, pq=pq, privacy=privacy, alpha1=alpha1,
         beta1=challenge_bits / n, beta2=None,
@@ -375,7 +378,8 @@ def config_field(block: dict, key: str, kind: type, where: str, default=_REQUIRE
     A missing key returns default, or raises ConfigError when there is
     none; so does a value of another type.  Where the default is None an
     explicit null counts as missing.  Integers count as numbers (and come
-    back as floats), booleans count as neither.
+    back as floats), booleans count as neither, and a number must be
+    finite: json.load reads NaN and Infinity, and 1e400 as inf.
     """
     if key not in block or (default is None and block[key] is None):
         if default is _REQUIRED:
@@ -390,6 +394,8 @@ def config_field(block: dict, key: str, kind: type, where: str, default=_REQUIRE
         ok = isinstance(value, kind)
     if not ok:
         raise ConfigError(f"{where}.{key} must be {_JSON_TYPES[kind]}, got {value!r}")
+    if kind is float and not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
     return float(value) if kind is float else value
 
 

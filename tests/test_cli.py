@@ -500,17 +500,56 @@ def test_sweep_points_of_different_kinds_fail_before_any_point_runs(tmp_path, ca
 
     monkeypatch.setattr(adversary, "map_trials", no_work)
     monkeypatch.setattr(harness, "run_capacity_grid", no_work)
-    inner = _soundness_doc(grid={"p_min": 0.1, "p_max": 0.2, "q_min": 0.1,
-                                 "q_max": 0.2, "steps": 2})
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
         "version": 1, "kind": "sweep", "seed": 3, "trials": 20,
-        "sweep": {"variable": "kind", "values": ["soundness", "capacity-grid"],
-                  "experiment": inner}}))
+        "sweep": {"variable": "kind", "values": ["soundness", "binding"],
+                  "experiment": _soundness_doc()}}))
     assert main(["sweep", "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "share one experiment kind" in err
-    assert "'capacity-grid', 'soundness'" in err
+    assert "'binding', 'soundness'" in err
+
+
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize("command,doc,message", [
+    ("soundness", _soundness_doc(params=dict(_PARAMS, alpha1=_NAN)),
+     "params.alpha1 must be a finite number, got nan"),
+    ("soundness", _soundness_doc(params=dict(_PARAMS, beta1=_NAN)),
+     "params.beta1 must be a finite number, got nan"),
+    ("soundness", _soundness_doc(params=dict(_PARAMS, beta2=_NAN)),
+     "params.beta2 must be a finite number, got nan"),
+    ("capacity", {**_grid_doc(4), "grid": dict(_grid_doc(4)["grid"], p_max=10 ** 400)},
+     "grid.p_max must be a finite number"),
+    ("binding", dict(_BINDING, params=dict(_BINDING["params"], n=0)),
+     "n must be >= 1, got 0"),
+    ("capacity", {**_grid_doc(4), "grid": dict(_grid_doc(4)["grid"], foo=1)},
+     "unknown grid fields: ['foo']"),
+    ("sweep", {"version": 1, "kind": "sweep", "seed": 3, "trials": 20,
+               "sweep": {"variable": "params.p", "values": [0.1, 0.2],
+                         "experiment": {"version": 1, "kind": "sweep", "sweep": {
+                             "variable": "params.n", "values": [200],
+                             "experiment": _soundness_doc()}}}},
+     "config field 'params' applies only to kind"),
+], ids=["nan-alpha1", "nan-beta1", "nan-beta2", "grid-bound-past-float",
+        "explicit-n-zero", "unknown-grid-field", "nested-sweep-over-params"])
+def test_config_error_exits_before_any_work(tmp_path, capsys, monkeypatch, command,
+                                            doc, message):
+    # json.load reads NaN; once alpha1 = NaN ran with exit 0, the NaN betas and
+    # n = 0 exited 1, and the grid and the nested sweep ignored the field
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was rejected")
+
+    monkeypatch.setattr(adversary, "map_trials", no_work)
+    monkeypatch.setattr(harness, "run_capacity_grid", no_work)
+    monkeypatch.setattr(harness, "commit_phase", no_work)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize("doc", [

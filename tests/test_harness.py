@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import csv_reference
-from wiretap_commit import adversary, cli
+from wiretap_commit import adversary, cli, harness
 from wiretap_commit.channel import degradation_check, make_channel
 from wiretap_commit.cli import EXIT_BAD_CONFIG, main
 from wiretap_commit.errors import ConfigError, DimensionError, RateError
@@ -522,3 +522,61 @@ def test_soundness_sweep_demo_draws_once(capsys, monkeypatch):
     assert main(["sweep", "--config", config, "--threads", "1"]) == 0
     assert calls == [4000]  # four points, one call of 4000 trials
     assert len(capsys.readouterr().out.splitlines()) == 6
+
+
+def _inner_sweep(variable, values, experiment):
+    return {"version": 1, "kind": "sweep",
+            "sweep": {"variable": variable, "values": values, "experiment": experiment}}
+
+
+_GRID = {"version": 1, "kind": "capacity-grid",
+         "grid": {"p_min": 0.05, "p_max": 0.45, "q_min": 0.1, "q_max": 0.3, "steps": 4}}
+_SECRECY_MC = {"version": 1, "kind": "secrecy", "method": "monte-carlo",
+               "params": {"n": 8, "p": 0.2, "q": 0.3, "privacy": "one", "alpha1": 0.1,
+                          "achievable": False, "challenge_bits": 1, "commit_bits": 1}}
+
+
+@pytest.mark.parametrize("variable,values,experiment", [
+    ("grid.steps", [1, 3, 2], _GRID),
+    ("grid.p_max", [0.05, 0.2], _GRID),
+    ("trials", [40, 1, 90], _inner_sweep("params.n", [250, 60], _SWEEP_INNER)),
+    ("trials", [30, 60], _inner_sweep("params.challenge_bits", [2, 1], _SECRECY_MC)),
+], ids=["grid-steps", "grid-bound", "nested-soundness", "nested-secrecy"])
+def test_sweep_equals_its_points_run_one_by_one(tmp_path, capsys, variable, values,
+                                                experiment):
+    doc = {"version": 1, "kind": "sweep", "seed": 5, "trials": 150, "threads": 1,
+           "sweep": {"variable": variable, "values": values, "experiment": experiment}}
+    expected = _point_by_point(doc)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path), "--threads", "1"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def _counting_params(monkeypatch) -> list:
+    calls = []
+    original = harness.params_from_config
+
+    def counted(block):
+        calls.append(block["n"])
+        return original(block)
+
+    monkeypatch.setattr(harness, "params_from_config", counted)
+    return calls
+
+
+def _demo(name):
+    with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("doc,ns", [
+    (_demo("soundness_sweep.json"), [250, 500, 1000, 2000]),
+    (_inner_sweep("params.challenge_bits", [1, 2], _demo("concealment_exact.json")), [6, 6]),
+], ids=["soundness-demo", "exact-concealment"])
+def test_each_sweep_point_is_built_once(tmp_path, monkeypatch, doc, ns):
+    calls = _counting_params(monkeypatch)
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(path), "--threads", "1"]) == 0
+    assert calls == ns

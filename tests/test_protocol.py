@@ -73,6 +73,22 @@ class TestDeriveParams:
             explicit_params(3, CrossoverPair(0.2, 0.3), "one", alpha1=0.1,
                             challenge_bits=challenge_bits, commit_bits=commit_bits)
 
+    @pytest.mark.parametrize("alpha1", [math.nan, 0.0, -0.1])
+    def test_alpha1_must_be_positive(self, alpha1):
+        with pytest.raises(RateError, match="alpha1 must be > 0"):
+            explicit_params(10, CrossoverPair(0.2, 0.3), "one", alpha1=alpha1,
+                            challenge_bits=1, commit_bits=1)
+
+    @pytest.mark.parametrize("beta1,beta2", [(math.nan, 0.1), (0.05, math.nan)])
+    def test_nan_beta_rejected(self, beta1, beta2):
+        with pytest.raises(RateError):
+            derive_params(100, CrossoverPair(0.2, 0.2), "one", 0.05, beta1, beta2)
+
+    def test_explicit_n_zero_rejected(self):
+        with pytest.raises(RateError, match="n must be >= 1, got 0"):
+            explicit_params(0, CrossoverPair(0.2, 0.3), "one", alpha1=0.1,
+                            challenge_bits=1, commit_bits=1)
+
     def test_hash_lengths_equal_to_n_accepted(self):
         params = explicit_params(3, CrossoverPair(0.2, 0.3), "one", alpha1=0.1,
                                  challenge_bits=3, commit_bits=3)
