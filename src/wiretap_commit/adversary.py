@@ -47,6 +47,7 @@ from .protocol import (
     _check_channel,
     _commit_draws,
     _commit_words,
+    _in_band,
 )
 from .rng import (
     INDEX_LIMIT,
@@ -175,30 +176,33 @@ def _soundness_worker(points, seeds) -> np.ndarray:
     (word >> 11) 2^-53 < p exactly when word < ceil(p 2^53) << 11, so
     the count compares raw words and draws no doubles.  A trial reads
     2 max(n) words, past the array Philox's break-even, so one C Philox
-    is re-keyed per trial from seeds.keys(2).  Philox is counter-based,
-    so a point at n reads a prefix of those words, the 2n a call of its
-    own would draw.  Each trial's Bob words are compared with every
-    flip threshold straight into a block of flip flags, one row per
-    trial and no copy of the words.  Points with the same p share a
+    is re-keyed per trial from seeds.keys(2), derived for at most
+    MC_BLOCK trials at a time.  Philox is counter-based, so a point at n
+    reads a prefix of those words, the 2n a call of its own would draw.
+    Each trial's Bob words are compared with every flip threshold
+    straight into a block of flip flags, one row per trial and no copy
+    of the words.  Points with the same p share a
     threshold, so each segment of flags between their consecutive
     prefixes is counted once and a point's count is the running sum up
-    to its prefix.  A block holds the trials of at most WORD_BLOCK
+    to its prefix.  A block holds at most MC_BLOCK trials and WORD_BLOCK
     words; a trial's words depend on its index alone, so the blocking
     changes no indicator.
     """
     span = 2 * max(n for n, _, _ in points)
-    bands = {}  # flip threshold -> [(prefix, point, lo, hi)] in prefix order
-    for k, (n, p, alpha1) in sorted(enumerate(points), key=lambda item: item[1][0]):
+    bands = {}  # flip threshold -> [(prefix, point)] in prefix order
+    for k, (n, p, _) in sorted(enumerate(points), key=lambda item: item[1][0]):
         below = math.ceil(p * 2.0 ** 53) << 11  # p < 1/2: fits in 64 bits
-        bands.setdefault(below, []).append((n, k, n * (p - alpha1), n * (p + alpha1)))
-    block = max(1, min(len(seeds), WORD_BLOCK // span))
+        bands.setdefault(below, []).append((n, k))
+    block = max(1, min(len(seeds), MC_BLOCK, WORD_BLOCK // span))
+    chunk = block * (MC_BLOCK // block)  # trials per keys() call, whole blocks
     thresholds = [np.array(below, dtype=np.uint64) for below in bands]  # 0-d: no scalar boxing
     flips = np.empty((len(bands), block, span // 2), dtype=bool)
     noise = make_rng(0)  # re-keyed per trial
-    keys = seeds.keys(2)
     out = np.empty((len(seeds), len(points)), dtype=np.uint8)
     for b0 in range(0, len(seeds), block):
-        rows = keys[b0:b0 + block]
+        if b0 % chunk == 0:
+            keys = seeds[b0:b0 + chunk].keys(2)
+        rows = keys[b0 % chunk:b0 % chunk + block]
         for t, key in enumerate(rows):
             bob = rekey(noise, key).bit_generator.random_raw(span)[::2]
             for below, flip in zip(thresholds, flips):
@@ -206,17 +210,21 @@ def _soundness_worker(points, seeds) -> np.ndarray:
             del bob  # one trial's words alive at a time, also during the next draw
         for flip, segments in zip(flips, bands.values()):
             d, start = 0, 0
-            for prefix, k, lo, hi in segments:
+            for prefix, k in segments:
                 d = d + np.count_nonzero(flip[:len(rows), start:prefix], axis=1)
-                out[b0:b0 + len(rows), k] = (d < lo) | (d > hi)
+                out[b0:b0 + len(rows), k] = ~_in_band(d, *points[k])
                 start = prefix
     return out
 
 
-def _check_words(n: int):
-    if 2 * n > WORD_LIMIT:
+def _soundness_check(params: ProtocolParams, channel, trials: int):
+    """The preconditions of a soundness estimate: the trial count, the 2n
+    raw words a trial reads, and the params' own channel."""
+    _check_trials(trials)
+    if 2 * params.n > WORD_LIMIT:
         raise ScaleError(f"a soundness trial reads 2n raw words, at most {WORD_LIMIT} "
-                         f"(n <= {WORD_LIMIT // 2}); got n = {n}")
+                         f"(n <= {WORD_LIMIT // 2}); got n = {params.n}")
+    _check_channel(params, channel)
 
 
 def soundness_reports(points, seed: int, threads: int = 1) -> list:
@@ -227,9 +235,7 @@ def soundness_reports(points, seed: int, threads: int = 1) -> list:
     trials rows, the indicators a call of its own would give.
     """
     for params, channel, trials in points:
-        _check_words(params.n)
-        _check_trials(trials)
-        _check_channel(params, channel)
+        _soundness_check(params, channel, trials)
     payload = tuple((params.n, params.pq.p, params.alpha1) for params, _, _ in points)
     rejects = map_trials(_soundness_worker, payload,
                          trial_seeds(seed, max(t for *_, t in points)), threads,
@@ -291,19 +297,15 @@ def _check_enum_scale(n: int):
         raise ScaleError(f"exhaustive enumeration limited to n <= {ENUM_LIMIT}, got {n}")
 
 
-def _band_mask(n: int, p: float, alpha1: float, y_int: int) -> np.ndarray:
-    d = np.bitwise_count(np.arange(1 << n, dtype=np.uint32) ^ np.uint32(y_int))
-    return (d >= n * (p - alpha1)) & (d <= n * (p + alpha1))
-
-
 def enumerate_confusables(session: SessionState, params: ProtocolParams) -> ConfusableSet:
     """Exhaustive confusable set for the session's realized y."""
     _check_enum_scale(params.n)
     t = session.transcript
     hashes = hash_all_inputs(t.challenge)
     target = np.uint32(t.challenge_value.to_int())
-    mask = _band_mask(params.n, params.pq.p, params.alpha1,
-                      session.bob_view.y.to_int()) & (hashes == target)
+    d = np.bitwise_count(np.arange(1 << params.n, dtype=np.uint32)
+                         ^ np.uint32(session.bob_view.y.to_int()))
+    mask = _in_band(d, params.n, params.pq.p, params.alpha1) & (hashes == target)
     members = np.nonzero(mask)[0].astype(np.uint32)
     eta_hat = math.log2(max(members.size, 1)) / params.n
     return ConfusableSet(n=params.n, members=members, eta_hat=eta_hat)
@@ -331,10 +333,15 @@ def _big_endian(bits: np.ndarray) -> np.ndarray:
 BINDING_MODES = ("alone", "with_eve")
 
 
-def _check_binding_mode(mode: str):
+def _binding_check(params: ProtocolParams, channel, mode: str, trials: int):
+    """The preconditions of a binding attack: the trial count, the
+    exhaustive scale, the mode, and the params' own channel."""
+    _check_trials(trials)
+    _check_enum_scale(params.n)
     if mode not in BINDING_MODES:
         raise DomainError(f"unknown binding mode {mode!r}; expected one of "
                           f"{list(BINDING_MODES)}")
+    _check_channel(params, channel)
 
 
 def _binding_worker(payload, seeds) -> np.ndarray:
@@ -352,15 +359,14 @@ def _binding_worker(payload, seeds) -> np.ndarray:
     philox_words pass over seeds.keys().  A trial succeeds when its
     members' extractor values have a distinct minimum and maximum.
     """
-    (n, p, q, r, alpha1, x_int, ne_bits, candidates, candidate_ext, thresh_mode) = payload
-    if thresh_mode == "alone":
-        thresh = np.full(n, p)
+    params, channel, x_int, ne_bits, candidates, candidate_ext, mode = payload
+    n = params.n
+    if mode == "alone":
+        thresh = np.full(n, channel.p)
     else:
-        cond1 = r / q              # P(N_B=1 | N_E=1)
-        cond0 = (p - r) / (1.0 - q)  # P(N_B=1 | N_E=0)
-        thresh = np.where(ne_bits == 1, cond1, cond0)
-    dist = np.arange(n + 1)
-    in_band = (dist >= n * (p - alpha1)) & (dist <= n * (p + alpha1))
+        given0, given1 = channel.bob_given_eve()
+        thresh = np.where(ne_bits == 1, given1, given0)
+    in_band = _in_band(np.arange(n + 1), n, params.pq.p, params.alpha1)
     top = np.iinfo(candidate_ext.dtype).max
     out = np.empty((len(seeds), 2), dtype=np.int64)
     for b0 in range(0, len(seeds), MC_BLOCK):
@@ -397,20 +403,15 @@ def binding_attack(session: SessionState, params: ProtocolParams, channel,
     exponent 2^(-n(beta1 - 2 eta_hat)) with eta_hat measured from the
     mean confusable-set size.
     """
-    _check_binding_mode(mode)
-    _check_trials(trials)
-    _check_enum_scale(params.n)
-    _check_channel(params, channel)
+    _binding_check(params, channel, mode, trials)
     t = session.transcript
     x = session.alice_view.x
     ne_bits = session.eve_view.z.bits ^ x.bits
     # the hash-consistent words, about 2^(n - l_G), and their Ext values
     hashes = hash_all_inputs(t.challenge)
     candidates = np.flatnonzero(hashes == t.challenge_value.to_int()).astype(np.uint32)
-    payload = (
-        params.n, params.pq.p, params.pq.q, channel.r, params.alpha1,
-        x.to_int(), ne_bits, candidates, hash_all_inputs(t.extractor)[candidates], mode,
-    )
+    payload = (params, channel, x.to_int(), ne_bits, candidates,
+               hash_all_inputs(t.extractor)[candidates], mode)
     stats = map_trials(_binding_worker, payload, trial_seeds(seed, trials), threads,
                        params.n + candidates.size)
     successes = int(stats[:, 0].sum())
@@ -447,9 +448,13 @@ def binding_attack(session: SessionState, params: ProtocolParams, channel,
 VIEWS = ("bob", "eve", "joint")
 
 
-def _check_views(views):
-    """Raise DomainError unless views names known views, at least one,
-    each once."""
+def _concealment_check(params: ProtocolParams, channel, views, method: str,
+                       trials: int = 1, hide_challenge: bool = False):
+    """The preconditions of a concealment estimate of the given views by
+    method "exact" (concealment_exact) or "monte-carlo"
+    (concealment_monte_carlo, trials each): views names known views, at
+    least one, each once; the method's scale limits; and the params' own
+    channel."""
     if not views:
         raise DomainError(f"views must name at least one of {list(VIEWS)}")
     for v in views:
@@ -457,6 +462,29 @@ def _check_views(views):
             raise DomainError(f"unknown view {v!r}; expected a subset of {list(VIEWS)}")
     if len(set(views)) != len(views):
         raise DomainError(f"views {list(views)} name a view more than once")
+    if method == "exact":
+        if params.commit_bits != 1:
+            raise ScaleError("exact concealment requires commit_bits == 1")
+        limit = EXACT_JOINT_LIMIT if "joint" in views else EXACT_MARGINAL_LIMIT
+        if params.n > limit:
+            raise ScaleError(f"exact concealment over views {views} limited to "
+                             f"n <= {limit}, got n = {params.n}")
+        if params.n + params.challenge_bits > EXACT_SEED_LIMIT:
+            raise ScaleError(
+                f"challenge seed space too large: need n + l_g <= {EXACT_SEED_LIMIT}")
+    elif method == "monte-carlo":
+        if params.commit_bits != 1:
+            raise ScaleError("the distinguisher is defined for commit_bits == 1")
+        if params.n > SCAN_LIMIT:
+            raise ScaleError(f"the MAP guess scans all 2^n words of every trial, "
+                             f"limited to n <= {SCAN_LIMIT}; got n = {params.n}")
+        if params.n > ENUM_LIMIT and not hide_challenge:
+            raise ScaleError(f"hash-aware guessing needs n <= {ENUM_LIMIT}; "
+                             "pass hide_challenge=True beyond that")
+        _check_trials(trials, seeds_per_trial=2)  # a training and a test sample
+    else:
+        raise DomainError(f"unknown method {method!r}")
+    _check_channel(params, channel)
 
 
 def _noise_table(n: int, pmf) -> np.ndarray:
@@ -493,20 +521,6 @@ def _kernel_rows(table: np.ndarray, w: np.ndarray) -> np.ndarray:
     additive, so k[x, (y, w_j)] = R[x XOR y, j] for every x and y."""
     words = np.arange(1 << (table.shape[0] - 1))
     return _kernel(table, words, words[:1], w)
-
-
-def _exact_scale_check(params: ProtocolParams, views):
-    if params.commit_bits != 1:
-        raise ScaleError("exact concealment requires commit_bits == 1")
-    limit = EXACT_JOINT_LIMIT if "joint" in views else EXACT_MARGINAL_LIMIT
-    if params.n > limit:
-        raise ScaleError(
-            f"exact concealment over views {views} limited to n <= {limit}, "
-            f"got n = {params.n}"
-        )
-    if params.n + params.challenge_bits > EXACT_SEED_LIMIT:
-        raise ScaleError(
-            f"challenge seed space too large: need n + l_g <= {EXACT_SEED_LIMIT}")
 
 
 def _mi_rows(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
@@ -640,9 +654,7 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
     carries exactly zero information about c.
     """
     views = tuple(views)
-    _check_views(views)
-    _exact_scale_check(params, views)
-    _check_channel(params, channel)
+    _concealment_check(params, channel, views, "exact")
     n, lg = params.n, params.challenge_bits
     big_n = 1 << n
     words = np.arange(big_n, dtype=np.min_scalar_type(big_n - 1))
@@ -844,21 +856,6 @@ def _concealment_mc_worker(payload, seeds) -> np.ndarray:
     return out
 
 
-def _monte_carlo_scale_check(params: ProtocolParams, trials: int,
-                             hide_challenge: bool = False):
-    if params.commit_bits != 1:
-        raise ScaleError("the distinguisher is defined for commit_bits == 1")
-    if params.n > SCAN_LIMIT:
-        raise ScaleError(f"the MAP guess scans all 2^n words of every trial, "
-                         f"limited to n <= {SCAN_LIMIT}; got n = {params.n}")
-    if params.n > ENUM_LIMIT and not hide_challenge:
-        raise ScaleError(
-            f"hash-aware guessing needs n <= {ENUM_LIMIT}; "
-            "pass hide_challenge=True beyond that"
-        )
-    _check_trials(trials, seeds_per_trial=2)  # a training and a test sample
-
-
 def _cs_table(samples: np.ndarray) -> np.ndarray:
     """Counts [c, s] of the (commit bit, statistic) rows of samples."""
     return np.bincount(2 * samples[:, 0] + samples[:, 1], minlength=4).reshape(2, 2)
@@ -887,9 +884,7 @@ def concealment_monte_carlo(params: ProtocolParams, channel, trials: int,
     Details carry a plug-in mutual-information estimate over (commit
     bit, distinguisher statistic) with the Miller-Madow correction.
     """
-    _check_views((view,))
-    _monte_carlo_scale_check(params, trials, hide_challenge)
-    _check_channel(params, channel)
+    _concealment_check(params, channel, (view,), "monte-carlo", trials, hide_challenge)
     payload = (params, channel, view, uniform_pad, hide_challenge)
     samples = map_trials(_concealment_mc_worker, payload,
                          trial_seeds(seed, 2 * trials), threads, 1 << params.n)

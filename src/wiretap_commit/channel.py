@@ -22,7 +22,7 @@ import numpy as np
 
 from .bits import BitVector
 from .errors import CouplingError, DomainError
-from .measures import CrossoverPair
+from .measures import CrossoverPair, binary_deconvolution
 
 COUPLINGS = ("independent", "degraded", "custom")
 
@@ -42,6 +42,14 @@ class WiretapChannel:
         p, q, r = self.p, self.q, self.r
         return (1.0 - p - q + r, q - r, p - r, r)
 
+    def eve_given_bob(self) -> tuple:
+        """(P(N_E=1 | N_B=0), P(N_E=1 | N_B=1))."""
+        return (self.q - self.r) / (1.0 - self.p), self.r / self.p
+
+    def bob_given_eve(self) -> tuple:
+        """(P(N_B=1 | N_E=0), P(N_B=1 | N_E=1))."""
+        return (self.p - self.r) / (1.0 - self.q), self.r / self.q
+
 
 def make_channel(p: float, q: float, coupling: str = "independent",
                  r: Optional[float] = None) -> WiretapChannel:
@@ -60,7 +68,7 @@ def make_channel(p: float, q: float, coupling: str = "independent",
             raise CouplingError(
                 f"degraded coupling needs q >= p (Eve noisier), got p={p}, q={q}"
             )
-        theta = (q - p) / (1.0 - 2.0 * p)
+        theta = binary_deconvolution(q, p)
         r_deg = p * (1.0 - theta)
         return WiretapChannel(p=p, q=q, coupling="degraded", r=r_deg, theta=theta)
     if coupling == "custom":
@@ -83,9 +91,8 @@ def _flips(ch: WiretapChannel, u: np.ndarray):
     coupling.  Returns two uint8 arrays of shape (..., n).
     """
     nb = u[..., 0] < ch.p
-    cond1 = ch.r / ch.p              # P(N_E=1 | N_B=1)
-    cond0 = (ch.q - ch.r) / (1.0 - ch.p)  # P(N_E=1 | N_B=0)
-    ne = np.where(nb, u[..., 1] < cond1, u[..., 1] < cond0)
+    given0, given1 = ch.eve_given_bob()
+    ne = np.where(nb, u[..., 1] < given1, u[..., 1] < given0)
     return nb.astype(np.uint8), ne.astype(np.uint8)
 
 
@@ -110,7 +117,7 @@ def degradation_check(p: float, q: float) -> Optional[float]:
     CrossoverPair(p, q)
     if p < q:
         return None
-    return (p - q) / (1.0 - 2.0 * q)
+    return binary_deconvolution(p, q)
 
 
 def eve_degrade(z: BitVector, theta: float, rng: np.random.Generator) -> BitVector:

@@ -18,13 +18,9 @@ import numpy as np
 from .adversary import (
     GRID_LIMIT,
     SecurityReport,
-    _check_binding_mode,
-    _check_enum_scale,
-    _check_trials,
-    _check_views,
-    _check_words,
-    _exact_scale_check,
-    _monte_carlo_scale_check,
+    _binding_check,
+    _concealment_check,
+    _soundness_check,
     binding_attack,
     concealment_exact,
     concealment_monte_carlo,
@@ -293,22 +289,13 @@ class ExperimentConfig:
             raise ConfigError("trials must be >= 1")
         params = self.build_params()
         channel = self.build_channel(params)
-        if self.kind in ("soundness", "binding"):
-            _check_trials(self.trials)
+        # the estimator's own checks, which it runs again on entry
         if self.kind == "soundness":
-            _check_words(params.n)
-        if self.kind == "binding":
-            _check_enum_scale(params.n)
-            _check_binding_mode(self.mode)
-        if self.kind == "concealment":
-            _check_views(self.views)
-        if self.kind in ("concealment", "secrecy"):
-            if self.method == "exact":
-                _exact_scale_check(params, self._views())
-            elif self.method == "monte-carlo":
-                _monte_carlo_scale_check(params, self.trials)
-            else:
-                raise ConfigError(f"unknown method {self.method!r}")
+            _soundness_check(params, channel, self.trials)
+        elif self.kind == "binding":
+            _binding_check(params, channel, self.mode, self.trials)
+        else:
+            _concealment_check(params, channel, self._views(), self.method, self.trials)
         return params, channel
 
     def _views(self):
@@ -385,10 +372,7 @@ def run_capacity_grid(p_range, q_range, steps: int) -> ResultTable:
     crossover of Eve's degrading channel when Bob's channel is degraded
     with respect to Eve's (p >= q), empty otherwise.  The cells come
     from measures.capacity_grid as arrays, which equal the scalar closed
-    forms cell by cell and bit for bit.  They take every logarithm with
-    math.log2, one value at a time: np.log2 differs from it in the last
-    bit on about 0.2 % of inputs, and the table would then no longer
-    equal the per-point formulas.
+    forms cell by cell and bit for bit.
     """
     (p_lo, p_hi), (q_lo, q_hi), steps = _grid_spec({
         "p_min": p_range[0], "p_max": p_range[1],

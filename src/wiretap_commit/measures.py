@@ -40,6 +40,13 @@ def binary_convolution(p: float, q: float) -> float:
     return p * (1.0 - q) + q * (1.0 - p)
 
 
+def binary_deconvolution(a, b):
+    """theta with a = b conv theta: the crossover (a - b) / (1 - 2b) of
+    the BSC that follows a BSC(b) in a cascade of crossover a.  It lies
+    in [0, 1/2) for b <= a < 1/2; a and b may be arrays."""
+    return (a - b) / (1.0 - 2.0 * b)
+
+
 @dataclass(frozen=True)
 class CrossoverPair:
     """Bob and Eve marginal crossover probabilities, both strictly interior."""
@@ -77,9 +84,7 @@ def rate_bound_one_private(pq: CrossoverPair) -> float:
     max H(X|Y) = H(p).  For a binary symmetric broadcast channel both
     branches collapse to min{H(p), H(q)}.
     """
-    from .channel import degradation_check  # local import to avoid a cycle
-
-    if degradation_check(pq.p, pq.q) is not None:
+    if pq.p >= pq.q:
         return binary_entropy(pq.q)
     return binary_entropy(pq.p)
 
@@ -139,7 +144,7 @@ def capacity_grid(ps: np.ndarray, qs: np.ndarray) -> dict:
     * rate_bound_1: rate_bound_one_private;
     * rate_bound_2: rate_bound_two_private on the independent channel;
     * bob_degraded, theta: whether channel.degradation_check finds a
-      theta, and that theta (NaN where it finds none).
+      theta (p >= q), and that theta (NaN where it finds none).
     """
     p, q = np.meshgrid(ps, qs, indexing="ij")
     h_p = _binary_entropy_array(ps)[:, None]
@@ -156,5 +161,5 @@ def capacity_grid(ps: np.ndarray, qs: np.ndarray) -> dict:
         "rate_bound_1": np.where(degraded, h_q, h_p),
         "rate_bound_2": noise_entropy - _binary_entropy_array(p + q - 2.0 * r),
         "bob_degraded": degraded,
-        "theta": np.where(degraded, (p - q) / (1.0 - 2.0 * q), np.nan),
+        "theta": np.where(degraded, binary_deconvolution(p, q), np.nan),
     }

@@ -82,6 +82,8 @@ class ProtocolParams:
             )
         if not self.alpha1 > 0:  # also refuses NaN
             raise RateError(f"alpha1 must be > 0, got {self.alpha1}")
+        if self.alpha1 > 1:  # at 1 the band already holds every distance
+            raise RateError(f"alpha1 must be <= 1, got {self.alpha1}")
         if self.privacy == "two" and self.coupling != "independent":
             raise CouplingError(
                 "two-privacy mode is analyzed only for independent coupling"
@@ -306,19 +308,20 @@ def commit_phase(params: ProtocolParams, c: BitVector,
 
 
 def list_membership(x: BitVector, y: BitVector, params: ProtocolParams) -> bool:
-    """Reveal condition (i): n(p - alpha1) <= d_H(x, y) <= n(p + alpha1).
+    """Reveal condition (i) on d_H(x, y) (see _in_band)."""
+    if len(x) != len(y):
+        raise DimensionError(f"length mismatch {len(x)} vs {len(y)}")
+    return _in_band(x.hamming_distance(y), params.n, params.pq.p, params.alpha1)
+
+
+def _in_band(d, n: int, p: float, alpha1: float):
+    """Reveal condition (i): n(p - alpha1) <= d <= n(p + alpha1), for an
+    integer distance d or an array of them (elementwise).
 
     The band endpoints stay real; the integer distance is compared
     against them directly, with no rounding.
     """
-    if len(x) != len(y):
-        raise DimensionError(f"length mismatch {len(x)} vs {len(y)}")
-    return _in_band(x.hamming_distance(y), params)
-
-
-def _in_band(d: int, params: ProtocolParams) -> bool:
-    n, p, a = params.n, params.pq.p, params.alpha1
-    return n * (p - a) <= d <= n * (p + a)
+    return (d >= n * (p - alpha1)) & (d <= n * (p + alpha1))
 
 
 def bob_test(bob_view: BobView, transcript: Transcript,
@@ -340,7 +343,8 @@ def bob_test(bob_view: BobView, transcript: Transcript,
         raise DimensionError("the transcript hashes do not take the block length")
     if extractor.output_bits != len(c):
         raise DimensionError("the extractor output length does not match the pad")
-    if not _in_band(int(np.count_nonzero(x ^ bob_view.y.bits)), params):
+    d = int(np.count_nonzero(x ^ bob_view.y.bits))
+    if not _in_band(d, params.n, params.pq.p, params.alpha1):
         return TestResult(accepted=False, failed_condition=1)
     g_bar, ext = _toeplitz_bits(x, challenge.seed.bits, extractor.seed.bits)
     if not np.array_equal(g_bar, transcript.challenge_value.bits):

@@ -226,7 +226,9 @@ def _all_word_scan(session):
     ext_all = hash_all_inputs(t.extractor)
 
     def worker(payload, seeds):
-        (n, p, q, r, alpha1, x_int, ne_bits, _, _, thresh_mode) = payload
+        params, channel, x_int, ne_bits, _, _, thresh_mode = payload
+        n, alpha1 = params.n, params.alpha1
+        p, q, r = channel.p, channel.q, channel.r
         lo, hi = n * (p - alpha1), n * (p + alpha1)
         if thresh_mode == "alone":
             thresh = np.full(n, p)
@@ -1368,7 +1370,9 @@ def _reference_soundness_worker(payload, seeds):
 
 def _per_trial_binding_worker(payload, seeds):
     """The binding worker with one SeedSequence, Philox and Generator per trial."""
-    (n, p, q, r, alpha1, x_int, ne_bits, candidates, candidate_ext, thresh_mode) = payload
+    params, channel, x_int, ne_bits, candidates, candidate_ext, thresh_mode = payload
+    n, alpha1 = params.n, params.alpha1
+    p, q, r = channel.p, channel.q, channel.r
     lo, hi = n * (p - alpha1), n * (p + alpha1)
     if thresh_mode == "alone":
         thresh = np.full(n, p)
@@ -1513,11 +1517,22 @@ def test_soundness_worker_one_trial_per_block(monkeypatch, fork_small_calls):
 
 def test_soundness_worker_memory_stays_at_one_block():
     # the soundness sweep's points: one trial's words and one block of
-    # flip flags (about 31 KiB each) plus the chunk's keys (0.37 MiB
-    # measured), not a copy per trial
+    # flip flags (about 31 KiB each) plus the keys of at most MC_BLOCK
+    # trials, not a copy per trial
     points = tuple((n, 0.1, 0.04) for n in (250, 500, 1000, 2000))
     peak = _traced_peak(_soundness_worker, points, trial_seeds(42, 4000))
     assert peak <= 1 << 20, peak
+
+
+def test_soundness_worker_memory_is_flat_in_the_trial_count():
+    # keys come per MC_BLOCK trials; keys for the whole chunk at once
+    # grew the peak by about 88 B per trial (0.92 -> 3.56 MB at these sizes)
+    points = ((8, 0.1, 0.25),)
+    _soundness_worker(points, trial_seeds(42, 100))  # first-call allocations
+    small = _traced_peak(_soundness_worker, points, trial_seeds(42, 10_000))
+    large = _traced_peak(_soundness_worker, points, trial_seeds(42, 40_000))
+    # one byte of output per trial grows, nothing else
+    assert large - small <= 4 * 30_000, (small, large)
 
 
 def _binding_payload(monkeypatch, n, lg, mode, coupling, r, seed=29):

@@ -115,6 +115,23 @@ class TestTransmit:
         assert y1 == y2 and z1 == z2
 
 
+class TestConditionalLaws:
+    @pytest.mark.parametrize("p,q,coupling,r", [
+        (0.1, 0.2, "independent", None), (0.3, 0.45, "independent", None),
+        (0.1, 0.2, "degraded", None), (0.05, 0.05, "degraded", None),
+        (0.3, 0.45, "degraded", None), (0.1, 0.2, "custom", 0.0),
+        (0.1, 0.2, "custom", 0.05), (0.1, 0.2, "custom", 0.1),
+        (0.45, 0.3, "custom", 0.2),
+    ])
+    def test_match_the_noise_pmf(self, p, q, coupling, r):
+        ch = make_channel(p, q, coupling, r=r)
+        p00, p01, p10, p11 = ch.noise_pair_pmf()
+        assert ch.eve_given_bob() == pytest.approx(
+            (p01 / (p00 + p01), p11 / (p10 + p11)), rel=0, abs=1e-15)
+        assert ch.bob_given_eve() == pytest.approx(
+            (p10 / (p00 + p10), p11 / (p01 + p11)), rel=0, abs=1e-15)
+
+
 class TestDegradationCheck:
     def test_solves_composition(self):
         theta = degradation_check(0.3, 0.1)

@@ -533,12 +533,16 @@ _NAN = float("nan")
                              "variable": "params.n", "values": [200],
                              "experiment": _soundness_doc()}}}},
      "config field 'params' applies only to kind"),
+    ("soundness", _soundness_doc(params=dict(_PARAMS, alpha1=1e308)),
+     "alpha1 must be <= 1, got 1e+308"),
 ], ids=["nan-alpha1", "nan-beta1", "nan-beta2", "grid-bound-past-float",
-        "explicit-n-zero", "unknown-grid-field", "nested-sweep-over-params"])
+        "explicit-n-zero", "unknown-grid-field", "nested-sweep-over-params",
+        "alpha1-past-one"])
 def test_config_error_exits_before_any_work(tmp_path, capsys, monkeypatch, command,
                                             doc, message):
     # json.load reads NaN; once alpha1 = NaN ran with exit 0, the NaN betas and
-    # n = 0 exited 1, and the grid and the nested sweep ignored the field
+    # n = 0 exited 1, and the grid and the nested sweep ignored the field;
+    # alpha1 = 1e308 ran every trial, then exited 1 with an OverflowError
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the config was rejected")
 
@@ -550,6 +554,47 @@ def test_config_error_exits_before_any_work(tmp_path, capsys, monkeypatch, comma
     assert main([command, "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+_DEMO_CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "demos", "configs")
+_MUTANTS = (None, True, -1, 0, 1, 2 ** 70, 1e308, 0.5, "x", [], {})
+
+
+def _field_paths(node, path=()):
+    """The key path of every field of a JSON document, nested fields and
+    list items included."""
+    for key, value in (node.items() if isinstance(node, dict) else enumerate(node)):
+        yield path + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, path + (key,))
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(_DEMO_CONFIGS)))
+def test_no_single_field_mutation_of_a_demo_config_is_an_internal_error(
+        tmp_path, capsys, monkeypatch, name):
+    # every field set to each mutant in turn exits 0 or 2, never 1
+    with open(os.path.join(_DEMO_CONFIGS, name)) as fh:
+        base = json.load(fh)
+    if "trials" in base:
+        base["trials"] = min(base["trials"], 200)
+    command = {v: k for k, v in cli._KIND_BY_COMMAND.items()}[base["kind"]]
+    monkeypatch.chdir(tmp_path)  # where an out field would write
+    cfg = tmp_path / name
+    failures = []
+    for path in _field_paths(base):
+        for value in _MUTANTS:
+            doc = json.loads(json.dumps(base))
+            node = doc
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = value
+            cfg.write_text(json.dumps(doc))
+            code = main([command, "--config", str(cfg), "--threads", "1"])
+            err = capsys.readouterr().err
+            if code not in (EXIT_OK, EXIT_BAD_CONFIG):
+                failures.append((path, value, code, err))
+    assert not failures
 
 
 @pytest.mark.parametrize("doc", [

@@ -15,6 +15,7 @@ from wiretap_commit.errors import DomainError
 from wiretap_commit.measures import (
     CrossoverPair,
     binary_convolution,
+    binary_deconvolution,
     binary_entropy,
     capacity_one_private,
     capacity_two_private,
@@ -86,6 +87,23 @@ class TestBinaryConvolution:
                 binary_convolution(a, binary_convolution(b, c)), abs=1e-12)
             assert binary_convolution(a, 0.0) == pytest.approx(a, abs=1e-12)
             assert binary_convolution(a, 0.5) == pytest.approx(0.5, abs=1e-12)
+
+
+class TestBinaryDeconvolution:
+    def test_inverts_binary_convolution(self):
+        rng = np.random.default_rng(2)
+        for _ in range(300):
+            b, theta = 0.45 * rng.random(2)
+            a = binary_convolution(b, theta)
+            assert binary_deconvolution(a, b) == pytest.approx(theta, rel=0, abs=1e-14)
+            assert binary_convolution(b, binary_deconvolution(a, b)) == pytest.approx(
+                a, rel=0, abs=1e-15)
+
+    def test_arrays_equal_scalars(self):
+        a, b = np.meshgrid(np.linspace(0.05, 0.45, 9), np.linspace(0.01, 0.49, 7))
+        got = binary_deconvolution(a, b)
+        assert got.tolist() == [[binary_deconvolution(x, y) for x, y in zip(*row)]
+                                for row in zip(a.tolist(), b.tolist())]
 
 
 class TestCapacities:

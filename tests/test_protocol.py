@@ -21,6 +21,7 @@ from wiretap_commit.protocol import (
     derive_params,
     explicit_params,
     honest_run,
+    _in_band,
     list_membership,
     session_from_config,
     session_to_config,
@@ -78,6 +79,18 @@ class TestDeriveParams:
         with pytest.raises(RateError, match="alpha1 must be > 0"):
             explicit_params(10, CrossoverPair(0.2, 0.3), "one", alpha1=alpha1,
                             challenge_bits=1, commit_bits=1)
+
+    @pytest.mark.parametrize("alpha1", [1.0 + 2 ** -52, 2.0, 1e308, math.inf])
+    def test_alpha1_must_be_at_most_one(self, alpha1):
+        # 2 exp(-2 n alpha1^2) overflowed at 1e308, after every trial ran
+        with pytest.raises(RateError, match="alpha1 must be <= 1"):
+            explicit_params(10, CrossoverPair(0.2, 0.3), "one", alpha1=alpha1,
+                            challenge_bits=1, commit_bits=1)
+
+    def test_alpha1_of_one_holds_every_distance(self):
+        explicit_params(10, CrossoverPair(0.2, 0.3), "one", alpha1=1.0,
+                        challenge_bits=1, commit_bits=1)
+        assert all(_in_band(d, 10, 0.2, 1.0) for d in range(11))
 
     @pytest.mark.parametrize("beta1,beta2", [(math.nan, 0.1), (0.05, math.nan)])
     def test_nan_beta_rejected(self, beta1, beta2):
@@ -223,6 +236,29 @@ class TestListMembership:
             x, y = BitVector.random(rng, 100), BitVector.random(rng, 100)
             if list_membership(x, y, base):
                 assert list_membership(x, y, wide)
+
+    @pytest.mark.parametrize("n,p,alpha1", [
+        (10, 0.1, 0.05), (8, 0.25, 0.125), (200, 0.1, 0.04), (2000, 0.1, 0.04),
+        (7, 0.3, 0.1), (1, 0.4, 0.45),
+    ])
+    def test_band_helper_agrees_with_bob_test(self, n, p, alpha1):
+        # the integer distances next to both real endpoints; 200 (0.1 - 0.04)
+        # is 12.000000000000002, so distance 12 lies outside that band
+        params = explicit_params(n, CrossoverPair(p, 0.3), "one", alpha1=alpha1,
+                                 challenge_bits=1, commit_bits=1)
+        session = commit_phase(params, BitVector.zeros(1), make_channel(p, 0.3), make_rng(n))
+        y = session.bob_view.y.bits
+        lo, hi = n * (p - alpha1), n * (p + alpha1)
+        distances = sorted({d for end in (lo, hi)
+                            for d in range(math.floor(end) - 1, math.ceil(end) + 2)
+                            if 0 <= d <= n})
+        inside = _in_band(np.array(distances), n, p, alpha1)
+        for d, member in zip(distances, inside):
+            claim = RevealClaim(c_tilde=session.alice_view.c,
+                                x_tilde=BitVector(y ^ (np.arange(n) < d).astype(np.uint8)))
+            result = bob_test(session.bob_view, session.transcript, claim, params)
+            assert member == _in_band(d, n, p, alpha1) == (lo <= d <= hi)
+            assert (result.failed_condition == 1) == (not member)
 
     def test_length_mismatch(self):
         params, _, _ = reference_session(7)
