@@ -453,8 +453,9 @@ def _concealment_check(params: ProtocolParams, channel, views, method: str,
     """The preconditions of a concealment estimate of the given views by
     method "exact" (concealment_exact) or "monte-carlo"
     (concealment_monte_carlo, trials each): views names known views, at
-    least one, each once; the method's scale limits; and the params' own
-    channel."""
+    least one, each once; the method's scale limits; the trial count,
+    which the exact table prints though it draws no trial seed; and the
+    params' own channel."""
     if not views:
         raise DomainError(f"views must name at least one of {list(VIEWS)}")
     for v in views:
@@ -472,6 +473,7 @@ def _concealment_check(params: ProtocolParams, channel, views, method: str,
         if params.n + params.challenge_bits > EXACT_SEED_LIMIT:
             raise ScaleError(
                 f"challenge seed space too large: need n + l_g <= {EXACT_SEED_LIMIT}")
+        _check_trials(trials, seeds_per_trial=0)
     elif method == "monte-carlo":
         if params.commit_bits != 1:
             raise ScaleError("the distinguisher is defined for commit_bits == 1")
@@ -647,7 +649,8 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
     view's columns are (y, w) with w = y XOR z: for a fixed y this is a
     bijection of the z, so column sums and maxima, |d| and MI terms are
     those of (y, z).  Bob's and Eve's views are the same kernel under a
-    BSC(p) or BSC(q) pmf with w = 0 alone.
+    BSC(p) or BSC(q) pmf with w = 0 alone, so where p == q they share
+    one evaluation: one R, and one set of per-seed sums and maxima.
 
     With uniform_pad=True the pad is one-time-padded with a fresh
     uniform bit instead of the extractor output; every view then
@@ -660,36 +663,40 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
     words = np.arange(big_n, dtype=np.min_scalar_type(big_n - 1))
 
     p, q = params.pq.p, params.pq.q
-    pmfs = {"bob": (1.0 - p, 0.0, 0.0, p), "eve": (1.0 - q, 0.0, 0.0, q),
-            "joint": channel.noise_pair_pmf()}
+    # per view its noise pmf and whether its columns run over w; views of
+    # one law (Bob's and Eve's when p == q) share one evaluation
+    law_of = {"bob": ((1.0 - p, 0.0, 0.0, p), False),
+              "eve": ((1.0 - q, 0.0, 0.0, q), False),
+              "joint": (channel.noise_pair_pmf(), True)}
+    laws = tuple(dict.fromkeys(law_of[v] for v in views))
 
     g_hash = _all_seed_tables(n, lg)
     x_weight = 1.0 / big_n
     seed_weight = 1.0 / (g_hash.shape[0] * big_n)  # G seeds times Ext seeds
-    # per view R[x XOR y, j], the kernel entry of x and column (y, w_j)
-    row_tables = {v: _kernel_rows(_noise_table(n, pmfs[v]),
-                                  words if v == "joint" else words[:1])
-                  for v in views}
-    sd_seed = {v: np.zeros(g_hash.shape[0]) for v in views}
-    mi_seed = {v: np.zeros(g_hash.shape[0]) for v in views}
-    max_posterior = dict.fromkeys(views, 0.0)
+    # per law R[x XOR y, j], the kernel entry of x and column (y, w_j)
+    row_tables = {law: _kernel_rows(_noise_table(n, law[0]),
+                                    words if law[1] else words[:1])
+                  for law in laws}
+    sd_seed = {law: np.zeros(g_hash.shape[0]) for law in laws}
+    mi_seed = {law: np.zeros(g_hash.shape[0]) for law in laws}
+    max_posterior = dict.fromkeys(laws, 0.0)
     pad_rows = {}  # dim K -> the scaled rows, built when first needed
     for dim, seeds, kernel, leaders in _seed_blocks(g_hash, max(1, EXACT_BLOCK // big_n)):
         if not uniform_pad and dim not in pad_rows:
             pad_rows[dim] = _pad_rows(dim) * x_weight
         # each row stands for 2^rank Ext seeds, and cosets * |K| = 2^n views
         weight = np.full((1 << dim, 1), float(big_n << (n - dim)))
-        for v in views:
-            step = max(1, EXACT_BLOCK // (big_n * row_tables[v].shape[1]))
+        for law in laws:
+            step = max(1, EXACT_BLOCK // (big_n * row_tables[law].shape[1]))
             for i in range(0, seeds.size, step):
                 sub = slice(i, i + step)
                 d = kernel[sub, :, None] ^ leaders[sub, None, :]
-                k_rep = row_tables[v].take(d, axis=0).reshape(*d.shape[:2], -1)
+                k_rep = row_tables[law].take(d, axis=0).reshape(*d.shape[:2], -1)
                 colsum = k_rep.sum(axis=1)
                 # worst-case posterior of x given the pad-free view
                 ratio = np.divide(k_rep.max(axis=1), colsum,
                                   out=np.zeros_like(colsum), where=colsum > 0.0)
-                max_posterior[v] = max(max_posterior[v], float(ratio.max()))
+                max_posterior[law] = max(max_posterior[law], float(ratio.max()))
                 if uniform_pad:
                     continue  # one all-zero pad row: no distance, no MI
                 d_mat = pad_rows[dim] @ k_rep
@@ -700,21 +707,22 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
                 # one dot product of row sums and weights per seed (a
                 # matrix-vector product would add them in another order)
                 np.abs(d_mat, out=d_mat)
-                sd_seed[v][seeds[sub]] = (d_mat.sum(axis=-1)[:, None, :] @ weight)[:, 0, 0]
+                sd_seed[law][seeds[sub]] = (d_mat.sum(axis=-1)[:, None, :] @ weight)[:, 0, 0]
                 del d_mat
                 for m in (m0, m1):
                     m *= 0.5
                     np.maximum(m, 0.0, out=m)  # np.clip(m, 0.0, None)'s own ufunc
-                mi_seed[v][seeds[sub]] = (_mi_rows(m0, m1)[:, None, :] @ weight)[:, 0, 0]
+                mi_seed[law][seeds[sub]] = (_mi_rows(m0, m1)[:, None, :] @ weight)[:, 0, 0]
 
     reports = {}
     context = _report_context(params)
     for v in views:
-        k_hat = -math.log2(max_posterior[v]) if max_posterior[v] > 0 else math.inf
+        law = law_of[v]
+        k_hat = -math.log2(max_posterior[law]) if max_posterior[law] > 0 else math.inf
         ref = min(1.0, 2.0 * lhl_bound(k_hat, 1))
         # a running sum in seed order, whatever the blocks were
-        sd = seed_weight * float(np.cumsum(sd_seed[v])[-1])
-        mi = seed_weight * float(np.cumsum(mi_seed[v])[-1])
+        sd = seed_weight * float(np.cumsum(sd_seed[law])[-1])
+        mi = seed_weight * float(np.cumsum(mi_seed[law])[-1])
         detail = {"k_hat": k_hat, "uniform_pad": uniform_pad}
         reports[f"sd_{v}"] = SecurityReport(
             metric=f"concealment_sd_{v}", estimate=sd, exact=True,

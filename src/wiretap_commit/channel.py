@@ -22,7 +22,7 @@ import numpy as np
 
 from .bits import BitVector
 from .errors import CouplingError, DomainError
-from .measures import CrossoverPair, binary_deconvolution
+from .measures import CrossoverPair, binary_deconvolution, noise_pair_pmf
 
 COUPLINGS = ("independent", "degraded", "custom")
 
@@ -39,8 +39,7 @@ class WiretapChannel:
 
     def noise_pair_pmf(self) -> tuple:
         """(P(0,0), P(0,1), P(1,0), P(1,1)) over (N_B, N_E)."""
-        p, q, r = self.p, self.q, self.r
-        return (1.0 - p - q + r, q - r, p - r, r)
+        return noise_pair_pmf(self.p, self.q, self.r)
 
     def eve_given_bob(self) -> tuple:
         """(P(N_E=1 | N_B=0), P(N_E=1 | N_B=1))."""

@@ -146,7 +146,7 @@ def main(argv=None) -> int:
             _check_out_path(out_path)
             table = run_experiment(config)
             table.metadata.setdefault("seed", config.seed)
-            fmt = args.fmt or config.fmt or "csv"
+            fmt = args.fmt or config.format or "csv"
         _emit(table, fmt, out_path)
         return EXIT_OK
     except WiretapCommitError as e:

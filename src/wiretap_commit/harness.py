@@ -29,15 +29,10 @@ from .adversary import (
 )
 from .bits import BitVector
 from .channel import make_channel
+from .config import REQUIRED, read_block
 from .errors import ConfigError, ScaleError
 from .measures import capacity_grid
-from .protocol import (
-    bob_test,
-    commit_phase,
-    config_field,
-    params_from_config,
-    session_from_config,
-)
+from .protocol import bob_test, commit_phase, params_from_config, session_from_config
 from .rng import make_rng
 
 CONFIG_VERSION = 1
@@ -46,23 +41,33 @@ EXPERIMENT_KINDS = (
 )
 _ESTIMATES = ("soundness", "binding", "concealment", "secrecy")
 
-# the config schema, one row per field: JSON key, attribute, JSON type,
-# default, and the kinds that read it (None: every kind); a field that
-# the config's kind never reads is refused
+# the config schema, one row per field: JSON key (the ExperimentConfig
+# attribute), JSON type, default, and the kinds that read it (None: every
+# kind); a field that the config's kind never reads is refused
 CONFIG_FIELDS = (
-    ("seed", "seed", int, 0, None),
-    ("trials", "trials", int, 1000, None),
-    ("threads", "threads", int, 1, None),
-    ("format", "fmt", str, "csv", None),
-    ("out", "out", str, None, None),
-    ("params", "params", dict, None, _ESTIMATES),
-    ("channel", "channel", dict, None, _ESTIMATES),
-    ("grid", "grid", dict, None, ("capacity-grid",)),
-    ("views", "views", list, ("bob", "eve", "joint"), ("concealment",)),
-    ("mode", "mode", str, "alone", ("binding",)),
-    ("method", "method", str, "exact", ("concealment", "secrecy")),
-    ("sweep", "sweep", dict, None, ("sweep",)),
+    ("version", int, REQUIRED, None),
+    ("kind", str, REQUIRED, None),
+    ("seed", int, 0, None),
+    ("trials", int, 1000, None),
+    ("threads", int, 1, None),
+    ("format", str, "csv", None),
+    ("out", str, None, None),
+    ("params", dict, None, _ESTIMATES),
+    ("channel", dict, None, _ESTIMATES),
+    ("grid", dict, None, ("capacity-grid",)),
+    ("views", list, ("bob", "eve", "joint"), ("concealment",)),
+    ("mode", str, "alone", ("binding",)),
+    ("method", str, "exact", ("concealment", "secrecy")),
+    ("sweep", dict, None, ("sweep",)),
 )
+# a channel block repeats fields of the params, which describe the channel
+CHANNEL_FIELDS = (("p", float, None), ("q", float, None), ("coupling", str, None),
+                  ("r", float, None))
+GRID_FIELDS = (("p_min", float, REQUIRED), ("p_max", float, REQUIRED),
+               ("q_min", float, REQUIRED), ("q_max", float, REQUIRED),
+               ("steps", int, REQUIRED))
+SWEEP_FIELDS = (("variable", str, REQUIRED), ("values", list, REQUIRED),
+                ("experiment", dict, REQUIRED))
 
 REPORT_COLUMNS = (
     "metric", "estimate", "ci_lo", "ci_hi", "reference_bound",
@@ -190,17 +195,18 @@ class ResultTable:
 class ExperimentConfig:
     """A config document read against CONFIG_FIELDS.
 
-    from_dict only reads and type-checks the fields; validate() checks
-    every precondition of the run, building the params and channel
-    objects, which run every module-level check, so invalid configs
-    fail before any simulation work starts.
+    from_dict only reads the fields (config.read_block) and checks the
+    version, the kind and the kinds that read each field; validate()
+    checks every precondition of the run, building the params and
+    channel objects, which run every module-level check, so invalid
+    configs fail before any simulation work starts.
     """
 
     kind: str
     seed: int
     trials: int
     threads: int
-    fmt: str
+    format: str
     out: Optional[str]
     params: Optional[dict]
     channel: Optional[dict]
@@ -212,43 +218,32 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        version = doc.get("version")
+        fields = read_block(doc, "config", CONFIG_FIELDS)
+        version, kind = fields.pop("version"), fields["kind"]
         if version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {version!r}")
-        kind = doc.get("kind")
         if kind not in EXPERIMENT_KINDS:
             raise ConfigError(f"unknown experiment kind {kind!r}")
-        unknown = set(doc) - {"version", "kind"} - {key for key, *_ in CONFIG_FIELDS}
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        for key, _, _, _, kinds in CONFIG_FIELDS:
+        for key, _, _, kinds in CONFIG_FIELDS:
             if kinds is not None and key in doc and kind not in kinds:
                 raise ConfigError(f"config field {key!r} applies only to kind "
                                   f"{' or '.join(map(repr, kinds))}, not {kind!r}")
-        return cls(kind=kind, **{attr: config_field(doc, key, json_type, "config", default)
-                                 for key, attr, json_type, default, _ in CONFIG_FIELDS})
+        return cls(**fields)
 
     def build_params(self):
-        if self.params is None:
-            raise ConfigError(f"experiment kind {self.kind!r} requires a params block")
         return params_from_config(self.params)
 
     def build_channel(self, params):
         """The channel the params describe.
 
         The params carry the whole channel (p, q, coupling, r).  A
-        channel block may repeat any of those fields, but a field that
-        differs from the params, or any other field, raises ConfigError.
+        channel block (CHANNEL_FIELDS) may repeat any of those fields,
+        but a field that differs from the params raises ConfigError.
         """
         own = {"p": params.pq.p, "q": params.pq.q,
                "coupling": params.coupling, "r": params.coupling_r}
-        for key, value in (self.channel or {}).items():
-            if key not in own:
-                raise ConfigError(f"unknown channel field {key!r}; expected one of "
-                                  f"{sorted(own)}")
-            if value != own[key]:
+        for key, value in read_block(self.channel or {}, "channel", CHANNEL_FIELDS).items():
+            if value is not None and value != own[key]:
                 raise ConfigError(f"channel.{key} = {value!r} conflicts with the "
                                   f"params, which give {own[key]!r}")
         return make_channel(params.pq.p, params.pq.q, params.coupling,
@@ -268,8 +263,8 @@ class ExperimentConfig:
         sweep builds every point's config, checks that all share one
         kind, and only then plans each point.
         """
-        if self.fmt not in ("csv", "json"):
-            raise ConfigError(f"unknown format {self.fmt!r}")
+        if self.format not in ("csv", "json"):
+            raise ConfigError(f"unknown format {self.format!r}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.seed < 0:
@@ -285,8 +280,6 @@ class ExperimentConfig:
                 raise ConfigError(f"sweep points must share one experiment kind, "
                                   f"got {kinds}")
             return variable, [(v, sub, sub._plan()) for v, sub in points]
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
         params = self.build_params()
         channel = self.build_channel(params)
         # the estimator's own checks, which it runs again on entry
@@ -319,19 +312,9 @@ class ExperimentConfig:
         return doc
 
 
-_GRID_FIELDS = ("p_min", "p_max", "q_min", "q_max", "steps")
-
-
 def _grid_spec(grid):
-    """The checked (p_range, q_range, steps) of a grid block."""
-    if not grid:
-        raise ConfigError("capacity-grid requires a grid block")
-    unknown = sorted(set(grid) - set(_GRID_FIELDS))
-    if unknown:
-        raise ConfigError(f"unknown grid fields: {unknown}; expected {list(_GRID_FIELDS)}")
-    p_lo, p_hi, q_lo, q_hi = (config_field(grid, key, float, "grid")
-                              for key in _GRID_FIELDS[:4])
-    steps = config_field(grid, "steps", int, "grid")
+    """The checked (p_range, q_range, steps) of a grid block (GRID_FIELDS)."""
+    p_lo, p_hi, q_lo, q_hi, steps = read_block(grid, "grid", GRID_FIELDS).values()
     for v in (p_lo, p_hi, q_lo, q_hi):
         if not 0.0 < v < 0.5:
             raise ConfigError(f"grid bounds must lie inside (0, 1/2), got {v}")
@@ -344,24 +327,11 @@ def _grid_spec(grid):
     return (p_lo, p_hi), (q_lo, q_hi), steps
 
 
-SWEEP_FIELDS = ("variable", "values", "experiment")
-
-
 def _sweep_spec(sweep):
-    if not sweep or "experiment" not in sweep:
-        raise ConfigError("sweep requires a sweep block with an inner experiment")
-    unknown = sorted(set(sweep) - set(SWEEP_FIELDS))
-    if unknown:
-        raise ConfigError(f"unknown sweep fields: {unknown}; expected {list(SWEEP_FIELDS)}")
-    variable = sweep.get("variable")
-    values = sweep.get("values")
-    inner = sweep.get("experiment")
-    if not variable or not isinstance(variable, str):
-        raise ConfigError("sweep.variable must be a dotted field path")
-    if not isinstance(values, list) or not values:
+    """The (variable, values, inner config) of a sweep block (SWEEP_FIELDS)."""
+    variable, values, inner = read_block(sweep, "sweep", SWEEP_FIELDS).values()
+    if not values:
         raise ConfigError(f"sweep.values must be a non-empty list, got {values!r}")
-    if not isinstance(inner, dict):
-        raise ConfigError("sweep.experiment must be a config object")
     return variable, values, inner
 
 

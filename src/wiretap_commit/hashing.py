@@ -27,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import BitVector
-from .errors import ConfigError, DimensionError
+from .config import REQUIRED, read_block
+from .errors import DimensionError
 
 
 @dataclass(frozen=True)
@@ -50,24 +51,19 @@ class HashSpec:
             )
 
     def to_config(self) -> dict:
-        return {
-            "n": self.input_bits,
-            "l": self.output_bits,
-            "seed": self.seed.to_hex(),
-        }
+        values = (self.input_bits, self.output_bits, self.seed.to_hex())
+        return {key: value for (key, _, _), value in zip(HASH_FIELDS, values)}
 
     @classmethod
     def from_config(cls, cfg: dict, where: str = "hash") -> "HashSpec":
-        """Inverse of to_config; ConfigError names a missing or mistyped
-        field of the block `where`, or a seed that is not hex."""
-        from .protocol import config_field  # protocol imports this module
+        """Inverse of to_config: the block `where` read against
+        HASH_FIELDS (config.read_block), with a seed that must be hex."""
+        f = read_block(cfg, where, HASH_FIELDS)
+        return cls(f["n"], f["l"], BitVector.from_hex(f["seed"], f["n"] + f["l"] - 1))
 
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"{where} must be an object, got {cfg!r}")
-        n = config_field(cfg, "n", int, where)
-        l = config_field(cfg, "l", int, where)
-        seed = config_field(cfg, "seed", str, where)
-        return cls(n, l, BitVector.from_hex(seed, n + l - 1))
+
+# a hash block, in HashSpec.to_config's order; the seed is hex
+HASH_FIELDS = (("n", int, REQUIRED), ("l", int, REQUIRED), ("seed", str, REQUIRED))
 
 
 def sample_hash(rng: np.random.Generator, n: int, l: int) -> HashSpec:

@@ -37,7 +37,23 @@ def binary_convolution(p: float, q: float) -> float:
     """Crossover of two cascaded BSCs: p(1-q) + q(1-p)."""
     if not 0.0 <= p <= 1.0 or not 0.0 <= q <= 1.0:
         raise DomainError(f"binary_convolution requires p,q in [0,1], got ({p},{q})")
+    return _convolve(p, q)
+
+
+def _convolve(p, q):
+    """p conv q = p(1-q) + q(1-p), unchecked; p and q may be arrays."""
     return p * (1.0 - q) + q * (1.0 - p)
+
+
+def noise_pair_pmf(p, q, r) -> tuple:
+    """(P(0,0), P(0,1), P(1,0), P(1,1)) over flips (N_B, N_E) of marginals
+    p and q and joint flip r = P(1,1); p, q and r may be arrays."""
+    return (1.0 - p - q + r, q - r, p - r, r)
+
+
+def _xor_crossover(p, q, r):
+    """P(N_B XOR N_E = 1) = p + q - 2r for that flip pair; arrays too."""
+    return p + q - 2.0 * r
 
 
 def binary_deconvolution(a, b):
@@ -107,8 +123,7 @@ def rate_bound_two_private(channel) -> float:
     with H(N_B,N_E) summed over the non-zero cells of the noise pmf.
     """
     noise_entropy = sum(-w * math.log2(w) for w in channel.noise_pair_pmf() if w > 0.0)
-    xor_flip = channel.p + channel.q - 2.0 * channel.r
-    return noise_entropy - binary_entropy(xor_flip)
+    return noise_entropy - binary_entropy(_xor_crossover(channel.p, channel.q, channel.r))
 
 
 # ---------------------------------------------------------------------------
@@ -151,15 +166,14 @@ def capacity_grid(ps: np.ndarray, qs: np.ndarray) -> dict:
     h_q = _binary_entropy_array(qs)[None, :]
     degraded = p >= q
     r = p * q  # make_channel's independent coupling
-    noise_entropy = (_entropy_terms(1.0 - p - q + r) + _entropy_terms(q - r)
-                     + _entropy_terms(p - r) + _entropy_terms(r))
+    noise_entropy = sum(map(_entropy_terms, noise_pair_pmf(p, q, r)))
     return {
         "p": p,
         "q": q,
         "capacity_1": np.minimum(h_p, h_q),
-        "capacity_2": h_p + h_q - _binary_entropy_array(p * (1.0 - q) + q * (1.0 - p)),
+        "capacity_2": h_p + h_q - _binary_entropy_array(_convolve(p, q)),
         "rate_bound_1": np.where(degraded, h_q, h_p),
-        "rate_bound_2": noise_entropy - _binary_entropy_array(p + q - 2.0 * r),
+        "rate_bound_2": noise_entropy - _binary_entropy_array(_xor_crossover(p, q, r)),
         "bob_degraded": degraded,
         "theta": np.where(degraded, binary_deconvolution(p, q), np.nan),
     }

@@ -26,7 +26,6 @@ rng.philox_words, so both follow one draw contract.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,6 +33,7 @@ import numpy as np
 
 from .bits import BitVector
 from .channel import WiretapChannel, _flips, make_channel
+from .config import REQUIRED, read_block, require
 from .errors import ConfigError, CouplingError, DimensionError, RateError
 from .hashing import HashSpec, _toeplitz_bits
 from .measures import CrossoverPair, capacity_one_private, capacity_two_private
@@ -94,23 +94,24 @@ class ProtocolParams:
             make_channel(self.pq.p, self.pq.q, self.coupling, self.coupling_r)
 
     def to_config(self) -> dict:
-        cfg = {
-            "n": self.n,
-            "p": self.pq.p,
-            "q": self.pq.q,
-            "privacy": self.privacy,
-            "alpha1": self.alpha1,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "rate": self.rate,
-            "commit_bits": self.commit_bits,
-            "challenge_bits": self.challenge_bits,
-            "coupling": self.coupling,
-            "achievable": self.achievable,
-        }
-        if self.coupling_r is not None:
-            cfg["r"] = self.coupling_r
-        return cfg
+        values = (self.n, self.pq.p, self.pq.q, self.privacy, self.alpha1, self.beta1,
+                  self.beta2, self.rate, self.commit_bits, self.challenge_bits,
+                  self.coupling, self.achievable, self.coupling_r)
+        # r only where the coupling has one
+        return {key: value for (key, _, _), value in zip(PARAM_FIELDS, values)
+                if key != "r" or value is not None}
+
+
+# the params block, in ProtocolParams.to_config's order: derived params
+# read beta1 and beta2, explicit ones challenge_bits and commit_bits, and
+# rate is only written
+PARAM_FIELDS = (
+    ("n", int, REQUIRED), ("p", float, REQUIRED), ("q", float, REQUIRED),
+    ("privacy", str, REQUIRED), ("alpha1", float, REQUIRED),
+    ("beta1", float, None), ("beta2", float, None), ("rate", float, None),
+    ("commit_bits", int, None), ("challenge_bits", int, None),
+    ("coupling", str, "independent"), ("achievable", bool, True), ("r", float, None),
+)
 
 
 def derive_params(n: int, pq: CrossoverPair, privacy: str, alpha1: float,
@@ -369,80 +370,31 @@ def honest_run(params: ProtocolParams, channel: WiretapChannel,
     return result.accepted, session
 
 
-_REQUIRED = object()
-
-# JSON type accepted for each config value type; bool is not a number here
-_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false",
-               str: "a string", dict: "an object", list: "a list"}
-
-
-def config_field(block: dict, key: str, kind: type, where: str, default=_REQUIRED):
-    """block[key], checked to be a JSON value of the given type.
-
-    A missing key returns default, or raises ConfigError when there is
-    none; so does a value of another type.  Where the default is None an
-    explicit null counts as missing.  Integers count as numbers (and come
-    back as floats), booleans count as neither, and a number must be
-    finite: json.load reads NaN and Infinity, and 1e400 as inf.
-    """
-    if key not in block or (default is None and block[key] is None):
-        if default is _REQUIRED:
-            raise ConfigError(f"{where} is missing {key!r}")
-        return default
-    value = block[key]
-    if kind is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    elif kind is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    else:
-        ok = isinstance(value, kind)
-    if not ok:
-        raise ConfigError(f"{where}.{key} must be {_JSON_TYPES[kind]}, got {value!r}")
-    if kind is float and not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"{where}.{key} must be a finite number, got {value!r}")
-    return float(value) if kind is float else value
-
-
-_PARAM_FIELDS = {
-    "n", "p", "q", "privacy", "alpha1", "beta1", "beta2", "rate",
-    "commit_bits", "challenge_bits", "coupling", "r", "achievable",
-}
-
-
 def params_from_config(cfg: dict) -> ProtocolParams:
-    """Inverse of ProtocolParams.to_config.
-
-    Raises ConfigError for a block that is not an object, has a field
-    ProtocolParams.to_config never writes, lacks a field the params
-    need, or has a field of the wrong JSON type.  `rate`, and the slacks
-    of explicit params, are outputs and are not read.
-    """
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"params must be an object, got {cfg!r}")
-    unknown = set(cfg) - _PARAM_FIELDS
-    if unknown:
-        raise ConfigError(f"unknown params fields: {sorted(unknown)}")
-
-    def field(key, kind, default=_REQUIRED):
-        return config_field(cfg, key, kind, "params", default)
-
-    pq = CrossoverPair(field("p", float), field("q", float))
-    common = dict(
-        n=field("n", int), pq=pq, privacy=field("privacy", str),
-        alpha1=field("alpha1", float),
-        coupling=field("coupling", str, "independent"),
-        coupling_r=field("r", float, None),
-    )
-    if field("achievable", bool, True):
-        return derive_params(beta1=field("beta1", float), beta2=field("beta2", float),
-                             **common)
-    return explicit_params(challenge_bits=field("challenge_bits", int),
-                           commit_bits=field("commit_bits", int), **common)
+    """Inverse of ProtocolParams.to_config: the params block read against
+    PARAM_FIELDS (config.read_block), which must also hold beta1 and
+    beta2 for derived params, or challenge_bits and commit_bits for
+    explicit ones; ConfigError otherwise."""
+    f = read_block(cfg, "params", PARAM_FIELDS)
+    common = dict(n=f["n"], pq=CrossoverPair(f["p"], f["q"]), privacy=f["privacy"],
+                  alpha1=f["alpha1"], coupling=f["coupling"], coupling_r=f["r"])
+    if f["achievable"]:
+        return derive_params(**require(f, "params", ("beta1", "beta2")), **common)
+    return explicit_params(**require(f, "params", ("challenge_bits", "commit_bits")),
+                           **common)
 
 
-def session_to_config(session: SessionState, params: ProtocolParams,
-                      include_y: bool = True, include_z: bool = True,
-                      include_secrets: bool = True) -> dict:
+# the transcript, in session_to_config's order: the public messages, then
+# Bob's and Eve's channel outputs and Alice's secrets, which a reader may
+# lack
+TRANSCRIPT_FIELDS = (
+    ("params", dict, REQUIRED), ("G", dict, REQUIRED), ("g_bar", str, REQUIRED),
+    ("Ext", dict, REQUIRED), ("Q", str, REQUIRED),
+    ("y", str, None), ("z", str, None), ("x", str, None), ("c", str, None),
+)
+
+
+def session_to_config(session: SessionState, params: ProtocolParams) -> dict:
     """JSON-ready transcript document.
 
     Hex fields encode bit vectors MSB-first, zero-padded to a byte
@@ -451,37 +403,27 @@ def session_to_config(session: SessionState, params: ProtocolParams,
     through bob_test.
     """
     t = session.transcript
-    doc = {
-        "params": params.to_config(),
-        "G": t.challenge.to_config(),
-        "g_bar": t.challenge_value.to_hex(),
-        "Ext": t.extractor.to_config(),
-        "Q": t.pad.to_hex(),
-    }
-    if include_y:
-        doc["y"] = session.bob_view.y.to_hex()
-    if include_z:
-        doc["z"] = session.eve_view.z.to_hex()
-    if include_secrets:
-        doc["x"] = session.alice_view.x.to_hex()
-        doc["c"] = session.alice_view.c.to_hex()
-    return doc
+    values = (params.to_config(), t.challenge.to_config(), t.challenge_value.to_hex(),
+              t.extractor.to_config(), t.pad.to_hex(), session.bob_view.y.to_hex(),
+              session.eve_view.z.to_hex(), session.alice_view.x.to_hex(),
+              session.alice_view.c.to_hex())
+    return {key: value for (key, _, _), value in zip(TRANSCRIPT_FIELDS, values)}
 
 
 def session_from_config(doc: dict):
     """Rebuild (params, transcript, bob_view?, claim?) from a document.
 
     Returns a dict with whatever the document contained; replay needs
-    at least y plus the stored secrets x and c.  The hash dimensions must
-    match the params (G: n -> challenge_bits, Ext: n -> commit_bits), or
-    ConfigError is raised.
+    at least y plus the stored secrets x and c.  The document and its
+    params, G and Ext blocks are read against their field tables
+    (config.read_block), and the hash dimensions must match the params
+    (G: n -> challenge_bits, Ext: n -> commit_bits), or ConfigError is
+    raised.
     """
-    missing = {"params", "G", "g_bar", "Ext", "Q"} - set(doc)
-    if missing:
-        raise ConfigError(f"session document is missing {sorted(missing)}")
-    params = params_from_config(doc["params"])
-    challenge = HashSpec.from_config(doc["G"], "G")
-    extractor = HashSpec.from_config(doc["Ext"], "Ext")
+    f = read_block(doc, "transcript", TRANSCRIPT_FIELDS)
+    params = params_from_config(f["params"])
+    challenge = HashSpec.from_config(f["G"], "G")
+    extractor = HashSpec.from_config(f["Ext"], "Ext")
     for name, spec, out_bits in (("G", challenge, params.challenge_bits),
                                  ("Ext", extractor, params.commit_bits)):
         if (spec.input_bits, spec.output_bits) != (params.n, out_bits):
@@ -491,20 +433,20 @@ def session_from_config(doc: dict):
             )
     transcript = Transcript(
         challenge=challenge,
-        challenge_value=BitVector.from_hex(doc["g_bar"], challenge.output_bits),
+        challenge_value=BitVector.from_hex(f["g_bar"], challenge.output_bits),
         extractor=extractor,
-        pad=BitVector.from_hex(doc["Q"], extractor.output_bits),
+        pad=BitVector.from_hex(f["Q"], extractor.output_bits),
     )
     out = {"params": params, "transcript": transcript}
-    if "y" in doc:
-        out["bob_view"] = BobView(y=BitVector.from_hex(doc["y"], params.n),
+    if f["y"] is not None:
+        out["bob_view"] = BobView(y=BitVector.from_hex(f["y"], params.n),
                                   transcript=transcript)
-    if "z" in doc:
-        out["eve_view"] = EveView(z=BitVector.from_hex(doc["z"], params.n),
+    if f["z"] is not None:
+        out["eve_view"] = EveView(z=BitVector.from_hex(f["z"], params.n),
                                   transcript=transcript)
-    if "x" in doc and "c" in doc:
+    if f["x"] is not None and f["c"] is not None:
         out["claim"] = RevealClaim(
-            c_tilde=BitVector.from_hex(doc["c"], params.commit_bits),
-            x_tilde=BitVector.from_hex(doc["x"], params.n),
+            c_tilde=BitVector.from_hex(f["c"], params.commit_bits),
+            x_tilde=BitVector.from_hex(f["x"], params.n),
         )
     return out

@@ -1102,14 +1102,16 @@ class TestSeedBlocks:
             assert run() == default
 
     @pytest.mark.parametrize("uniform_pad", [False, True])
-    @pytest.mark.parametrize("n,lg", [(n, lg) for n in range(1, 6) for lg in (1, 3)
-                                      if lg <= n])
-    def test_reports_do_not_depend_on_the_other_views(self, n, lg, uniform_pad):
-        # the views share one pass over the seeds; each keeps its own sums
-        params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
+    @pytest.mark.parametrize("n,lg,p", [pytest.param(n, lg, 0.2, id=f"{n}-{lg}")
+                                        for n in range(1, 6) for lg in (1, 3) if lg <= n]
+                             + [pytest.param(4, 3, 0.3, id="4-3-p-equals-q")])
+    def test_reports_do_not_depend_on_the_other_views(self, n, lg, p, uniform_pad):
+        # the views share one pass over the seeds; each keeps its own sums,
+        # except Bob's and Eve's at p == q, which share one evaluation
+        params = explicit_params(n, CrossoverPair(p, 0.3), "one", alpha1=0.3,
                                  challenge_bits=lg, commit_bits=1,
                                  coupling="custom", coupling_r=0.05)
-        channel = make_channel(0.2, 0.3, "custom", r=0.05)
+        channel = make_channel(p, 0.3, "custom", r=0.05)
 
         def run(views):
             return {key: (r.estimate, r.reference_bound, r.details["k_hat"])

@@ -144,17 +144,28 @@ def test_replay_roundtrip(tmp_path):
     assert row["metric"] == "replay_bob_test"
 
 
-@pytest.mark.parametrize("edit,message", [
-    (lambda doc: doc["G"].pop("l"), "G is missing 'l'"),
-    (lambda doc: doc["Ext"].update(seed="zz"), "not a hex string: 'zz'"),
-    (lambda doc: doc.update(g_bar="zz"), "not a hex string: 'zz'"),
-], ids=["missing-G-l", "non-hex-Ext-seed", "non-hex-g_bar"])
-def test_malformed_transcript_is_a_config_error(tmp_path, capsys, edit, message):
+def _transcript() -> dict:
+    """The transcript of an honest n = 200 session."""
     params = derive_params(200, CrossoverPair(0.1, 0.1), "one",
                            alpha1=0.1, beta1=0.05, beta2=0.1)
     rng = make_rng(8)
     c = BitVector.random(rng, params.commit_bits)
-    doc = session_to_config(commit_phase(params, c, make_channel(0.1, 0.1), rng), params)
+    return session_to_config(commit_phase(params, c, make_channel(0.1, 0.1), rng), params)
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda doc: doc["G"].pop("l"), "G is missing 'l'"),
+    (lambda doc: doc["Ext"].update(seed="zz"), "not a hex string: 'zz'"),
+    (lambda doc: doc.update(g_bar="zz"), "not a hex string: 'zz'"),
+    (lambda doc: doc.update(foo=1), "unknown transcript fields: ['foo']"),
+    (lambda doc: doc["params"].update(foo=1), "unknown params fields: ['foo']"),
+    (lambda doc: doc["G"].update(foo=1), "unknown G fields: ['foo']"),
+    (lambda doc: doc["Ext"].update(foo=1), "unknown Ext fields: ['foo']"),
+    (lambda doc: doc.pop("Q"), "transcript is missing 'Q'"),
+], ids=["missing-G-l", "non-hex-Ext-seed", "non-hex-g_bar", "unknown-top-level-field",
+        "unknown-params-field", "unknown-G-field", "unknown-Ext-field", "missing-Q"])
+def test_malformed_transcript_is_a_config_error(tmp_path, capsys, edit, message):
+    doc = _transcript()
     edit(doc)
     path = tmp_path / "session.json"
     path.write_text(json.dumps(doc))
@@ -171,11 +182,7 @@ def test_malformed_transcript_is_a_config_error(tmp_path, capsys, edit, message)
 ], ids=["unknown", "independent-with-r", "custom-r-out-of-bounds", "degraded-with-r"])
 def test_transcript_with_invalid_coupling_is_a_config_error(tmp_path, capsys, coupling,
                                                             r, message):
-    params = derive_params(200, CrossoverPair(0.1, 0.1), "one",
-                           alpha1=0.1, beta1=0.05, beta2=0.1)
-    rng = make_rng(8)
-    c = BitVector.random(rng, params.commit_bits)
-    doc = session_to_config(commit_phase(params, c, make_channel(0.1, 0.1), rng), params)
+    doc = _transcript()
     doc["params"]["coupling"] = coupling
     if r is not None:
         doc["params"]["r"] = r
@@ -535,9 +542,10 @@ _NAN = float("nan")
      "config field 'params' applies only to kind"),
     ("soundness", _soundness_doc(params=dict(_PARAMS, alpha1=1e308)),
      "alpha1 must be <= 1, got 1e+308"),
+    ("concealment", dict(_CONCEALMENT, trials=0), "trials must be >= 1"),
 ], ids=["nan-alpha1", "nan-beta1", "nan-beta2", "grid-bound-past-float",
         "explicit-n-zero", "unknown-grid-field", "nested-sweep-over-params",
-        "alpha1-past-one"])
+        "alpha1-past-one", "exact-concealment-no-trials"])
 def test_config_error_exits_before_any_work(tmp_path, capsys, monkeypatch, command,
                                             doc, message):
     # json.load reads NaN; once alpha1 = NaN ran with exit 0, the NaN betas and
@@ -547,6 +555,7 @@ def test_config_error_exits_before_any_work(tmp_path, capsys, monkeypatch, comma
         raise AssertionError("work started before the config was rejected")
 
     monkeypatch.setattr(adversary, "map_trials", no_work)
+    monkeypatch.setattr(adversary, "_all_seed_tables", no_work)
     monkeypatch.setattr(harness, "run_capacity_grid", no_work)
     monkeypatch.setattr(harness, "commit_phase", no_work)
     cfg = tmp_path / "bad.json"
@@ -570,15 +579,19 @@ def _field_paths(node, path=()):
             yield from _field_paths(value, path + (key,))
 
 
-@pytest.mark.parametrize("name", sorted(os.listdir(_DEMO_CONFIGS)))
+@pytest.mark.parametrize("name", sorted(os.listdir(_DEMO_CONFIGS)) + ["transcript"])
 def test_no_single_field_mutation_of_a_demo_config_is_an_internal_error(
         tmp_path, capsys, monkeypatch, name):
-    # every field set to each mutant in turn exits 0 or 2, never 1
-    with open(os.path.join(_DEMO_CONFIGS, name)) as fh:
-        base = json.load(fh)
-    if "trials" in base:
-        base["trials"] = min(base["trials"], 200)
-    command = {v: k for k, v in cli._KIND_BY_COMMAND.items()}[base["kind"]]
+    # every field of each demo config, and of a transcript for replay, set
+    # to each mutant in turn exits 0 or 2, never 1
+    if name == "transcript":
+        base, command = _transcript(), "replay"
+    else:
+        with open(os.path.join(_DEMO_CONFIGS, name)) as fh:
+            base = json.load(fh)
+        if "trials" in base:
+            base["trials"] = min(base["trials"], 200)
+        command = {v: k for k, v in cli._KIND_BY_COMMAND.items()}[base["kind"]]
     monkeypatch.chdir(tmp_path)  # where an out field would write
     cfg = tmp_path / name
     failures = []

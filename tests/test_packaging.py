@@ -1,5 +1,6 @@
 """Package metadata against what the code needs."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -51,3 +52,16 @@ def test_readme_limits_table_matches_the_code():
             "GRID_LIMIT"} <= dict(limits).keys()
     for name, value in limits:
         assert getattr(adversary, name, None) == value, f"README states {name} = {value}"
+
+
+def test_src_imports_the_package_only_at_module_level():
+    # a rule shared by several modules sits below all of its users in the
+    # import graph, so no module needs a package import inside a function
+    local = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local += [f"{path.name}:{node.lineno}" for node in ast.walk(func)
+                          if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert not local, f"function-local package imports at {local}"
