@@ -37,7 +37,6 @@ from typing import Optional
 
 import numpy as np
 
-from .bits import BitVector
 from .errors import DomainError, ScaleError
 from .hashing import _linear_table, _toeplitz_columns, hash_all_inputs, lhl_bound
 from .parallel import map_trials
@@ -73,7 +72,6 @@ EXACT_SEED_LIMIT = 14     # exact concealment, n + l_G
 # memory.
 EXACT_BLOCK = 1 << 14
 TRIAL_LIMIT = INDEX_LIMIT  # trial seeds per Monte Carlo estimate
-SCAN_LIMIT = 28           # Monte Carlo MAP guess, hidden challenge: 2^n words per trial
 MC_BLOCK = 1 << 10        # Monte Carlo: trials per array Philox pass
 SCAN_BLOCK = 1 << 17      # Monte Carlo: (trial, word) entries per tile of a word scan
 WORD_LIMIT = 1 << 20      # soundness: raw channel words per trial (2n)
@@ -288,9 +286,6 @@ class ConfusableSet:
     def size(self) -> int:
         return int(self.members.size)
 
-    def as_bitvectors(self):
-        return [BitVector.from_int(int(m), self.n) for m in self.members]
-
 
 def _check_enum_scale(n: int):
     if n > ENUM_LIMIT:
@@ -449,7 +444,7 @@ VIEWS = ("bob", "eve", "joint")
 
 
 def _concealment_check(params: ProtocolParams, channel, views, method: str,
-                       trials: int = 1, hide_challenge: bool = False):
+                       trials: int = 1):
     """The preconditions of a concealment estimate of the given views by
     method "exact" (concealment_exact) or "monte-carlo"
     (concealment_monte_carlo, trials each): views names known views, at
@@ -477,12 +472,9 @@ def _concealment_check(params: ProtocolParams, channel, views, method: str,
     elif method == "monte-carlo":
         if params.commit_bits != 1:
             raise ScaleError("the distinguisher is defined for commit_bits == 1")
-        if params.n > SCAN_LIMIT:
+        if params.n > ENUM_LIMIT:
             raise ScaleError(f"the MAP guess scans all 2^n words of every trial, "
-                             f"limited to n <= {SCAN_LIMIT}; got n = {params.n}")
-        if params.n > ENUM_LIMIT and not hide_challenge:
-            raise ScaleError(f"hash-aware guessing needs n <= {ENUM_LIMIT}; "
-                             "pass hide_challenge=True beyond that")
+                             f"limited to n <= {ENUM_LIMIT}; got n = {params.n}")
         _check_trials(trials, seeds_per_trial=2)  # a training and a test sample
     else:
         raise DomainError(f"unknown method {method!r}")
@@ -752,8 +744,7 @@ def _map_guess(n: int, hash_bits: int, anchors: list, weights, cols: np.ndarray,
     the integer distance to the one anchor, else the float cost
     wp d(w, y) + wq d(w, z) with weights (wp, wq).  cols[t, k] is the
     hash under trial t's G of the word whose only set index bit is k,
-    h_x the hash of x, both below 2^hash_bits; all zero when the
-    challenge is hidden, so that every word is a candidate.
+    h_x the hash of x, both below 2^hash_bits.
 
     One masked argmin scans all 2^n words in tiles of at most SCAN_BLOCK
     entries.  Word w's key packs (h(w) XOR h(x)) above its distances to
@@ -769,8 +760,7 @@ def _map_guess(n: int, hash_bits: int, anchors: list, weights, cols: np.ndarray,
     cost's.  Keys are the narrowest unsigned type that holds
     hash_bits + s bits and one spare bit, which holds the clip 2^s and
     every rank (at most 2^s + 1 distinct costs): uint8, uint16 or
-    uint32.  They fit 32 bits: a shown challenge needs n <= ENUM_LIMIT,
-    so hash_bits + s <= 30, and a hidden one has hash_bits 0.
+    uint32.  They fit 32 bits: n <= ENUM_LIMIT, so hash_bits + s <= 30.
     """
     width = n.bit_length()
     shift = width * len(anchors)
@@ -825,15 +815,12 @@ def _concealment_mc_worker(payload, seeds) -> np.ndarray:
     and one doubling pass per scan tile builds the G tables (see
     _map_guess).  Words are big-endian integers.  The MAP guess is the
     candidate closest to the view's anchors, ties to the lowest
-    encoding; unless the challenge is hidden the candidates are the
-    words sharing x's value under G.  The extractor has one output bit,
-    the parity of the word ANDed with the extractor seed read
-    little-endian.
+    encoding, among the words sharing x's value under G.  The extractor
+    has one output bit, the parity of the word ANDed with the extractor
+    seed read little-endian.
     """
-    params, channel, view, uniform_pad, hide_challenge = payload
-    n = params.n
-    # a hidden challenge shows no hash: G's columns are 0 bits wide
-    hash_bits = 0 if hide_challenge else params.challenge_bits
+    params, channel, view, uniform_pad = payload
+    n, hash_bits = params.n, params.challenge_bits
     wp = math.log2((1.0 - params.pq.p) / params.pq.p)
     wq = math.log2((1.0 - params.pq.q) / params.pq.q)
     little_endian = np.uint64(1) << np.arange(n, dtype=np.uint64)
@@ -879,7 +866,6 @@ def _entropy_miller_madow(counts: np.ndarray, total: int) -> float:
 def concealment_monte_carlo(params: ProtocolParams, channel, trials: int,
                             seed: int, view: str = "bob",
                             uniform_pad: bool = False,
-                            hide_challenge: bool = False,
                             threads: int = 1) -> SecurityReport:
     """Sampled lower bound on concealment leakage for one view.
 
@@ -892,8 +878,8 @@ def concealment_monte_carlo(params: ProtocolParams, channel, trials: int,
     Details carry a plug-in mutual-information estimate over (commit
     bit, distinguisher statistic) with the Miller-Madow correction.
     """
-    _concealment_check(params, channel, (view,), "monte-carlo", trials, hide_challenge)
-    payload = (params, channel, view, uniform_pad, hide_challenge)
+    _concealment_check(params, channel, (view,), "monte-carlo", trials)
+    payload = (params, channel, view, uniform_pad)
     samples = map_trials(_concealment_mc_worker, payload,
                          trial_seeds(seed, 2 * trials), threads, 1 << params.n)
     train, test = samples[:trials], samples[trials:]
@@ -924,7 +910,6 @@ def concealment_monte_carlo(params: ProtocolParams, channel, trials: int,
             "accuracy": correct / trials,
             "mi_plugin_miller_madow": mi_mm,
             "uniform_pad": uniform_pad,
-            "hide_challenge": hide_challenge,
             "train_counts": counts,
         },
         **_report_context(params),

@@ -2,7 +2,8 @@
 
 Each block states its fields once, in a table of (key, JSON type,
 default) rows next to the code that uses it; read_block reads it, and
-the block's writer takes its keys from the same table.
+the block's writer takes its keys from the same table.  agree holds a
+params or channel block to what the params built from it write back.
 """
 
 from __future__ import annotations
@@ -58,6 +59,16 @@ def read_block(block, where: str, fields) -> dict:
         raise ConfigError(f"unknown {where} fields: {sorted(unknown)}; "
                           f"expected {[row[0] for row in fields]}")
     return {row[0]: config_field(block, row[0], row[1], where, row[2]) for row in fields}
+
+
+def agree(values: dict, where: str, written: dict):
+    """Each non-null field of a block read by read_block must equal the
+    one the params write back (written, from ProtocolParams.to_config,
+    where a key it leaves out reads as None); ConfigError otherwise."""
+    for key, value in values.items():
+        if value is not None and value != written.get(key):
+            raise ConfigError(f"{where}.{key} = {value!r} conflicts with the "
+                              f"params, which give {written.get(key)!r}")
 
 
 def require(values: dict, where: str, keys) -> dict:

@@ -10,8 +10,7 @@ parsing an emitted file reproduces the table.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .adversary import (
 )
 from .bits import BitVector
 from .channel import make_channel
-from .config import REQUIRED, read_block
+from .config import REQUIRED, agree, read_block
 from .errors import ConfigError, ScaleError
 from .measures import capacity_grid
 from .protocol import bob_test, commit_phase, params_from_config, session_from_config
@@ -191,9 +190,9 @@ class ResultTable:
         raise ConfigError(f"unknown format {fmt!r}; expected csv or json")
 
 
-@dataclass
-class ExperimentConfig:
-    """A config document read against CONFIG_FIELDS.
+class ExperimentConfig(SimpleNamespace):
+    """A config document read against CONFIG_FIELDS: one attribute per
+    field of the table (config.kind, config.trials, ...).
 
     from_dict only reads the fields (config.read_block) and checks the
     version, the kind and the kinds that read each field; validate()
@@ -202,33 +201,18 @@ class ExperimentConfig:
     configs fail before any simulation work starts.
     """
 
-    kind: str
-    seed: int
-    trials: int
-    threads: int
-    format: str
-    out: Optional[str]
-    params: Optional[dict]
-    channel: Optional[dict]
-    grid: Optional[dict]
-    views: Sequence[str]
-    mode: str
-    method: str
-    sweep: Optional[dict]
-
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        fields = read_block(doc, "config", CONFIG_FIELDS)
-        version, kind = fields.pop("version"), fields["kind"]
-        if version != CONFIG_VERSION:
-            raise ConfigError(f"unsupported config version {version!r}")
-        if kind not in EXPERIMENT_KINDS:
-            raise ConfigError(f"unknown experiment kind {kind!r}")
+        config = cls(**read_block(doc, "config", CONFIG_FIELDS))
+        if config.version != CONFIG_VERSION:
+            raise ConfigError(f"unsupported config version {config.version!r}")
+        if config.kind not in EXPERIMENT_KINDS:
+            raise ConfigError(f"unknown experiment kind {config.kind!r}")
         for key, _, _, kinds in CONFIG_FIELDS:
-            if kinds is not None and key in doc and kind not in kinds:
+            if kinds is not None and key in doc and config.kind not in kinds:
                 raise ConfigError(f"config field {key!r} applies only to kind "
-                                  f"{' or '.join(map(repr, kinds))}, not {kind!r}")
-        return cls(**fields)
+                                  f"{' or '.join(map(repr, kinds))}, not {config.kind!r}")
+        return config
 
     def build_params(self):
         return params_from_config(self.params)
@@ -238,14 +222,11 @@ class ExperimentConfig:
 
         The params carry the whole channel (p, q, coupling, r).  A
         channel block (CHANNEL_FIELDS) may repeat any of those fields,
-        but a field that differs from the params raises ConfigError.
+        but a field that differs from the params raises ConfigError
+        (config.agree).
         """
-        own = {"p": params.pq.p, "q": params.pq.q,
-               "coupling": params.coupling, "r": params.coupling_r}
-        for key, value in read_block(self.channel or {}, "channel", CHANNEL_FIELDS).items():
-            if value is not None and value != own[key]:
-                raise ConfigError(f"channel.{key} = {value!r} conflicts with the "
-                                  f"params, which give {own[key]!r}")
+        agree(read_block(self.channel or {}, "channel", CHANNEL_FIELDS), "channel",
+              params.to_config())
         return make_channel(params.pq.p, params.pq.q, params.coupling,
                             r=params.coupling_r)
 

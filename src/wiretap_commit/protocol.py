@@ -33,13 +33,21 @@ import numpy as np
 
 from .bits import BitVector
 from .channel import WiretapChannel, _flips, make_channel
-from .config import REQUIRED, read_block, require
+from .config import REQUIRED, agree, read_block, require
 from .errors import ConfigError, CouplingError, DimensionError, RateError
 from .hashing import HashSpec, _toeplitz_bits
 from .measures import CrossoverPair, capacity_one_private, capacity_two_private
 from .rng import byte_bits, doubles
 
 PRIVACY_MODES = ("one", "two")
+
+
+def _mode_check(privacy: str, coupling: str):
+    """The privacy mode is known, and two-privacy has independent noise."""
+    if privacy not in PRIVACY_MODES:
+        raise RateError(f"privacy must be one of {PRIVACY_MODES}, got {privacy!r}")
+    if privacy == "two" and coupling != "independent":
+        raise CouplingError("two-privacy mode is analyzed only for independent coupling")
 
 
 @dataclass(frozen=True)
@@ -66,8 +74,7 @@ class ProtocolParams:
     achievable: bool = True
 
     def __post_init__(self):
-        if self.privacy not in PRIVACY_MODES:
-            raise RateError(f"privacy must be one of {PRIVACY_MODES}, got {self.privacy!r}")
+        _mode_check(self.privacy, self.coupling)
         if self.n < 1:
             raise RateError(f"n must be >= 1, got {self.n}")
         if self.commit_bits < 1:
@@ -84,10 +91,6 @@ class ProtocolParams:
             raise RateError(f"alpha1 must be > 0, got {self.alpha1}")
         if self.alpha1 > 1:  # at 1 the band already holds every distance
             raise RateError(f"alpha1 must be <= 1, got {self.alpha1}")
-        if self.privacy == "two" and self.coupling != "independent":
-            raise CouplingError(
-                "two-privacy mode is analyzed only for independent coupling"
-            )
         # the channel is the one judge of the coupling and its r; a custom
         # coupling may leave r to the channel object (see _check_channel)
         if self.coupling != "custom" or self.coupling_r is not None:
@@ -104,7 +107,8 @@ class ProtocolParams:
 
 # the params block, in ProtocolParams.to_config's order: derived params
 # read beta1 and beta2, explicit ones challenge_bits and commit_bits, and
-# rate is only written
+# rate is only written; a field the params do not read must equal what
+# they write back (params_from_config)
 PARAM_FIELDS = (
     ("n", int, REQUIRED), ("p", float, REQUIRED), ("q", float, REQUIRED),
     ("privacy", str, REQUIRED), ("alpha1", float, REQUIRED),
@@ -124,14 +128,11 @@ def derive_params(n: int, pq: CrossoverPair, privacy: str, alpha1: float,
     string length floor(n R); challenge length floor(n beta1).  Fails
     if the rate or either length underflows, or beta2 <= beta1.
     """
-    if privacy not in PRIVACY_MODES:
-        raise RateError(f"privacy must be one of {PRIVACY_MODES}, got {privacy!r}")
+    _mode_check(privacy, coupling)
     if not (beta1 > 0 and beta2 > 0):  # also refuses NaN
         raise RateError("beta1 and beta2 must be positive")
     if not beta2 > beta1:
         raise RateError(f"need beta2 > beta1, got beta1={beta1}, beta2={beta2}")
-    if privacy == "two" and coupling != "independent":
-        raise CouplingError("two-privacy mode requires independent coupling")
     cap = capacity_one_private(pq) if privacy == "one" else capacity_two_private(pq)
     rate = cap - beta2
     if rate <= 0:
@@ -374,14 +375,18 @@ def params_from_config(cfg: dict) -> ProtocolParams:
     """Inverse of ProtocolParams.to_config: the params block read against
     PARAM_FIELDS (config.read_block), which must also hold beta1 and
     beta2 for derived params, or challenge_bits and commit_bits for
-    explicit ones; ConfigError otherwise."""
+    explicit ones, and whose every written field must equal the one the
+    params write back (config.agree); ConfigError otherwise."""
     f = read_block(cfg, "params", PARAM_FIELDS)
     common = dict(n=f["n"], pq=CrossoverPair(f["p"], f["q"]), privacy=f["privacy"],
                   alpha1=f["alpha1"], coupling=f["coupling"], coupling_r=f["r"])
     if f["achievable"]:
-        return derive_params(**require(f, "params", ("beta1", "beta2")), **common)
-    return explicit_params(**require(f, "params", ("challenge_bits", "commit_bits")),
-                           **common)
+        params = derive_params(**require(f, "params", ("beta1", "beta2")), **common)
+    else:
+        params = explicit_params(**require(f, "params", ("challenge_bits", "commit_bits")),
+                                 **common)
+    agree(f, "params", params.to_config())
+    return params
 
 
 # the transcript, in session_to_config's order: the public messages, then

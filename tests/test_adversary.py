@@ -16,7 +16,6 @@ from wiretap_commit.adversary import (
     ENUM_LIMIT,
     EXACT_JOINT_LIMIT,
     MC_BLOCK,
-    SCAN_LIMIT,
     TRIAL_LIMIT,
     VIEWS,
     WORD_BLOCK,
@@ -191,7 +190,7 @@ class TestConfusables:
         params, channel, session = small_session(seed=12)
         cs = enumerate_confusables(session, params)
         t = session.transcript
-        for xv in cs.as_bitvectors()[:30]:
+        for xv in [BitVector.from_int(int(m), cs.n) for m in cs.members[:30]]:
             claim = RevealClaim(t.pad ^ hash_evaluate(t.extractor, xv), xv)
             assert bob_test(session.bob_view, t, claim, params).accepted
 
@@ -1152,21 +1151,20 @@ class TestSeedBlocks:
             concealment_exact(params, make_channel(0.25, 0.25), views=views)
 
 
-def _reference_map_guess(n, hashes, target, anchors, weights, hide_challenge):
+def _reference_map_guess(n, hashes, target, anchors, weights):
     """Most plausible x over all 2^n words: hash-consistent, closest to
     the anchors in weighted Hamming distance, ties to the lowest word."""
     words = np.arange(1 << n, dtype=np.uint32)
     cost = np.zeros(1 << n, dtype=np.float64)
     for anchor, w in zip(anchors, weights):
         cost += w * np.bitwise_count(words ^ np.uint32(anchor))
-    if not hide_challenge:
-        cost[hashes != target] = np.inf
+    cost[hashes != target] = np.inf
     return int(np.argmin(cost))
 
 
 def _reference_concealment_mc_worker(payload, seeds):
     """The secrecy worker as one full commit_phase session per trial."""
-    params, channel, view, uniform_pad, hide_challenge = payload
+    params, channel, view, uniform_pad = payload
     n = params.n
     wp = math.log2((1.0 - params.pq.p) / params.pq.p)
     wq = math.log2((1.0 - params.pq.q) / params.pq.q)
@@ -1182,28 +1180,24 @@ def _reference_concealment_mc_worker(payload, seeds):
         y, z = session.bob_view.y.to_int(), session.eve_view.z.to_int()
         anchors, weights = {"bob": ([y], [wp]), "eve": ([z], [wq]),
                             "joint": ([y, z], [wp, wq])}[view]
-        hashes = target = None
-        if not hide_challenge:
-            hashes = hash_all_inputs(t.challenge)
-            target = np.uint32(t.challenge_value.to_int())
-        x_hat = _reference_map_guess(n, hashes, target, anchors, weights, hide_challenge)
+        hashes = hash_all_inputs(t.challenge)
+        target = np.uint32(t.challenge_value.to_int())
+        x_hat = _reference_map_guess(n, hashes, target, anchors, weights)
         ext_bit = hash_evaluate(t.extractor, BitVector.from_int(x_hat, n))[0]
         out[i, 0] = c[0]
         out[i, 1] = pad_bit ^ ext_bit
     return out
 
 
-@pytest.mark.parametrize("hide_challenge", [False, True])
 @pytest.mark.parametrize("uniform_pad", [False, True])
 @pytest.mark.parametrize("n,lg", [(n, lg) for n in (4, 8, 12) for lg in (1, 2, 3)])
-def test_concealment_worker_matches_commit_phase_sessions(n, lg, uniform_pad,
-                                                          hide_challenge):
+def test_concealment_worker_matches_commit_phase_sessions(n, lg, uniform_pad):
     params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.1,
                              challenge_bits=lg, commit_bits=1)
     channel = make_channel(0.2, 0.3)
     seeds = trial_seeds(1000 * n + lg, 40)
     for view in VIEWS:
-        payload = (params, channel, view, uniform_pad, hide_challenge)
+        payload = (params, channel, view, uniform_pad)
         assert np.array_equal(_concealment_mc_worker(payload, seeds),
                               _reference_concealment_mc_worker(payload, seeds))
 
@@ -1227,7 +1221,7 @@ def test_concealment_worker_at_the_key_width_boundaries(n, lg, views, key_bits):
     channel = make_channel(0.2, 0.3)
     seeds = trial_seeds(100 * n + lg, 24)
     for view in views:
-        payload = (params, channel, view, False, False)
+        payload = (params, channel, view, False)
         assert np.array_equal(_concealment_mc_worker(payload, seeds),
                               _reference_concealment_mc_worker(payload, seeds))
 
@@ -1283,21 +1277,12 @@ class TestConcealmentMonteCarlo:
                                     trials=10, seed=0)
 
     def test_scale_guard_requires_hidden_challenge(self):
+        # n = 22 > ENUM_LIMIT: the MAP guess would scan 2^22 words per trial
         big = explicit_params(22, CrossoverPair(0.25, 0.25), "one", alpha1=0.2,
                               challenge_bits=2, commit_bits=1)
         with pytest.raises(ScaleError):
             concealment_monte_carlo(big, make_channel(0.25, 0.25), trials=10,
                                     seed=0, view="bob")
-
-    @pytest.mark.parametrize("n", [SCAN_LIMIT + 1, 2000])
-    def test_scan_limit_holds_with_a_hidden_challenge(self, monkeypatch, n):
-        # the guess still scans every word of {0,1}^n, so no trial may start
-        monkeypatch.setattr(adversary, "map_trials", None)
-        big = explicit_params(n, CrossoverPair(0.25, 0.25), "one", alpha1=0.2,
-                              challenge_bits=2, commit_bits=1)
-        with pytest.raises(ScaleError, match=f"n <= {SCAN_LIMIT}"):
-            concealment_monte_carlo(big, make_channel(0.25, 0.25), trials=10,
-                                    seed=0, view="eve", hide_challenge=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1397,12 +1382,11 @@ def _per_trial_binding_worker(payload, seeds):
 def _per_trial_concealment_mc_worker(payload, seeds):
     """The secrecy worker with a SeedSequence, Philox and Generator per
     trial and three more per trial from Generator.spawn(3)."""
-    params, channel, view, uniform_pad, hide_challenge = payload
+    params, channel, view, uniform_pad = payload
     n = params.n
     wp = math.log2((1.0 - params.pq.p) / params.pq.p)
     wq = math.log2((1.0 - params.pq.q) / params.pq.q)
     big_endian = 1 << np.arange(n - 1, -1, -1, dtype=np.uint64)
-    all_words = np.arange(1 << n, dtype=np.uint32) if hide_challenge else None
     out = np.empty((len(seeds), 2), dtype=np.uint8)
     for i in range(len(seeds)):
         rng = make_rng(seeds[i])
@@ -1413,11 +1397,8 @@ def _per_trial_concealment_mc_worker(payload, seeds):
         pad_bit = c ^ ((x_int & ext_mask).bit_count() & 1)
         if uniform_pad:
             pad_bit = c ^ int(rng.integers(0, 2))
-        if hide_challenge:
-            candidates = all_words
-        else:
-            table = _packed_table(g_seed, n, params.challenge_bits)
-            candidates = np.flatnonzero(table == table[x_int])
+        table = _packed_table(g_seed, n, params.challenge_bits)
+        candidates = np.flatnonzero(table == table[x_int])
         y_int = x_int ^ int(nb @ big_endian)
         z_int = x_int ^ int(ne @ big_endian)
         if view == "bob":
@@ -1592,25 +1573,21 @@ _COUPLINGS = (("independent", None), ("degraded", None), ("custom", 0.05))
 _SEEDS = (0, 11, 2**64 - 1)
 
 
-def _secrecy_payload(n, lg, coupling, r, view, uniform_pad, hide_challenge):
+def _secrecy_payload(n, lg, coupling, r, view, uniform_pad):
     params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.1,
                              challenge_bits=lg, commit_bits=1,
                              coupling=coupling, coupling_r=r)
     channel = make_channel(0.2, 0.3, coupling, r=r)
-    return params, channel, view, uniform_pad, hide_challenge
+    return params, channel, view, uniform_pad
 
 
-_VARIANTS = [(view, pad, hide) for view in VIEWS for pad in (False, True)
-             for hide in (False, True)]
+_VARIANTS = [(view, pad) for view in VIEWS for pad in (False, True)]
 
 
-@pytest.mark.parametrize("hide_challenge", [False, True])
 @pytest.mark.parametrize("uniform_pad", [False, True])
 @pytest.mark.parametrize("view", VIEWS)
-def test_concealment_worker_matches_per_trial_streams(fork_small_calls, view, uniform_pad,
-                                                      hide_challenge):
-    payload = _secrecy_payload(8, 2, "independent", None, view, uniform_pad,
-                               hide_challenge)
+def test_concealment_worker_matches_per_trial_streams(fork_small_calls, view, uniform_pad):
+    payload = _secrecy_payload(8, 2, "independent", None, view, uniform_pad)
     _check_at_one_and_two_workers(_concealment_mc_worker,
                                   _per_trial_concealment_mc_worker, payload,
                                   trial_seeds(2**64 - 1, 40))
@@ -1618,14 +1595,14 @@ def test_concealment_worker_matches_per_trial_streams(fork_small_calls, view, un
 
 @pytest.mark.parametrize("n", range(2, ENUM_LIMIT + 1))
 def test_concealment_worker_matches_per_trial_streams_at_each_size(fork_small_calls, n):
-    # every view x uniform_pad x hide_challenge, with l_G, the coupling
+    # every view x uniform_pad, with l_G, the coupling
     # and the seed varying along n; a few trials at the largest n
     trials = 12 if n <= 14 else 4 if n < ENUM_LIMIT else 2
     lg = min(n, 1 + n % 5)
     coupling, r = _COUPLINGS[n % 3]
     seeds = trial_seeds(_SEEDS[n % 3], trials)
-    for view, uniform_pad, hide_challenge in _VARIANTS:
-        payload = _secrecy_payload(n, lg, coupling, r, view, uniform_pad, hide_challenge)
+    for view, uniform_pad in _VARIANTS:
+        payload = _secrecy_payload(n, lg, coupling, r, view, uniform_pad)
         _check_at_one_and_two_workers(_concealment_mc_worker,
                                       _per_trial_concealment_mc_worker, payload, seeds)
 
@@ -1633,8 +1610,7 @@ def test_concealment_worker_matches_per_trial_streams_at_each_size(fork_small_ca
 @pytest.mark.parametrize("trials", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1])
 @pytest.mark.parametrize("view", VIEWS)
 def test_concealment_worker_blocks_of_trials(fork_small_calls, view, trials):
-    pad, hide = trials % 2 == 1, trials > MC_BLOCK
-    payload = _secrecy_payload(4, 2, "custom", 0.05, view, pad, hide)
+    payload = _secrecy_payload(4, 2, "custom", 0.05, view, trials % 2 == 1)
     _check_at_one_and_two_workers(_concealment_mc_worker,
                                   _per_trial_concealment_mc_worker, payload,
                                   trial_seeds(2**64 - 1, trials))
@@ -1645,8 +1621,8 @@ def test_concealment_worker_blocks_of_trials(fork_small_calls, view, trials):
 def test_concealment_worker_tiles_change_nothing(monkeypatch, view, scan, block):
     # tiles narrower than 2^n split each trial's scan; wider ones stack trials
     seeds = trial_seeds(23, 11)
-    for pad, hide in ((False, False), (True, True)):
-        payload = _secrecy_payload(6, 2, "independent", None, view, pad, hide)
+    for pad in (False, True):
+        payload = _secrecy_payload(6, 2, "independent", None, view, pad)
         expected = _per_trial_concealment_mc_worker(payload, seeds)
         with monkeypatch.context() as m:
             m.setattr(adversary, "SCAN_BLOCK", scan)
@@ -1666,7 +1642,7 @@ def _traced_peak(worker, payload, seeds) -> int:
 @pytest.mark.parametrize("view", VIEWS)
 def test_concealment_worker_memory_at_the_demo_size(view):
     # the secrecy_mc demo's n = 12, l_G = 2, one call over 3000 trials
-    payload = _secrecy_payload(12, 2, "independent", None, view, False, False)
+    payload = _secrecy_payload(12, 2, "independent", None, view, False)
     assert _traced_peak(_concealment_mc_worker, payload, trial_seeds(11, 3000)) <= 4 << 20
 
 
@@ -1675,7 +1651,7 @@ def test_concealment_worker_memory_at_the_demo_size(view):
 def test_concealment_worker_memory_at_the_enumeration_limit(view, lg):
     # at n = ENUM_LIMIT the batched scan holds no more than the
     # per-trial loop, which builds a 2^n table per trial
-    payload = _secrecy_payload(ENUM_LIMIT, lg, "independent", None, view, False, False)
+    payload = _secrecy_payload(ENUM_LIMIT, lg, "independent", None, view, False)
     seeds = trial_seeds(5, 2)
     assert (_traced_peak(_concealment_mc_worker, payload, seeds)
             <= _traced_peak(_per_trial_concealment_mc_worker, payload, seeds))

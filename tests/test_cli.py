@@ -14,7 +14,13 @@ from wiretap_commit.channel import make_channel
 from wiretap_commit.cli import EXIT_BAD_CONFIG, EXIT_OK, main
 from wiretap_commit.harness import ExperimentConfig, ResultTable
 from wiretap_commit.measures import CrossoverPair
-from wiretap_commit.protocol import commit_phase, derive_params, session_to_config
+from wiretap_commit.protocol import (
+    commit_phase,
+    derive_params,
+    explicit_params,
+    params_from_config,
+    session_to_config,
+)
 from wiretap_commit.rng import make_rng
 
 
@@ -162,8 +168,19 @@ def _transcript() -> dict:
     (lambda doc: doc["G"].update(foo=1), "unknown G fields: ['foo']"),
     (lambda doc: doc["Ext"].update(foo=1), "unknown Ext fields: ['foo']"),
     (lambda doc: doc.pop("Q"), "transcript is missing 'Q'"),
+    # fields that derived params recompute; each of these once replayed
+    (lambda doc: doc["params"].update(rate=1e308),
+     "params.rate = 1e+308 conflicts with the params"),
+    (lambda doc: doc["params"].update(challenge_bits=-1),
+     "params.challenge_bits = -1 conflicts with the params, which give 10"),
+    (lambda doc: doc["params"].update(challenge_bits=2 ** 70),
+     f"params.challenge_bits = {2 ** 70} conflicts with the params, which give 10"),
+    (lambda doc: doc["params"].update(commit_bits=0),
+     "params.commit_bits = 0 conflicts with the params"),
 ], ids=["missing-G-l", "non-hex-Ext-seed", "non-hex-g_bar", "unknown-top-level-field",
-        "unknown-params-field", "unknown-G-field", "unknown-Ext-field", "missing-Q"])
+        "unknown-params-field", "unknown-G-field", "unknown-Ext-field", "missing-Q",
+        "derived-rate-past-capacity", "derived-challenge-bits-negative",
+        "derived-challenge-bits-huge", "derived-commit-bits-zero"])
 def test_malformed_transcript_is_a_config_error(tmp_path, capsys, edit, message):
     doc = _transcript()
     edit(doc)
@@ -172,6 +189,35 @@ def test_malformed_transcript_is_a_config_error(tmp_path, capsys, edit, message)
     assert main(["replay", "--config", str(path)]) == EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def _explicit_transcript() -> dict:
+    """The transcript of an n = 16 session with explicit params, as in
+    demos/configs/binding.json."""
+    params = explicit_params(16, CrossoverPair(0.25, 0.25), "one", alpha1=0.125,
+                             challenge_bits=8, commit_bits=4)
+    rng = make_rng(7)
+    c = BitVector.random(rng, params.commit_bits)
+    return session_to_config(commit_phase(params, c, make_channel(0.25, 0.25), rng),
+                             params)
+
+
+@pytest.mark.parametrize("key,value,written", [
+    ("beta1", 0.9, 0.5), ("rate", 7.0, 0.25), ("beta2", 0.3, None),
+])
+def test_explicit_transcript_with_a_conflicting_field_is_a_config_error(
+        tmp_path, capsys, key, value, written):
+    # explicit params write beta1 = l_G / n, rate = commit_bits / n and no beta2
+    doc = _explicit_transcript()
+    path = tmp_path / "session.json"
+    path.write_text(json.dumps(doc))
+    assert main(["replay", "--config", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    doc["params"][key] = value
+    path.write_text(json.dumps(doc))
+    assert main(["replay", "--config", str(path)]) == EXIT_BAD_CONFIG
+    assert (f"params.{key} = {value!r} conflicts with the params, which give {written!r}"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("coupling,r,message", [
@@ -543,9 +589,11 @@ _NAN = float("nan")
     ("soundness", _soundness_doc(params=dict(_PARAMS, alpha1=1e308)),
      "alpha1 must be <= 1, got 1e+308"),
     ("concealment", dict(_CONCEALMENT, trials=0), "trials must be >= 1"),
+    ("soundness", _soundness_doc(params=dict(_PARAMS, commit_bits=5)),
+     "params.commit_bits = 5 conflicts with the params"),
 ], ids=["nan-alpha1", "nan-beta1", "nan-beta2", "grid-bound-past-float",
         "explicit-n-zero", "unknown-grid-field", "nested-sweep-over-params",
-        "alpha1-past-one", "exact-concealment-no-trials"])
+        "alpha1-past-one", "exact-concealment-no-trials", "derived-commit-bits-written"])
 def test_config_error_exits_before_any_work(tmp_path, capsys, monkeypatch, command,
                                             doc, message):
     # json.load reads NaN; once alpha1 = NaN ran with exit 0, the NaN betas and
@@ -583,7 +631,8 @@ def _field_paths(node, path=()):
 def test_no_single_field_mutation_of_a_demo_config_is_an_internal_error(
         tmp_path, capsys, monkeypatch, name):
     # every field of each demo config, and of a transcript for replay, set
-    # to each mutant in turn exits 0 or 2, never 1
+    # to each mutant in turn exits 0 or 2, never 1; a transcript's params
+    # mutant exits 0 only where the params write back the block as written
     if name == "transcript":
         base, command = _transcript(), "replay"
     else:
@@ -594,7 +643,7 @@ def test_no_single_field_mutation_of_a_demo_config_is_an_internal_error(
         command = {v: k for k, v in cli._KIND_BY_COMMAND.items()}[base["kind"]]
     monkeypatch.chdir(tmp_path)  # where an out field would write
     cfg = tmp_path / name
-    failures = []
+    failures, accepted = [], []
     for path in _field_paths(base):
         for value in _MUTANTS:
             doc = json.loads(json.dumps(base))
@@ -607,7 +656,17 @@ def test_no_single_field_mutation_of_a_demo_config_is_an_internal_error(
             err = capsys.readouterr().err
             if code not in (EXIT_OK, EXIT_BAD_CONFIG):
                 failures.append((path, value, code, err))
+            if name == "transcript" and path[0] == "params" and code == EXIT_OK:
+                accepted.append((path[-1], value))
+                block = {k: v for k, v in doc["params"].items() if v is not None}
+                written = params_from_config(doc["params"]).to_config()
+                assert block.items() <= written.items(), (path, value)
     assert not failures
+    if name == "transcript":
+        # a wider band, a field left to the params, or the default written
+        assert sorted(accepted, key=repr) == sorted(
+            [("alpha1", 1), ("alpha1", 0.5), ("rate", None), ("commit_bits", None),
+             ("challenge_bits", None), ("achievable", True)], key=repr)
 
 
 @pytest.mark.parametrize("doc", [

@@ -64,9 +64,14 @@ class TestDeriveParams:
             derive_params(100, CrossoverPair(0.2, 0.2), "one", 0.05, 0.1, 0.1)
 
     def test_two_privacy_needs_independent_coupling(self):
-        with pytest.raises(CouplingError):
+        # one rule with one message, whichever way the params are built
+        with pytest.raises(CouplingError) as derived:
             derive_params(100, CrossoverPair(0.2, 0.3), "two", 0.05, 0.05, 0.1,
                           coupling="degraded")
+        with pytest.raises(CouplingError) as explicit:
+            explicit_params(100, CrossoverPair(0.2, 0.3), "two", 0.05,
+                            challenge_bits=5, commit_bits=5, coupling="degraded")
+        assert str(derived.value) == str(explicit.value)
 
     @pytest.mark.parametrize("challenge_bits,commit_bits", [(5, 1), (1, 4), (4, 4)])
     def test_hash_lengths_above_n_rejected(self, challenge_bits, commit_bits):
