@@ -60,9 +60,9 @@ from .rng import (
 )
 
 ENUM_LIMIT = 20           # exhaustive search over {0,1}^n
-EXACT_MARGINAL_LIMIT = 8  # exact concealment, single-party views
-EXACT_JOINT_LIMIT = 6     # exact concealment, joint view: 2^(n+l_G-1) seeds x 4^n entries
-EXACT_SEED_LIMIT = 14     # exact concealment, n + l_G
+# Exact concealment: work W per call (_concealment_check).  One party at n = 9,
+# l_G = 3 took 91-106 ms and traced 5.8 MiB on a 2-core x86-64 host.
+EXACT_WORK_LIMIT = 1 << 29
 # Exact concealment: kernel entries per sub-block of G seeds, and words
 # per block of the one seed pass.  At n = 6, l_G = 1 and 2, all views, a
 # call pair took 27.9, 23.2, 18.6, 19.7 and 23.7 ms (median of 20
@@ -97,6 +97,13 @@ def wilson_interval(successes: int, trials: int, z: float = _Z95):
     return lo, hi
 
 
+# the columns of a report's record, in the order the tables print them
+REPORT_COLUMNS = (
+    "metric", "estimate", "ci_lo", "ci_hi", "reference_bound",
+    "n", "p", "q", "coupling", "seed",
+)
+
+
 @dataclass(frozen=True)
 class SecurityReport:
     """One measured security metric plus its analytic reference."""
@@ -120,19 +127,8 @@ class SecurityReport:
             raise DomainError("exact reports carry no trial count")
 
     def to_record(self) -> dict:
-        """Flat record for CSV/JSON emission (details excluded)."""
-        return {
-            "metric": self.metric,
-            "estimate": self.estimate,
-            "ci_lo": self.ci_lo,
-            "ci_hi": self.ci_hi,
-            "reference_bound": self.reference_bound,
-            "n": self.n,
-            "p": self.p,
-            "q": self.q,
-            "coupling": self.coupling,
-            "seed": self.seed,
-        }
+        """Flat record of the REPORT_COLUMNS for CSV/JSON emission."""
+        return {c: getattr(self, c) for c in REPORT_COLUMNS}
 
 
 def _report_context(params: ProtocolParams) -> dict:
@@ -450,7 +446,13 @@ def _concealment_check(params: ProtocolParams, channel, views, method: str,
     (concealment_monte_carlo, trials each): views names known views, at
     least one, each once; the method's scale limits; the trial count,
     which the exact table prints though it draws no trial seed; and the
-    params' own channel."""
+    params' own channel.
+
+    The exact method's one limit: W = 2^(n+l_G-1) 4^n, times 2^n with the
+    joint view, at most EXACT_WORK_LIMIT.  W bounds the pad-row products'
+    multiply-adds over the G seeds, 2^(n + dim K) per seed for one party's
+    view and 2^(2n + dim K) for the joint view, and so the seed table and
+    the pad-row matrix."""
     if not views:
         raise DomainError(f"views must name at least one of {list(VIEWS)}")
     for v in views:
@@ -461,13 +463,12 @@ def _concealment_check(params: ProtocolParams, channel, views, method: str,
     if method == "exact":
         if params.commit_bits != 1:
             raise ScaleError("exact concealment requires commit_bits == 1")
-        limit = EXACT_JOINT_LIMIT if "joint" in views else EXACT_MARGINAL_LIMIT
-        if params.n > limit:
-            raise ScaleError(f"exact concealment over views {views} limited to "
-                             f"n <= {limit}, got n = {params.n}")
-        if params.n + params.challenge_bits > EXACT_SEED_LIMIT:
-            raise ScaleError(
-                f"challenge seed space too large: need n + l_g <= {EXACT_SEED_LIMIT}")
+        n, lg = params.n, params.challenge_bits
+        log_work = (n + lg - 1) + 2 * n + (n if "joint" in views else 0)
+        if log_work >= EXACT_WORK_LIMIT.bit_length():  # W > the limit, by exponent
+            raise ScaleError(f"exact concealment over views {list(views)} at n = {n}, "
+                             f"l_G = {lg} needs W = 2^{log_work} multiply-adds; at most "
+                             f"2^{EXACT_WORK_LIMIT.bit_length() - 1} are supported")
         _check_trials(trials, seeds_per_trial=0)
     elif method == "monte-carlo":
         if params.commit_bits != 1:
@@ -632,7 +633,8 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
 
     Each evaluated entry is weighted by its row count times
     cosets * |K|, and cosets * |K| = 2^n for every G seed.  Per seed and
-    view this evaluates 2^n entries (4^n for the joint view).  The noise
+    view this evaluates 2^n entries (4^n for the joint view) with 2^dim K
+    multiply-adds each, at most W over the seeds (_concealment_check).  The noise
     is additive, so an entry depends on (x, y) only through d = x XOR y:
     k[x, (y, w_j)] = R[d, j] = T[|d|, |w_j|, |d AND w_j|], T the
     (n+1)^3 table of block flip probabilities.  R (2^n x |w| floats) is

@@ -63,8 +63,9 @@ def read_block(block, where: str, fields) -> dict:
 
 def agree(values: dict, where: str, written: dict):
     """Each non-null field of a block read by read_block must equal the
-    one the params write back (written, from ProtocolParams.to_config,
-    where a key it leaves out reads as None); ConfigError otherwise."""
+    one the params give (written: ProtocolParams.to_config for a params
+    block, where a key it leaves out reads as None, and the fields of the
+    params' channel for a channel block); ConfigError otherwise."""
     for key, value in values.items():
         if value is not None and value != written.get(key):
             raise ConfigError(f"{where}.{key} = {value!r} conflicts with the "

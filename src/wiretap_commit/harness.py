@@ -16,6 +16,7 @@ import numpy as np
 
 from .adversary import (
     GRID_LIMIT,
+    REPORT_COLUMNS,
     SecurityReport,
     _binding_check,
     _concealment_check,
@@ -67,11 +68,6 @@ GRID_FIELDS = (("p_min", float, REQUIRED), ("p_max", float, REQUIRED),
                ("steps", int, REQUIRED))
 SWEEP_FIELDS = (("variable", str, REQUIRED), ("values", list, REQUIRED),
                 ("experiment", dict, REQUIRED))
-
-REPORT_COLUMNS = (
-    "metric", "estimate", "ci_lo", "ci_hi", "reference_bound",
-    "n", "p", "q", "coupling", "seed",
-)
 
 
 class ResultTable:
@@ -221,14 +217,15 @@ class ExperimentConfig(SimpleNamespace):
         """The channel the params describe.
 
         The params carry the whole channel (p, q, coupling, r).  A
-        channel block (CHANNEL_FIELDS) may repeat any of those fields,
-        but a field that differs from the params raises ConfigError
-        (config.agree).
+        channel block (CHANNEL_FIELDS) may repeat any of that channel's
+        fields, r = p q of an independent channel included, but a field
+        that differs from it raises ConfigError (config.agree).
         """
+        channel = make_channel(params.pq.p, params.pq.q, params.coupling,
+                               r=params.coupling_r)
         agree(read_block(self.channel or {}, "channel", CHANNEL_FIELDS), "channel",
-              params.to_config())
-        return make_channel(params.pq.p, params.pq.q, params.coupling,
-                            r=params.coupling_r)
+              {key: getattr(channel, key) for key, *_ in CHANNEL_FIELDS})
+        return channel
 
     def validate(self):
         """Run all parameter preconditions without simulating."""
@@ -343,9 +340,8 @@ def _report_table(reports, metadata=None) -> ResultTable:
         reports = [reports]
     elif isinstance(reports, dict):
         reports = [reports[k] for k in sorted(reports)]
-    records = [rep.to_record() for rep in reports]
-    return ResultTable(REPORT_COLUMNS,
-                       [[rec[c] for c in REPORT_COLUMNS] for rec in records], metadata)
+    return ResultTable(REPORT_COLUMNS, [list(rep.to_record().values()) for rep in reports],
+                       metadata)
 
 
 def run_experiment(config: ExperimentConfig) -> ResultTable:

@@ -3,6 +3,7 @@ enumeration for exact concealment, binomial references for confusable
 sets, and paired-seed comparisons for the binding attack."""
 
 import dataclasses
+import functools
 import itertools
 import math
 import tracemalloc
@@ -14,7 +15,7 @@ import pytest
 from wiretap_commit import adversary
 from wiretap_commit.adversary import (
     ENUM_LIMIT,
-    EXACT_JOINT_LIMIT,
+    EXACT_WORK_LIMIT,
     MC_BLOCK,
     TRIAL_LIMIT,
     VIEWS,
@@ -22,6 +23,7 @@ from wiretap_commit.adversary import (
     WORD_LIMIT,
     _all_seed_tables,
     _binding_worker,
+    _concealment_check,
     _concealment_mc_worker,
     _cs_table,
     _kernel,
@@ -712,6 +714,12 @@ P_Q_COUPLINGS = [
 ]
 
 
+def _exact_work(n: int, lg: int, joint: bool) -> int:
+    """W of an exact concealment call: 2^(n+l_G-1) G seeds times 4^n,
+    times 2^n with the joint view."""
+    return (1 << (n + lg - 1)) * 4 ** n * (1 << n if joint else 1)
+
+
 def _gf2_rank(matrix: np.ndarray) -> int:
     """Rank over GF(2) by Gaussian elimination."""
     rows = [int("".join(map(str, row)), 2) for row in matrix]
@@ -836,7 +844,8 @@ class TestNoiseKernel:
 
     @pytest.mark.parametrize("n,lg,uniform_pad", [
         (n, lg, uniform_pad) for n in (2, 3, 4, 5, 6) for lg in (1, 2, 3)
-        for uniform_pad in (False, True) if lg <= n] + [(7, 1, True), (8, 1, False)])
+        for uniform_pad in (False, True) if lg <= n] + [(7, 1, True), (8, 1, False),
+                                                        (9, 1, False)])
     def test_single_party_reports_are_bit_identical(self, n, lg, uniform_pad):
         # the single-party pmfs do not depend on the coupling; the joint
         # reports are checked against the reference loops further down
@@ -979,9 +988,9 @@ class TestConcealmentExact:
     def test_scale_guards(self):
         channel = make_channel(0.25, 0.25)
         big = explicit_params(7, CrossoverPair(0.25, 0.25), "one", alpha1=0.2,
-                              challenge_bits=1, commit_bits=1)
+                              challenge_bits=3, commit_bits=1)
         with pytest.raises(ScaleError):
-            concealment_exact(big, channel)  # joint view capped at n = 6
+            concealment_exact(big, channel)  # the joint view's W = 2^30
         wide = explicit_params(6, CrossoverPair(0.25, 0.25), "one", alpha1=0.2,
                                challenge_bits=2, commit_bits=2)
         with pytest.raises(ScaleError):
@@ -1015,10 +1024,11 @@ class TestSeedBlocks:
     @pytest.mark.parametrize("n,lg", [(n, lg) for n in range(2, 9) for lg in (1, 2, 3)
                                       if lg <= n])
     def test_matches_pad_row_loop(self, n, lg, uniform_pad):
-        # Bob's and Eve's pmfs do not depend on the coupling, so beyond
-        # the joint view's limit one coupling covers them
-        joint = n <= EXACT_JOINT_LIMIT
-        couplings = P_Q_COUPLINGS if joint else P_Q_COUPLINGS[:1]
+        # Bob's and Eve's pmfs do not depend on the coupling, so one
+        # coupling covers them; past n = 6 it covers the joint view too,
+        # where the work limit admits it, to keep the loop's time down
+        joint = _exact_work(n, lg, joint=True) <= EXACT_WORK_LIMIT
+        couplings = P_Q_COUPLINGS if n <= 6 else P_Q_COUPLINGS[:1]
         for i, (coupling, r) in enumerate(couplings):
             views = ("joint",) if i else VIEWS if joint else ("bob", "eve")
             params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
@@ -1127,7 +1137,9 @@ class TestSeedBlocks:
         (8, 6, ("bob", "eve")),
         (6, 6, ("joint",)),
         (6, 6, VIEWS),
-    ], ids=["n8-single-party", "n6-joint", "n6-all-views"])
+        (9, 3, ("bob", "eve")),
+        (7, 2, ("joint",)),
+    ], ids=["n8-single-party", "n6-joint", "n6-all-views", "n9-single-party", "n7-joint"])
     def test_traced_peak_within_budget(self, n, lg, views):
         # the largest seed spaces at the limits; an unblocked search over
         # every seed's leaders needed about 140 MiB here
@@ -1149,6 +1161,83 @@ class TestSeedBlocks:
                                  challenge_bits=1, commit_bits=1)
         with pytest.raises(DomainError):
             concealment_exact(params, make_channel(0.25, 0.25), views=views)
+
+
+class TestExactWorkLimit:
+    """The one size limit of exact concealment, W <= EXACT_WORK_LIMIT,
+    against the three limits it replaced (one party n <= 8, joint view
+    n <= 6, n + l_G <= 14)."""
+
+    def test_accepts_the_old_limits_and_the_new_frontier(self):
+        channel = make_channel(0.2, 0.3)
+        accepted = set()
+        for n in range(1, 13):
+            for lg in range(1, n + 1):
+                params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
+                                         challenge_bits=lg, commit_bits=1)
+                for views in (("bob", "eve"), ("bob",), ("joint",), VIEWS):
+                    try:
+                        _concealment_check(params, channel, views, "exact")
+                    except ScaleError:
+                        continue
+                    accepted.add((n, lg, "joint" in views))
+        old = {(n, lg, joint) for n in range(1, 13) for lg in range(1, n + 1)
+               for joint in (False, True) if n <= (6 if joint else 8) and n + lg <= 14}
+        new = {(9, lg, False) for lg in (1, 2, 3)} | {(7, lg, True) for lg in (1, 2)}
+        assert accepted == old | new
+
+    @pytest.mark.parametrize("n,lg,views", [
+        (9, 4, ("bob", "eve")), (10, 1, ("eve",)), (7, 3, ("joint",)), (8, 1, VIEWS),
+    ])
+    def test_first_refused_points_do_no_work(self, monkeypatch, n, lg, views):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the seed tables were built before the scale check")
+
+        assert _exact_work(n, lg, "joint" in views) > EXACT_WORK_LIMIT
+        monkeypatch.setattr(adversary, "_all_seed_tables", no_work)
+        params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
+                                 challenge_bits=lg, commit_bits=1)
+        with pytest.raises(ScaleError, match=r"needs W = 2\^3\d multiply-adds"):
+            concealment_exact(params, make_channel(0.2, 0.3), views=views)
+
+
+# cases and tolerance fixed before any value was looked at
+_MODEL_CASES = [(n, lg) for n in (4, 5, 6) for lg in (1, 2, 3)] + [(7, 1), (7, 2)]
+_MODEL_PAIRS = [(0.1, 0.2), (0.2, 0.3), (0.1, 0.35)]
+_MODEL_TOL = 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def _exact_sd_mi(n, lg, p, q, coupling):
+    """view -> (SD, MI) of concealment_exact over every view."""
+    params = explicit_params(n, CrossoverPair(p, q), "one", alpha1=0.3,
+                             challenge_bits=lg, commit_bits=1, coupling=coupling)
+    reports = concealment_exact(params, make_channel(p, q, coupling))
+    return {v: (reports[f"sd_{v}"].estimate, reports[f"mi_{v}"].estimate) for v in VIEWS}
+
+
+@pytest.mark.parametrize("p,q", _MODEL_PAIRS)
+@pytest.mark.parametrize("n,lg", _MODEL_CASES)
+class TestChannelModel:
+    """What the channel model implies for the exact views, in SD and MI."""
+
+    def test_degraded_joint_view_is_bobs_view(self, n, lg, p, q):
+        # X -> Y -> Z: Eve's word adds nothing to Bob's
+        values = _exact_sd_mi(n, lg, p, q, "degraded")
+        np.testing.assert_allclose(values["joint"], values["bob"], rtol=0, atol=_MODEL_TOL)
+
+    def test_swapping_p_and_q_swaps_bob_and_eve(self, n, lg, p, q):
+        values = _exact_sd_mi(n, lg, p, q, "independent")
+        swapped = _exact_sd_mi(n, lg, q, p, "independent")
+        for v, w in (("bob", "eve"), ("eve", "bob"), ("joint", "joint")):
+            np.testing.assert_allclose(swapped[v], values[w], rtol=0, atol=_MODEL_TOL)
+
+    @pytest.mark.parametrize("coupling", ["independent", "degraded"])
+    def test_joint_view_tells_at_least_either_party(self, n, lg, p, q, coupling):
+        # data processing: each party's view is a function of the joint view
+        values = _exact_sd_mi(n, lg, p, q, coupling)
+        for v in ("bob", "eve"):
+            assert (np.asarray(values["joint"]) >= np.asarray(values[v]) - _MODEL_TOL).all()
 
 
 def _reference_map_guess(n, hashes, target, anchors, weights):

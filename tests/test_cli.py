@@ -358,6 +358,26 @@ def test_conflicting_channel_block_is_a_config_error(tmp_path, capsys):
     assert "conflicts with the params" in capsys.readouterr().err
 
 
+def test_channel_block_may_repeat_the_channels_own_r(tmp_path, capsys):
+    # p = 0.1, q = 0.2: the independent channel's r is 0.1 * 0.2, which the
+    # params do not write, since they set no r of their own
+    assert make_channel(0.1, 0.2).r == 0.020000000000000004
+    outputs = []
+    for name, changes in (("plain", {}),
+                          ("repeated", {"channel": {"coupling": "independent",
+                                                    "r": 0.020000000000000004}})):
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(_soundness_doc(**changes)))
+        assert main(["soundness", "--config", str(cfg), "--threads", "1"]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    cfg = tmp_path / "other.json"
+    cfg.write_text(json.dumps(_soundness_doc(channel={"coupling": "independent", "r": 0.03})))
+    assert main(["soundness", "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
+    assert ("channel.r = 0.03 conflicts with the params, which give 0.020000000000000004"
+            in capsys.readouterr().err)
+
+
 def test_sweep_point_with_long_challenge_exits_before_any_trial(tmp_path, capsys,
                                                                 monkeypatch):
     def no_trials(*args, **kwargs):
@@ -495,6 +515,24 @@ def test_views_must_name_distinct_known_views(tmp_path, capsys, monkeypatch,
     assert main(["concealment", "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("n,lg,views", [
+    (9, 4, ["bob", "eve"]), (10, 1, ["bob"]), (7, 3, ["joint"]), (8, 1, ["bob", "joint"]),
+])
+def test_exact_work_past_the_limit_exits_before_any_work(tmp_path, capsys, monkeypatch,
+                                                         n, lg, views):
+    # the first refused points of EXACT_WORK_LIMIT, each one step past an
+    # accepted one
+    def no_work(*args, **kwargs):
+        raise AssertionError("the seed tables were built before the scale check")
+
+    monkeypatch.setattr(adversary, "_all_seed_tables", no_work)
+    cfg = tmp_path / "work.json"
+    params = dict(_CONCEALMENT["params"], n=n, challenge_bits=lg, privacy="one")
+    cfg.write_text(json.dumps(dict(_CONCEALMENT, views=views, params=params)))
+    assert main(["concealment", "--config", str(cfg), "--threads", "1"]) == EXIT_BAD_CONFIG
+    assert "multiply-adds; at most 2^29 are supported" in capsys.readouterr().err
 
 
 def test_each_view_reported_once(tmp_path):
