@@ -494,28 +494,20 @@ def _noise_table(n: int, pmf) -> np.ndarray:
     return p11 ** e11 * p00 ** e00 * p10 ** e10 * p01 ** e01
 
 
-def _kernel(table: np.ndarray, x: np.ndarray, y: np.ndarray,
-            w: np.ndarray) -> np.ndarray:
-    """k[x, (y, w)] = T[|x XOR y|, |w|, |(x XOR y) AND w|]: the chance
-    that x reaches the view as y (and as z = y XOR w at Eve for the
-    joint view).  Columns run over y, then w; x and y may carry the
-    same leading axes (one per G seed of a block)."""
+def _kernel_rows(table: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """R[d, j] = T[|d|, |w_j|, |d AND w_j|] for every word d: the chance
+    that x reaches the view as y = x XOR d (and as z = y XOR w_j at Eve
+    for the joint view).  The noise is additive, so the kernel entry of
+    x and column (y, w_j) is R[x XOR y, j] for every x and y."""
     side = table.shape[0]
-    d = x[..., :, None, None] ^ y[..., None, :, None]
+    d = np.arange(1 << (side - 1))[:, None]
     # one flat index into the raveled table: (|d| side + |w|) side + |d & w|
     index = np.bitwise_count(d).astype(np.intp)
     index *= side
     index = index + np.bitwise_count(w)
     index *= side
     index += np.bitwise_count(d & w)
-    return table.ravel()[index].reshape(*x.shape, -1)
-
-
-def _kernel_rows(table: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """R[d, j] = T[|d|, |w_j|, |d AND w_j|] for every word d: the noise is
-    additive, so k[x, (y, w_j)] = R[x XOR y, j] for every x and y."""
-    words = np.arange(1 << (table.shape[0] - 1))
-    return _kernel(table, words, words[:1], w)
+    return table.ravel()[index]
 
 
 def _mi_rows(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
@@ -584,8 +576,7 @@ def _seed_blocks(g_hash: np.ndarray, block: int):
             yield dim, seeds, kernel, np.take_along_axis(leaders, order, axis=1)
 
 
-def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
-                      uniform_pad: bool = False) -> dict:
+def concealment_exact(params: ProtocolParams, channel, views=VIEWS) -> dict:
     """Exact leakage of the commit bit into each requested view.
 
     Reports per view the statistical distance between the conditional
@@ -610,8 +601,7 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
       occurs 2^rank(G) times.  The distinct rows of d are then a
       Walsh-Hadamard transform of the kernel block along K, computed
       as one product with the Sylvester-Hadamard matrix (_pad_rows)
-      and weighted by 2^rank(G).  With uniform_pad the one pad row is
-      zero and adds nothing to the distance or the MI.
+      and weighted by 2^rank(G).
     * Columns.  Shifting a view by a in K (y -> y XOR a, or
       (y, z) -> (y XOR a, z XOR a) for the joint view) multiplies d by
       the pad sign of a and leaves the column sum and column maximum
@@ -645,10 +635,6 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
     those of (y, z).  Bob's and Eve's views are the same kernel under a
     BSC(p) or BSC(q) pmf with w = 0 alone, so where p == q they share
     one evaluation: one R, and one set of per-seed sums and maxima.
-
-    With uniform_pad=True the pad is one-time-padded with a fresh
-    uniform bit instead of the extractor output; every view then
-    carries exactly zero information about c.
     """
     views = tuple(views)
     _concealment_check(params, channel, views, "exact")
@@ -676,7 +662,7 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
     max_posterior = dict.fromkeys(laws, 0.0)
     pad_rows = {}  # dim K -> the scaled rows, built when first needed
     for dim, seeds, kernel, leaders in _seed_blocks(g_hash, max(1, EXACT_BLOCK // big_n)):
-        if not uniform_pad and dim not in pad_rows:
+        if dim not in pad_rows:
             pad_rows[dim] = _pad_rows(dim) * x_weight
         # each row stands for 2^rank Ext seeds, and cosets * |K| = 2^n views
         weight = np.full((1 << dim, 1), float(big_n << (n - dim)))
@@ -691,8 +677,6 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
                 ratio = np.divide(k_rep.max(axis=1), colsum,
                                   out=np.zeros_like(colsum), where=colsum > 0.0)
                 max_posterior[law] = max(max_posterior[law], float(ratio.max()))
-                if uniform_pad:
-                    continue  # one all-zero pad row: no distance, no MI
                 d_mat = pad_rows[dim] @ k_rep
                 del k_rep  # at most four sub-block-sized arrays live at a time
                 s_vec = (colsum * x_weight)[:, None, :]
@@ -717,7 +701,7 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS,
         # a running sum in seed order, whatever the blocks were
         sd = seed_weight * float(np.cumsum(sd_seed[law])[-1])
         mi = seed_weight * float(np.cumsum(mi_seed[law])[-1])
-        detail = {"k_hat": k_hat, "uniform_pad": uniform_pad}
+        detail = {"k_hat": k_hat}
         reports[f"sd_{v}"] = SecurityReport(
             metric=f"concealment_sd_{v}", estimate=sd, exact=True,
             reference_bound=ref, details=detail, **context,

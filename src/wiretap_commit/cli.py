@@ -24,25 +24,20 @@ import os
 import sys
 
 from .errors import ConfigError, WiretapCommitError
-from .harness import CONFIG_VERSION, ExperimentConfig, run_experiment, run_replay
+from .harness import (
+    CONFIG_VERSION,
+    KIND_BY_COMMAND,
+    ExperimentConfig,
+    run_experiment,
+    run_replay,
+)
 from .parallel import usable_cpus
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_BAD_CONFIG = 2
 
-SUBCOMMANDS = (
-    "capacity", "soundness", "binding", "concealment", "secrecy", "sweep", "replay",
-)
-
-_KIND_BY_COMMAND = {
-    "capacity": "capacity-grid",
-    "soundness": "soundness",
-    "binding": "binding",
-    "concealment": "concealment",
-    "secrecy": "secrecy",
-    "sweep": "sweep",
-}
+SUBCOMMANDS = (*KIND_BY_COMMAND, "replay")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,7 +121,7 @@ def main(argv=None) -> int:
             table = run_replay(doc)
             fmt = args.fmt or "csv"
         else:
-            expected = _KIND_BY_COMMAND[args.command]
+            expected = KIND_BY_COMMAND[args.command]
             kind = doc.get("kind")
             if kind is None:
                 doc["kind"] = expected

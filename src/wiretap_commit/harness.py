@@ -36,9 +36,11 @@ from .protocol import bob_test, commit_phase, params_from_config, session_from_c
 from .rng import make_rng
 
 CONFIG_VERSION = 1
-EXPERIMENT_KINDS = (
-    "capacity-grid", "soundness", "binding", "concealment", "secrecy", "sweep",
-)
+# each experiment kind, keyed by the CLI subcommand that runs it
+KIND_BY_COMMAND = {
+    "capacity": "capacity-grid", "soundness": "soundness", "binding": "binding",
+    "concealment": "concealment", "secrecy": "secrecy", "sweep": "sweep",
+}
 _ESTIMATES = ("soundness", "binding", "concealment", "secrecy")
 
 # the config schema, one row per field: JSON key (the ExperimentConfig
@@ -75,8 +77,10 @@ class ResultTable:
 
     def __init__(self, columns, rows=None, metadata=None):
         self.columns = list(columns)
-        self.rows = [list(r) for r in (rows or [])]
+        self.rows = []
         self.metadata = dict(metadata or {})
+        for row in rows or ():
+            self.append(row)
 
     def append(self, row):
         if len(row) != len(self.columns):
@@ -202,7 +206,7 @@ class ExperimentConfig(SimpleNamespace):
         config = cls(**read_block(doc, "config", CONFIG_FIELDS))
         if config.version != CONFIG_VERSION:
             raise ConfigError(f"unsupported config version {config.version!r}")
-        if config.kind not in EXPERIMENT_KINDS:
+        if config.kind not in KIND_BY_COMMAND.values():
             raise ConfigError(f"unknown experiment kind {config.kind!r}")
         for key, _, _, kinds in CONFIG_FIELDS:
             if kinds is not None and key in doc and config.kind not in kinds:
@@ -306,10 +310,20 @@ def _grid_spec(grid):
 
 
 def _sweep_spec(sweep):
-    """The (variable, values, inner config) of a sweep block (SWEEP_FIELDS)."""
+    """The (variable, values, inner config) of a sweep block (SWEEP_FIELDS).
+
+    Each value fills one CSV cell of the sweep's table, so a list, an
+    object, or a string holding a comma or a line break is refused."""
     variable, values, inner = read_block(sweep, "sweep", SWEEP_FIELDS).values()
     if not values:
         raise ConfigError(f"sweep.values must be a non-empty list, got {values!r}")
+    for v in values:
+        # splitlines drops every line break that from_csv splits at
+        if isinstance(v, (list, dict)) or (isinstance(v, str) and (
+                "," in v or "".join(v.splitlines()) != v)):
+            raise ConfigError(f"sweep value {v!r} does not fit one CSV cell: a sweep "
+                              f"value is a number, true, false, null or a string "
+                              f"with no comma or line break")
     return variable, values, inner
 
 

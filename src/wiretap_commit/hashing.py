@@ -168,13 +168,12 @@ def hash_all_inputs(h: HashSpec) -> np.ndarray:
 
     Entry i is the hash of the word whose big-endian integer encoding
     is i (bit j of the word = bit n-1-j of i).  Built by a linearity
-    doubling pass, so it costs O(2^n) XORs; requires n <= 24, l <= 32.
+    doubling pass, so it costs O(2^n) XORs; requires n <= 24 (and so
+    l <= n fits the uint32 entries).
     """
     n, l = h.input_bits, h.output_bits
     if n > 24:
         raise DimensionError(f"exhaustive hashing limited to n <= 24, got {n}")
-    if l > 32:
-        raise DimensionError(f"packed hashing limited to l <= 32, got {l}")
     return _packed_table(h.seed.bits, n, l)
 
 

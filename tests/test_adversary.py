@@ -26,7 +26,6 @@ from wiretap_commit.adversary import (
     _concealment_check,
     _concealment_mc_worker,
     _cs_table,
-    _kernel,
     _kernel_rows,
     _mi_rows,
     _noise_table,
@@ -477,13 +476,13 @@ def _reference_mi_term(m0, m1):
     return total
 
 
-def _reference_concealment_exact(params, channel, uniform_pad=False):
+def _reference_concealment_exact(params, channel):
     """The exact-concealment kernel with the full loop over every coset
     {x : G(x) = gamma} of every G seed.  Returns view -> (sd, mi, bound)."""
     n, lg = params.n, params.challenge_bits
     g_hash = _all_seed_hashes(n, lg)
     e_bit = _all_seed_hashes(n, 1).astype(np.float64)
-    sign = np.zeros_like(e_bit) if uniform_pad else 1.0 - 2.0 * e_bit
+    sign = 1.0 - 2.0 * e_bit
     kernels = {
         "bob": _bsc_kernel(n, params.pq.p),
         "eve": _bsc_kernel(n, params.pq.q),
@@ -518,14 +517,14 @@ def _reference_concealment_exact(params, channel, uniform_pad=False):
     return out
 
 
-def _reference_kernel_coset_concealment_exact(params, channel, uniform_pad=False):
+def _reference_kernel_coset_concealment_exact(params, channel):
     """The exact-concealment kernel over ker G alone, every Ext seed and
     every view column, weighted by the coset count 2^rank(G).  Returns
     view -> (sd, mi, bound)."""
     n, lg = params.n, params.challenge_bits
     g_hash = _all_seed_hashes(n, lg)
     e_bit = _all_seed_hashes(n, 1).astype(np.float64)
-    sign = np.zeros_like(e_bit) if uniform_pad else 1.0 - 2.0 * e_bit
+    sign = 1.0 - 2.0 * e_bit
     kernels = {
         "bob": _bsc_kernel(n, params.pq.p),
         "eve": _bsc_kernel(n, params.pq.q),
@@ -564,8 +563,7 @@ def _reference_kernel_coset_concealment_exact(params, channel, uniform_pad=False
     return out
 
 
-def _reference_orbit_concealment_exact(params, channel, views=VIEWS,
-                                       uniform_pad=False):
+def _reference_orbit_concealment_exact(params, channel, views=VIEWS):
     """The orbit loop of concealment_exact over kernel tables of every
     word pair (every (y, z) for the joint view).  Returns
     view -> (sd, mi, bound, k_hat)."""
@@ -573,8 +571,6 @@ def _reference_orbit_concealment_exact(params, channel, views=VIEWS,
     big_n = 1 << n
     g_hash = _all_seed_tables(n, lg)
     sign = 1.0 - 2.0 * _all_seed_tables(n, 1)
-    if uniform_pad:
-        sign = np.zeros_like(sign)
     kernels = {
         "bob": lambda: _bsc_kernel(n, params.pq.p),
         "eve": lambda: _bsc_kernel(n, params.pq.q),
@@ -628,7 +624,9 @@ def _reference_mi_rows(m0: np.ndarray, m1: np.ndarray) -> np.ndarray:
 
 
 def _three_index_kernel(table, x, y, w):
-    """_kernel as a three-array fancy index into the (n+1)^3 table."""
+    """k[x, (y, w)] = T[|x XOR y|, |w|, |(x XOR y) AND w|] as a
+    three-array fancy index into the (n+1)^3 table; columns run over y,
+    then w."""
     d = x[..., :, None, None] ^ y[..., None, :, None]
     return table[np.bitwise_count(d), np.bitwise_count(w),
                  np.bitwise_count(d & w)].reshape(*x.shape, -1)
@@ -648,8 +646,7 @@ def _masked_divide_mi_rows(m0, m1):
     return total
 
 
-def _reference_pad_row_concealment_exact(params, channel, views=VIEWS,
-                                         uniform_pad=False):
+def _reference_pad_row_concealment_exact(params, channel, views=VIEWS):
     """concealment_exact as one loop over the G seeds, with the distinct
     pad rows on K and the coset leaders found by np.unique per seed.
     Returns view -> (sd, mi, bound, k_hat)."""
@@ -658,8 +655,6 @@ def _reference_pad_row_concealment_exact(params, channel, views=VIEWS,
 
     g_hash = _all_seed_hashes(n, lg)
     sign = 1.0 - 2.0 * _all_seed_hashes(n, 1)
-    if uniform_pad:
-        sign = np.zeros_like(sign)
 
     p, q = params.pq.p, params.pq.q
     pmfs = {"bob": (1.0 - p, 0.0, 0.0, p), "eve": (1.0 - q, 0.0, 0.0, q),
@@ -680,7 +675,7 @@ def _reference_pad_row_concealment_exact(params, channel, views=VIEWS,
         rows *= x_weight
         weight = counts * (leaders.size * idx.size)
         for v in views:
-            k_rep = _kernel(tables[v], idx, leaders, w_words[v])
+            k_rep = _three_index_kernel(tables[v], idx, leaders, w_words[v])
             colsum = k_rep.sum(axis=0)
             d_mat = rows @ k_rep
             sd_acc[v] += float(weight @ np.abs(d_mat).sum(axis=1))
@@ -703,6 +698,10 @@ def _reference_pad_row_concealment_exact(params, channel, views=VIEWS,
         out[v] = (seed_weight * sd_acc[v], seed_weight * mi_acc[v], bound, k_hat)
     return out
 
+
+# Bob's crossover below Eve's q = 0.3, and equal to it, where Bob's and
+# Eve's views share one law and concealment_exact one evaluation of it
+P_BELOW_AND_AT_Q = [pytest.param(0.2, id="p-below-q"), pytest.param(0.3, id="p-equals-q")]
 
 P_Q_COUPLINGS = [
     # p = 0.2, q = 0.3: the Frechet interval of r is [0, 0.2]
@@ -755,12 +754,13 @@ class TestNoiseKernel:
             "joint": (_noise_table(n, channel.noise_pair_pmf()), words,
                       _pair_kernel(n, channel.noise_pair_pmf())[:, y_of * big_n + z_of]),
         }
+        rows = {v: _kernel_rows(table, w) for v, (table, w, _) in references.items()}
         for lg in range(1, min(n, 3) + 1):
             for values in _all_seed_tables(n, lg):
                 leaders = np.unique(values, return_index=True)[1]
                 idx = np.flatnonzero(values == 0)
-                for v, (table, w, reference) in references.items():
-                    block = _kernel(table, idx, leaders, w)
+                for v, (_, _, reference) in references.items():
+                    block = rows[v][idx[:, None] ^ leaders[None, :]].reshape(idx.size, -1)
                     expected = reference.reshape(big_n, big_n, -1)[np.ix_(idx, leaders)]
                     expected = expected.reshape(idx.size, -1)
                     if v == "joint":
@@ -776,21 +776,16 @@ class TestNoiseKernel:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_flat_gather_matches_three_index_gather(self, n):
-        # random blocks with and without leading seed axes, for Bob's and
-        # Eve's w = 0 and for the joint view's every w
+        # Bob's and Eve's w = 0, the joint view's every w, and a random w
         rng = np.random.default_rng(n)
         big_n = 1 << n
         words = np.arange(big_n, dtype=np.min_scalar_type(big_n - 1))
         table = _noise_table(n, rng.dirichlet(np.ones(4)))
-        for shape_x, shape_y in (((1,), (1,)), ((big_n,), (3,)), ((3, 1), (3, big_n)),
-                                 ((5, 1 << (n // 2)), (5, big_n >> (n // 2)))):
-            x = rng.choice(words, size=shape_x)
-            y = rng.choice(words, size=shape_y)
-            for w in (words[:1], words):
-                got = _kernel(table, x, y, w)
-                expected = _three_index_kernel(table, x, y, w)
-                assert got.shape == expected.shape
-                assert got.tobytes() == expected.tobytes()
+        for w in (words[:1], words, rng.choice(words, size=3)):
+            got = _kernel_rows(table, w)
+            expected = _three_index_kernel(table, words, words[:1], w)
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("coupling,r", P_Q_COUPLINGS)
     @pytest.mark.parametrize("n", range(1, 7))
@@ -806,7 +801,7 @@ class TestNoiseKernel:
             rows = _kernel_rows(table, w)
             assert rows.shape == (words.size, w.size)
             got = rows[words[:, None] ^ words[None, :]].reshape(words.size, -1)
-            assert np.array_equal(got, _kernel(table, words, words, w))
+            assert np.array_equal(got, _three_index_kernel(table, words, words, w))
 
     @pytest.mark.parametrize("shape", [(1, 1, 1), (4, 8, 64), (16, 2, 33), (3, 64, 8)])
     def test_mi_rows_match_masked_divide(self, shape):
@@ -842,19 +837,21 @@ class TestNoiseKernel:
             else:
                 assert abs(Fraction(float(table[a, b, c])) - exact) <= exact / 10 ** 15
 
-    @pytest.mark.parametrize("n,lg,uniform_pad", [
-        (n, lg, uniform_pad) for n in (2, 3, 4, 5, 6) for lg in (1, 2, 3)
-        for uniform_pad in (False, True) if lg <= n] + [(7, 1, True), (8, 1, False),
-                                                        (9, 1, False)])
-    def test_single_party_reports_are_bit_identical(self, n, lg, uniform_pad):
+    @pytest.mark.parametrize("n,lg,p", [
+        pytest.param(n, lg, p.values[0], id=f"{n}-{lg}-{p.id}")
+        for n in (2, 3, 4, 5, 6, 8, 9) for lg in (1, 2, 3) for p in P_BELOW_AND_AT_Q
+        if lg <= n and (n <= 6 or lg == 1) and (n <= 8 or p.id == "p-below-q")])
+    def test_single_party_reports_are_bit_identical(self, n, lg, p):
         # the single-party pmfs do not depend on the coupling; the joint
-        # reports are checked against the reference loops further down
-        params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
+        # reports are checked against the reference loops further down;
+        # at p == q Bob's and Eve's reports come from one evaluation (not
+        # at n = 9, which takes about 7 s a case)
+        params = explicit_params(n, CrossoverPair(p, 0.3), "one", alpha1=0.3,
                                  challenge_bits=lg, commit_bits=1)
-        channel = make_channel(0.2, 0.3)
+        channel = make_channel(p, 0.3)
         views = ("bob", "eve")
-        reports = concealment_exact(params, channel, views=views, uniform_pad=uniform_pad)
-        reference = _reference_orbit_concealment_exact(params, channel, views, uniform_pad)
+        reports = concealment_exact(params, channel, views=views)
+        reference = _reference_orbit_concealment_exact(params, channel, views)
         for v in views:
             assert (reports[f"sd_{v}"].estimate, reports[f"mi_{v}"].estimate,
                     reports[f"sd_{v}"].reference_bound,
@@ -880,21 +877,21 @@ class TestConcealmentExact:
             assert reports[f"sd_{v}"].estimate == pytest.approx(sd, abs=1e-12)
             assert reports[f"mi_{v}"].estimate == pytest.approx(mi, abs=1e-12)
 
-    @pytest.mark.parametrize("uniform_pad", [False, True])
     @pytest.mark.parametrize("coupling,r", [
         ("independent", None),
         ("degraded", None),
         ("custom", 0.05),
     ])
     @pytest.mark.parametrize("n,lg", [(n, lg) for n in (3, 4, 5) for lg in (1, 2, 3)])
-    def test_kernel_coset_matches_coset_loop(self, n, lg, coupling, r, uniform_pad):
-        p, q = 0.2, 0.3
+    @pytest.mark.parametrize("p", P_BELOW_AND_AT_Q)
+    def test_kernel_coset_matches_coset_loop(self, n, lg, coupling, r, p):
+        q = 0.3
         params = explicit_params(n, CrossoverPair(p, q), "one", alpha1=0.3,
                                  challenge_bits=lg, commit_bits=1,
                                  coupling=coupling, coupling_r=r)
         channel = make_channel(p, q, coupling, r=r)
-        reports = concealment_exact(params, channel, uniform_pad=uniform_pad)
-        reference = _reference_concealment_exact(params, channel, uniform_pad)
+        reports = concealment_exact(params, channel)
+        reference = _reference_concealment_exact(params, channel)
         for v in VIEWS:
             sd, mi, bound = reference[v]
             assert abs(reports[f"sd_{v}"].estimate - sd) <= 1e-12
@@ -947,15 +944,6 @@ class TestConcealmentExact:
         cosets = [np.unique(values).size for values in _all_seed_hashes(n, lg)]
         assert cosets[0] == 1
         assert {1, 2, 4, 8} <= set(cosets)
-
-    def test_uniform_pad_leaks_nothing(self):
-        params = explicit_params(4, CrossoverPair(0.25, 0.25), "two", alpha1=0.2,
-                                 challenge_bits=1, commit_bits=1)
-        channel = make_channel(0.25, 0.25)
-        reports = concealment_exact(params, channel, uniform_pad=True)
-        for v in ("bob", "eve", "joint"):
-            assert reports[f"sd_{v}"].estimate == pytest.approx(0.0, abs=1e-12)
-            assert reports[f"mi_{v}"].estimate == pytest.approx(0.0, abs=1e-12)
 
     def test_sd_within_lhl_reference(self):
         params = explicit_params(5, CrossoverPair(0.2, 0.3), "one", alpha1=0.2,
@@ -1020,10 +1008,10 @@ class TestSeedBlocks:
     per-seed loop, and the three facts the blocks rest on, over every
     seed at n <= 6."""
 
-    @pytest.mark.parametrize("uniform_pad", [False, True])
+    @pytest.mark.parametrize("p", P_BELOW_AND_AT_Q)
     @pytest.mark.parametrize("n,lg", [(n, lg) for n in range(2, 9) for lg in (1, 2, 3)
                                       if lg <= n])
-    def test_matches_pad_row_loop(self, n, lg, uniform_pad):
+    def test_matches_pad_row_loop(self, n, lg, p):
         # Bob's and Eve's pmfs do not depend on the coupling, so one
         # coupling covers them; past n = 6 it covers the joint view too,
         # where the work limit admits it, to keep the loop's time down
@@ -1031,14 +1019,12 @@ class TestSeedBlocks:
         couplings = P_Q_COUPLINGS if n <= 6 else P_Q_COUPLINGS[:1]
         for i, (coupling, r) in enumerate(couplings):
             views = ("joint",) if i else VIEWS if joint else ("bob", "eve")
-            params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
+            params = explicit_params(n, CrossoverPair(p, 0.3), "one", alpha1=0.3,
                                      challenge_bits=lg, commit_bits=1,
                                      coupling=coupling, coupling_r=r)
-            channel = make_channel(0.2, 0.3, coupling, r=r)
-            reports = concealment_exact(params, channel, views=views,
-                                        uniform_pad=uniform_pad)
-            reference = _reference_pad_row_concealment_exact(params, channel, views,
-                                                             uniform_pad)
+            channel = make_channel(p, 0.3, coupling, r=r)
+            reports = concealment_exact(params, channel, views=views)
+            reference = _reference_pad_row_concealment_exact(params, channel, views)
             # every per-seed product and sum runs in the loop's order, so
             # the reports are equal, not merely within 1e-12
             for v in views:
@@ -1110,11 +1096,10 @@ class TestSeedBlocks:
             monkeypatch.setattr(adversary, "EXACT_BLOCK", block)
             assert run() == default
 
-    @pytest.mark.parametrize("uniform_pad", [False, True])
     @pytest.mark.parametrize("n,lg,p", [pytest.param(n, lg, 0.2, id=f"{n}-{lg}")
                                         for n in range(1, 6) for lg in (1, 3) if lg <= n]
                              + [pytest.param(4, 3, 0.3, id="4-3-p-equals-q")])
-    def test_reports_do_not_depend_on_the_other_views(self, n, lg, p, uniform_pad):
+    def test_reports_do_not_depend_on_the_other_views(self, n, lg, p):
         # the views share one pass over the seeds; each keeps its own sums,
         # except Bob's and Eve's at p == q, which share one evaluation
         params = explicit_params(n, CrossoverPair(p, 0.3), "one", alpha1=0.3,
@@ -1124,8 +1109,7 @@ class TestSeedBlocks:
 
         def run(views):
             return {key: (r.estimate, r.reference_bound, r.details["k_hat"])
-                    for key, r in concealment_exact(params, channel, views=views,
-                                                    uniform_pad=uniform_pad).items()}
+                    for key, r in concealment_exact(params, channel, views=views).items()}
 
         every = run(VIEWS)
         for size in range(1, len(VIEWS) + 1):
@@ -1326,11 +1310,14 @@ class TestConcealmentMonteCarlo:
                                       seed=31, view="bob", uniform_pad=True)
         assert abs(rep.estimate) <= 3.0 / math.sqrt(2000)
 
-    @pytest.mark.parametrize("view", ["bob", "joint"])
-    def test_advantage_lower_bounds_exact_sd(self, view):
-        exact = concealment_exact(self.params, self.channel)[f"sd_{view}"].estimate
-        rep = concealment_monte_carlo(self.params, self.channel, trials=2000,
-                                      seed=32, view=view)
+    @pytest.mark.parametrize("p,q", [(0.25, 0.25), (0.1, 0.3), (0.3, 0.1)])
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_advantage_lower_bounds_exact_sd(self, view, p, q):
+        params = explicit_params(6, CrossoverPair(p, q), "two", alpha1=0.2,
+                                 challenge_bits=1, commit_bits=1)
+        channel = make_channel(p, q)
+        exact = concealment_exact(params, channel, views=(view,))[f"sd_{view}"].estimate
+        rep = concealment_monte_carlo(params, channel, trials=2000, seed=32, view=view)
         assert rep.ci_lo <= exact
 
     def test_correlated_coupling_comparison(self):

@@ -12,7 +12,7 @@ from wiretap_commit.adversary import GRID_LIMIT, TRIAL_LIMIT, WORD_LIMIT
 from wiretap_commit.bits import BitVector
 from wiretap_commit.channel import make_channel
 from wiretap_commit.cli import EXIT_BAD_CONFIG, EXIT_OK, main
-from wiretap_commit.harness import ExperimentConfig, ResultTable
+from wiretap_commit.harness import KIND_BY_COMMAND, ExperimentConfig, ResultTable
 from wiretap_commit.measures import CrossoverPair
 from wiretap_commit.protocol import (
     commit_phase,
@@ -678,7 +678,7 @@ def test_no_single_field_mutation_of_a_demo_config_is_an_internal_error(
             base = json.load(fh)
         if "trials" in base:
             base["trials"] = min(base["trials"], 200)
-        command = {v: k for k, v in cli._KIND_BY_COMMAND.items()}[base["kind"]]
+        command = {v: k for k, v in KIND_BY_COMMAND.items()}[base["kind"]]
     monkeypatch.chdir(tmp_path)  # where an out field would write
     cfg = tmp_path / name
     failures, accepted = [], []

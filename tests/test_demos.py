@@ -21,7 +21,7 @@ STDOUT_SHA256 = {
     "capacity_landscape.py":
         "a07e26f935a06aff5c6d41e6040973bd8739eac95cccd9c38944aec2f85487da",
     "concealment_exact_small.py":
-        "3b4b200c4ab826cbd59157e51d44873d7c81f5ffa23871a98048f8c090f7c645",
+        "9d7c5f55b6408f44750408a100b004fc40efd1171876ff1827246a04aab18e3c",
     "eve_channel_simulation.py":
         "fdbd4f579c78cc53dc67bab7a8bf5280eeacacb5db5ea5ee6bc1a465f2d4a1d3",
     "protocol_walkthrough.py":

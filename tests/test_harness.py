@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import csv_reference
-from wiretap_commit import adversary, cli, harness
+from wiretap_commit import adversary, harness
 from wiretap_commit.channel import degradation_check, make_channel
 from wiretap_commit.cli import EXIT_BAD_CONFIG, main
 from wiretap_commit.errors import ConfigError, DimensionError, RateError
@@ -140,6 +140,15 @@ class TestCapacityGrid:
                 float, float, float, float, float, float, bool, type(theta)]
 
 
+# a list-valued sweep cell split at its comma: 12 fields under 11 columns
+_SPLIT_CELL_CSV = (
+    "# wiretap-commit-result inner_kind=concealment kind=sweep seed=0 variable=views\n"
+    "views,metric,estimate,ci_lo,ci_hi,reference_bound,n,p,q,coupling,seed\n"
+    "['bob'],concealment_sd_bob,0.5206,,,1,4,0.2,0.3,independent,\n"
+    "['bob', 'eve'],concealment_sd_bob,0.5206,,,1,4,0.2,0.3,independent,\n"
+)
+
+
 class TestResultTable:
     def make_table(self):
         t = ResultTable(["a", "b", "c", "d"], metadata={"kind": "demo", "seed": 3})
@@ -165,10 +174,14 @@ class TestResultTable:
         t = self.make_table()
         assert ResultTable.from_json(t.to_json()) == t
 
-    def test_row_width_checked(self):
-        t = ResultTable(["a", "b"])
-        with pytest.raises(ConfigError):
-            t.append([1, 2, 3])
+    @pytest.mark.parametrize("build", [
+        lambda: ResultTable(["a", "b"]).append([1, 2, 3]),
+        lambda: ResultTable(["a", "b"], [[1, 2], [1]]),
+        lambda: ResultTable.from_csv(_SPLIT_CELL_CSV),
+    ], ids=["append", "constructor", "from-csv"])
+    def test_row_width_checked(self, build):
+        with pytest.raises(ConfigError, match="row width"):
+            build()
 
 
 def _typed(v):
@@ -200,7 +213,7 @@ def test_cell_formatter_matches_the_reference(value):
 
 
 def test_codec_matches_the_reference_on_every_demo_config(tmp_path):
-    command = {kind: cmd for cmd, kind in cli._KIND_BY_COMMAND.items()}
+    command = {kind: cmd for cmd, kind in harness.KIND_BY_COMMAND.items()}
     for name in sorted(os.listdir(CONFIGS)):
         with open(os.path.join(CONFIGS, name), encoding="utf-8") as fh:
             kind = json.load(fh)["kind"]
@@ -295,7 +308,21 @@ class TestExperimentConfig:
         ({"values": {"200": 1}}, "sweep.values must be a non-empty list"),
         ({"values": 200}, "sweep.values must be a non-empty list, got 200"),
         ({"values": []}, "sweep.values must be a non-empty list"),
-    ], ids=["unknown-field", "string", "object", "number", "empty"])
+        # values that would split their CSV cell
+        ({"variable": "views", "values": [["bob"], ["bob", "eve"]],
+          "experiment": {"version": 1, "kind": "concealment", "method": "exact",
+                         "params": {"n": 4, "p": 0.2, "q": 0.3, "privacy": "one",
+                                    "alpha1": 0.1, "achievable": False,
+                                    "challenge_bits": 1, "commit_bits": 1}}},
+         "sweep value ['bob'] does not fit one CSV cell"),
+        ({"variable": "params", "values": [soundness_doc()["params"]]},
+         "sweep value {'n': 400, "),
+        ({"variable": "out", "values": ["a,b.csv"]},
+         "sweep value 'a,b.csv' does not fit one CSV cell"),
+        ({"variable": "out", "values": ["a\u2028b.csv"]},
+         "does not fit one CSV cell"),  # splitlines splits at U+2028
+    ], ids=["unknown-field", "string", "object", "number", "empty",
+            "list-value", "object-value", "comma-value", "line-break-value"])
     def test_sweep_block_checked(self, tmp_path, capsys, change, message):
         doc = {"version": 1, "kind": "sweep",
                "sweep": {"variable": "params.n", "values": [200, 400],

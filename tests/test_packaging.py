@@ -1,7 +1,10 @@
 """Package metadata against what the code needs."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -74,3 +77,17 @@ def test_src_imports_the_package_only_at_module_level():
                 local += [f"{path.name}:{node.lineno}" for node in ast.walk(func)
                           if isinstance(node, ast.ImportFrom) and node.level > 0]
     assert not local, f"function-local package imports at {local}"
+
+
+def test_readme_library_example_runs():
+    # the fenced block under "## Library example", as written, in a fresh
+    # interpreter with src/ on the path
+    match = re.search(r"^## Library example\n\n```python\n(.*?)^```\n",
+                      (ROOT / "README.md").read_text(), flags=re.MULTILINE | re.DOTALL)
+    assert match, "README has no python block under ## Library example"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", match[1]], capture_output=True,
+                          env=env, cwd=ROOT, timeout=120)
+    assert done.returncode == 0, done.stderr.decode()
