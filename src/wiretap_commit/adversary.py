@@ -7,8 +7,8 @@ Four measurements back the protocol's guarantees at desk scale:
 * binding        — a cheating Alice enumerates reveal claims that pass
                    the hash challenge and wins when two of them with
                    distinct commit strings land in Bob's distance band;
-                   exhaustive candidate enumeration doubles as the
-                   oracle for the union-bound ceiling |A|^2 2^-l;
+                   per-syndrome tables of one 2^n-word pass give each
+                   set's size for the union-bound ceiling |A|^2 2^-l;
 * concealment    — exact statistical distance and mutual information
                    between the commit bit and a view (Bob's, Eve's, or
                    their union) at tiny n, with a leftover-hash
@@ -342,42 +342,26 @@ def _binding_worker(payload, seeds) -> np.ndarray:
     attacker knows: nothing beyond x when alone, Eve's flips as well
     when colluding.  The same uniforms drive both modes, so couplings
     with independent noise produce identical draws in either mode.
-    Only words with the committed hash value can be members, so the
-    band test runs over those candidates and their extractor values,
-    which the payload carries.  Trial i draws random(n) from its own
-    stream, SeedSequence(seed, spawn_key=(i,)): the doubles of its first
-    n raw words, computed for MC_BLOCK trials at a time by one
-    philox_words pass over seeds.keys().  A trial succeeds when its
-    members' extractor values have a distinct minimum and maximum.
+    Trial i draws random(n) from its own stream, SeedSequence(seed,
+    spawn_key=(i,)): the doubles of its first n raw words, computed for
+    MC_BLOCK trials at a time by one philox_words pass over
+    seeds.keys().  The drawn y's syndrome s = G(y) XOR g_bar then reads
+    (success, |A|) from the per-syndrome tables of binding_attack.
     """
-    params, channel, x_int, ne_bits, candidates, candidate_ext, mode = payload
+    params, channel, x_int, ne_bits, hashes, g_bar, success, size, mode = payload
     n = params.n
     if mode == "alone":
         thresh = np.full(n, channel.p)
     else:
         given0, given1 = channel.bob_given_eve()
         thresh = np.where(ne_bits == 1, given1, given0)
-    in_band = _in_band(np.arange(n + 1), n, params.pq.p, params.alpha1)
-    top = np.iinfo(candidate_ext.dtype).max
     out = np.empty((len(seeds), 2), dtype=np.int64)
     for b0 in range(0, len(seeds), MC_BLOCK):
         block = seeds[b0:b0 + MC_BLOCK]
         nb = doubles(philox_words(block.keys(), n)) < thresh
-        y = (np.uint64(x_int) ^ _big_endian(nb)).astype(np.uint32)
-        size = np.zeros(len(block), dtype=np.int64)
-        ext_min = np.full(len(block), top, dtype=candidate_ext.dtype)
-        ext_max = np.zeros(len(block), dtype=candidate_ext.dtype)
-        for rows, cols in _tiles(len(block), candidates.size):
-            member = in_band[np.bitwise_count(candidates[cols] ^ y[rows, None])]
-            ext = candidate_ext[cols]
-            size[rows] += np.count_nonzero(member, axis=1)
-            np.minimum(ext_min[rows], np.where(member, ext, top).min(axis=1),
-                       out=ext_min[rows])
-            np.maximum(ext_max[rows], np.where(member, ext, 0).max(axis=1),
-                       out=ext_max[rows])
-        # two members with distinct extractor outputs make two claims
-        out[b0:b0 + len(block), 0] = ext_min < ext_max
-        out[b0:b0 + len(block), 1] = size
+        s = hashes[np.uint64(x_int) ^ _big_endian(nb)] ^ g_bar
+        out[b0:b0 + len(block), 0] = success[s]
+        out[b0:b0 + len(block), 1] = size[s]
     return out
 
 
@@ -393,18 +377,30 @@ def binding_attack(session: SessionState, params: ProtocolParams, channel,
     all three reveal conditions.  Reference bound: the union-bound
     exponent 2^(-n(beta1 - 2 eta_hat)) with eta_hat measured from the
     mean confusable-set size.
+
+    G and Ext are linear over GF(2): the confusable set of y is y XOR U(s),
+    U(s) = {u in the band : G(u) = s} with s = G(y) XOR g_bar, and Ext on
+    it is Ext(y) XOR Ext(u).  So a trial's (success, |A|) is (Ext not
+    constant on U(s), |U(s)|), tabulated per s by one pass over 2^n words.
     """
     _binding_check(params, channel, mode, trials)
     t = session.transcript
     x = session.alice_view.x
     ne_bits = session.eve_view.z.bits ^ x.bits
-    # the hash-consistent words, about 2^(n - l_G), and their Ext values
     hashes = hash_all_inputs(t.challenge)
-    candidates = np.flatnonzero(hashes == t.challenge_value.to_int()).astype(np.uint32)
-    payload = (params, channel, x.to_int(), ne_bits, candidates,
-               hash_all_inputs(t.extractor)[candidates], mode)
-    stats = map_trials(_binding_worker, payload, trial_seeds(seed, trials), threads,
-                       params.n + candidates.size)
+    n = params.n
+    band = _in_band(np.arange(n + 1), n, params.pq.p, params.alpha1)[
+        np.bitwise_count(np.arange(1 << n, dtype=np.uint32))]
+    syndromes, ext = hashes[band], hash_all_inputs(t.extractor)[band]
+    size = np.bincount(syndromes, minlength=1 << params.challenge_bits)
+    # Ext is constant on U(s) iff each member agrees with any one member
+    first = np.zeros(size.size, dtype=ext.dtype)
+    first[syndromes] = ext
+    success = np.zeros(size.size, dtype=bool)
+    success[syndromes[ext != first[syndromes]]] = True
+    payload = (params, channel, x.to_int(), ne_bits, hashes,
+               np.uint32(t.challenge_value.to_int()), success, size, mode)
+    stats = map_trials(_binding_worker, payload, trial_seeds(seed, trials), threads, n)
     successes = int(stats[:, 0].sum())
     sizes = stats[:, 1].astype(float)
     ceilings = np.minimum(1.0, sizes ** 2 * 2.0 ** (-params.challenge_bits))

@@ -3,8 +3,9 @@
 Configs are versioned JSON documents; every run is reproducible from
 its config plus one integer seed, and the effective seed is recorded in
 the output metadata.  Tables emit as CSV ('.' decimal, 12 significant
-digits, no thousands separators) or JSON (full double precision);
-parsing an emitted file reproduces the table.
+digits, no thousands separators) or JSON (full double precision).
+Parsing JSON reproduces the table exactly; CSV's 12 digits make only
+its text a fixpoint (parsed and emitted again, it reads the same).
 """
 
 from __future__ import annotations
@@ -313,17 +314,19 @@ def _sweep_spec(sweep):
     """The (variable, values, inner config) of a sweep block (SWEEP_FIELDS).
 
     Each value fills one CSV cell of the sweep's table, so a list, an
-    object, or a string holding a comma or a line break is refused."""
+    object, or a string holding a comma or a line break is refused, and
+    so is a string that its cell reads back as another value."""
     variable, values, inner = read_block(sweep, "sweep", SWEEP_FIELDS).values()
     if not values:
         raise ConfigError(f"sweep.values must be a non-empty list, got {values!r}")
     for v in values:
         # splitlines drops every line break that from_csv splits at
         if isinstance(v, (list, dict)) or (isinstance(v, str) and (
-                "," in v or "".join(v.splitlines()) != v)):
+                "," in v or "".join(v.splitlines()) != v
+                or ResultTable._parse_cell(v) != v)):
             raise ConfigError(f"sweep value {v!r} does not fit one CSV cell: a sweep "
-                              f"value is a number, true, false, null or a string "
-                              f"with no comma or line break")
+                              f"value is a number, true, false, null or a string that "
+                              f"reads back from CSV as itself (no comma or line break)")
     return variable, values, inner
 
 

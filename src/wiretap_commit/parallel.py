@@ -38,7 +38,7 @@ from .errors import DomainError
 # loaded (39 MB resident), a 2-worker call of an empty worker took
 # c = 3.2 ms (median of 41) against 0 at one worker.  Per unit, at one
 # worker on the demo configs, a secrecy scanned word took 3.7 ns, a
-# soundness word 11 ns and a binding candidate 20 ns.  c over the
+# soundness word 11 ns and a binding drawn word 60 ns.  c over the
 # cheapest unit is 3.2 ms / 3.7 ns = 8.6e5 units, rounded up to 2^20.
 FORK_WORK = 1 << 20
 

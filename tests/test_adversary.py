@@ -220,13 +220,13 @@ class TestConfusables:
 def _all_word_scan(session):
     """The binding worker as a band scan over all 2^n words per trial,
     with the session's full hash tables in place of the payload's
-    candidates."""
+    per-syndrome tables."""
     t = session.transcript
     hash_match = hash_all_inputs(t.challenge) == np.uint32(t.challenge_value.to_int())
     ext_all = hash_all_inputs(t.extractor)
 
     def worker(payload, seeds):
-        params, channel, x_int, ne_bits, _, _, thresh_mode = payload
+        params, channel, x_int, ne_bits, _, _, _, _, thresh_mode = payload
         n, alpha1 = params.n, params.alpha1
         p, q, r = channel.p, channel.q, channel.r
         lo, hi = n * (p - alpha1), n * (p + alpha1)
@@ -1431,28 +1431,38 @@ def _reference_soundness_worker(payload, seeds):
     return out
 
 
-def _per_trial_binding_worker(payload, seeds):
-    """The binding worker with one SeedSequence, Philox and Generator per trial."""
-    params, channel, x_int, ne_bits, candidates, candidate_ext, thresh_mode = payload
-    n, alpha1 = params.n, params.alpha1
-    p, q, r = channel.p, channel.q, channel.r
-    lo, hi = n * (p - alpha1), n * (p + alpha1)
-    if thresh_mode == "alone":
-        thresh = np.full(n, p)
-    else:
-        cond1 = r / q              # P(N_B=1 | N_E=1)
-        cond0 = (p - r) / (1.0 - q)  # P(N_B=1 | N_E=0)
-        thresh = np.where(ne_bits == 1, cond1, cond0)
-    weights = (1 << np.arange(n - 1, -1, -1)).astype(np.uint64)
-    out = np.empty((len(seeds), 2), dtype=np.int64)
-    for i in range(len(seeds)):
-        nb = (make_rng(seeds[i]).random(n) < thresh).astype(np.uint64)
-        y_int = np.uint32(x_int) ^ np.uint32((nb * weights).sum())
-        d = np.bitwise_count(candidates ^ y_int)
-        member_ext = candidate_ext[(d >= lo) & (d <= hi)]
-        out[i, 0] = 1 if (member_ext != member_ext[:1]).any() else 0
-        out[i, 1] = member_ext.size
-    return out
+def _per_trial_binding_worker(session):
+    """The binding worker with one SeedSequence, Philox and Generator per
+    trial and a band scan over the words with the committed hash value,
+    read from the session's own hash tables."""
+    t = session.transcript
+    candidates = np.flatnonzero(hash_all_inputs(t.challenge)
+                                == t.challenge_value.to_int()).astype(np.uint32)
+    candidate_ext = hash_all_inputs(t.extractor)[candidates]
+
+    def worker(payload, seeds):
+        params, channel, x_int, ne_bits, _, _, _, _, thresh_mode = payload
+        n, alpha1 = params.n, params.alpha1
+        p, q, r = channel.p, channel.q, channel.r
+        lo, hi = n * (p - alpha1), n * (p + alpha1)
+        if thresh_mode == "alone":
+            thresh = np.full(n, p)
+        else:
+            cond1 = r / q              # P(N_B=1 | N_E=1)
+            cond0 = (p - r) / (1.0 - q)  # P(N_B=1 | N_E=0)
+            thresh = np.where(ne_bits == 1, cond1, cond0)
+        weights = (1 << np.arange(n - 1, -1, -1)).astype(np.uint64)
+        out = np.empty((len(seeds), 2), dtype=np.int64)
+        for i in range(len(seeds)):
+            nb = (make_rng(seeds[i]).random(n) < thresh).astype(np.uint64)
+            y_int = np.uint32(x_int) ^ np.uint32((nb * weights).sum())
+            d = np.bitwise_count(candidates ^ y_int)
+            member_ext = candidate_ext[(d >= lo) & (d <= hi)]
+            out[i, 0] = 1 if (member_ext != member_ext[:1]).any() else 0
+            out[i, 1] = member_ext.size
+        return out
+
+    return worker
 
 
 def _per_trial_concealment_mc_worker(payload, seeds):
@@ -1594,11 +1604,8 @@ def test_soundness_worker_memory_is_flat_in_the_trial_count():
     assert large - small <= 4 * 30_000, (small, large)
 
 
-def _binding_payload(monkeypatch, n, lg, mode, coupling, r, seed=29):
-    """The payload binding_attack hands its worker for one commit."""
-    params, channel, session = small_session(
-        n=n, p=0.25, q=0.3, alpha1=0.15, lg=lg, mc=min(n, 3), seed=seed,
-        coupling=coupling, r=r)
+def _captured_payload(monkeypatch, params, channel, session, mode="alone"):
+    """The payload binding_attack hands its worker for the session's commit."""
     payloads = []
     with monkeypatch.context() as m:
         m.setattr(adversary, "map_trials",
@@ -1608,12 +1615,22 @@ def _binding_payload(monkeypatch, n, lg, mode, coupling, r, seed=29):
     return payloads[0]
 
 
+def _binding_payload(monkeypatch, n, lg, mode, coupling, r, seed=29):
+    """The payload binding_attack hands its worker for one commit, and
+    the per-trial reference worker of that commit."""
+    params, channel, session = small_session(
+        n=n, p=0.25, q=0.3, alpha1=0.15, lg=lg, mc=min(n, 3), seed=seed,
+        coupling=coupling, r=r)
+    return (_captured_payload(monkeypatch, params, channel, session, mode),
+            _per_trial_binding_worker(session))
+
+
 @pytest.mark.parametrize("mode", ["alone", "with_eve"])
 @pytest.mark.parametrize("coupling,r", [("independent", None), ("custom", 0.1)])
 def test_binding_worker_matches_per_trial_streams(monkeypatch, fork_small_calls, mode,
                                                   coupling, r):
-    payload = _binding_payload(monkeypatch, 12, 8, mode, coupling, r)
-    _check_at_one_and_two_workers(_binding_worker, _per_trial_binding_worker, payload,
+    payload, reference = _binding_payload(monkeypatch, 12, 8, mode, coupling, r)
+    _check_at_one_and_two_workers(_binding_worker, reference, payload,
                                   trial_seeds(30, 60))
 
 
@@ -1623,26 +1640,83 @@ def test_binding_worker_matches_per_trial_streams(monkeypatch, fork_small_calls,
 @pytest.mark.parametrize("n,lg", [(2, 1), (5, 2), (9, 3), (13, 4), (16, 8), (20, 5)])
 def test_binding_worker_matches_per_trial_streams_at_each_size(monkeypatch, fork_small_calls,
                                                                mode, coupling, r, n, lg):
-    payload = _binding_payload(monkeypatch, n, lg, mode, coupling, r, seed=n)
-    _check_at_one_and_two_workers(_binding_worker, _per_trial_binding_worker, payload,
+    payload, reference = _binding_payload(monkeypatch, n, lg, mode, coupling, r, seed=n)
+    _check_at_one_and_two_workers(_binding_worker, reference, payload,
                                   trial_seeds(30 + n, 60))
 
 
 @pytest.mark.parametrize("trials", [1, MC_BLOCK - 1, MC_BLOCK, MC_BLOCK + 1])
 def test_binding_worker_blocks_of_trials(monkeypatch, fork_small_calls, trials):
-    payload = _binding_payload(monkeypatch, 12, 8, "with_eve", "custom", 0.1)
-    _check_at_one_and_two_workers(_binding_worker, _per_trial_binding_worker, payload,
+    payload, reference = _binding_payload(monkeypatch, 12, 8, "with_eve", "custom", 0.1)
+    _check_at_one_and_two_workers(_binding_worker, reference, payload,
                                   trial_seeds(2**64 - 1, trials))
 
 
-@pytest.mark.parametrize("scan,block", [(1, 1), (8, 5), (200, 7), (1 << 10, 3)])
-def test_binding_worker_tiles_change_nothing(monkeypatch, scan, block):
-    payload = _binding_payload(monkeypatch, 10, 2, "alone", "independent", None)
+@pytest.mark.parametrize("block", [1, 5, 7, 3])
+def test_binding_worker_tiles_change_nothing(monkeypatch, block):
+    payload, reference = _binding_payload(monkeypatch, 10, 2, "alone", "independent", None)
     seeds = trial_seeds(17, 23)
-    expected = _per_trial_binding_worker(payload, seeds)
-    monkeypatch.setattr(adversary, "SCAN_BLOCK", scan)
+    expected = reference(payload, seeds)
     monkeypatch.setattr(adversary, "MC_BLOCK", block)
     assert np.array_equal(_binding_worker(payload, seeds), expected)
+
+
+# a one-value band at distance `weight` keeps each U(s) small, so some
+# sets of two or more members share one Ext value and do not succeed
+@pytest.mark.parametrize("n,lg,weight,seed", [
+    (8, 2, 1, 0), (8, 4, 2, 0), (8, 8, 2, 8),
+    (10, 2, 1, 0), (10, 4, 2, 0), (10, 8, 2, 0),
+    (12, 2, 1, 0), (12, 4, 2, 0), (12, 8, 2, 0),
+])
+def test_binding_tables_match_a_scan_for_every_y(monkeypatch, n, lg, weight, seed):
+    # the tables depend on neither the mode nor the coupling
+    params, channel, session = small_session(n=n, p=weight / n, alpha1=0.01, lg=lg,
+                                             mc=1, seed=seed)
+    _, _, _, _, hashes, g_bar, success, size, _ = _captured_payload(
+        monkeypatch, params, channel, session)
+    t = session.transcript
+    candidates = np.flatnonzero(hash_all_inputs(t.challenge) == t.challenge_value.to_int())
+    ext_all = hash_all_inputs(t.extractor)
+    lo, hi = n * (params.pq.p - params.alpha1), n * (params.pq.p + params.alpha1)
+    expected = np.empty((1 << n, 2), dtype=np.int64)
+    for y in range(1 << n):
+        d = np.bitwise_count(candidates ^ y)
+        member_ext = ext_all[candidates[(d >= lo) & (d <= hi)]]
+        expected[y] = np.unique(member_ext).size >= 2, member_ext.size
+    s = hashes ^ g_bar
+    assert np.array_equal(success[s], expected[:, 0])
+    assert np.array_equal(size[s], expected[:, 1])
+    several = expected[:, 1] >= 2
+    assert expected[:, 0].any() and not expected[several, 0].all()
+
+
+@pytest.mark.parametrize("coupling,r", [("independent", None), ("degraded", None),
+                                        ("custom", 0.05)])
+def test_binding_with_eve_averaged_over_eve_equals_alone(monkeypatch, coupling, r):
+    # law of total probability over Eve's flips ne, with Bob's flips nb
+    # drawn at the worker's own thresholds: channel.p alone, and
+    # channel.bob_given_eve() given ne
+    n = 10
+    params, channel, session = small_session(n=n, p=0.25, q=0.3, alpha1=0.15, lg=8, mc=1,
+                                             seed=29, coupling=coupling, r=r)
+    _, _, x_int, _, hashes, g_bar, success, _, _ = _captured_payload(
+        monkeypatch, params, channel, session, "with_eve")
+    words = np.arange(1 << n)
+    bits = (words[:, None] >> np.arange(n - 1, -1, -1)) & 1  # big-endian, as the worker
+    wins = success[hashes[x_int ^ words] ^ g_bar].astype(float)  # indexed by nb
+    alone = np.prod(np.where(bits == 1, channel.p, 1 - channel.p), axis=1) @ wins
+    eve = np.prod(np.where(bits == 1, channel.q, 1 - channel.q), axis=1)
+    given0, given1 = channel.bob_given_eve()
+    thresh = np.where(bits == 1, given1, given0)  # row ne: Bob's per-position law
+    bob_given_ne = np.ones((1 << n, 1 << n))      # [ne, nb]
+    for j in range(n):
+        bob_given_ne *= np.where(bits[None, :, j] == 1, thresh[:, j, None],
+                                 1 - thresh[:, j, None])
+    with_eve = bob_given_ne @ wins
+    assert 0 < alone < 1
+    assert abs(eve @ with_eve - alone) <= 1e-12
+    # the conditional moves with ne unless the flips are independent
+    assert (np.ptp(with_eve) <= 1e-12) == (coupling == "independent")
 
 
 _COUPLINGS = (("independent", None), ("degraded", None), ("custom", 0.05))

@@ -321,8 +321,13 @@ class TestExperimentConfig:
          "sweep value 'a,b.csv' does not fit one CSV cell"),
         ({"variable": "out", "values": ["a\u2028b.csv"]},
          "does not fit one CSV cell"),  # splitlines splits at U+2028
+        # strings that from_csv reads back as True, 1000.0, None, 7, nan, inf
+        *(({"variable": "out", "values": [v]}, f"sweep value {v!r} does not fit one CSV cell")
+          for v in ("true", "1e3", "", "007", "nan", "inf")),
     ], ids=["unknown-field", "string", "object", "number", "empty",
-            "list-value", "object-value", "comma-value", "line-break-value"])
+            "list-value", "object-value", "comma-value", "line-break-value",
+            "true-text-value", "exponent-text-value", "empty-text-value",
+            "leading-zero-text-value", "nan-text-value", "inf-text-value"])
     def test_sweep_block_checked(self, tmp_path, capsys, change, message):
         doc = {"version": 1, "kind": "sweep",
                "sweep": {"variable": "params.n", "values": [200, 400],

@@ -1,7 +1,10 @@
 """Package metadata against what the code needs."""
 
 import ast
+import importlib
+import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -91,3 +94,49 @@ def test_readme_library_example_runs():
     done = subprocess.run([sys.executable, "-c", match[1]], capture_output=True,
                           env=env, cwd=ROOT, timeout=120)
     assert done.returncode == 0, done.stderr.decode()
+
+
+def _shared_rule_names():
+    """The backticked names in the "stated in" and "used by" cells of the
+    README's shared-rules table; a rule cell may hold an escaped \\|."""
+    lines = (ROOT / "README.md").read_text().splitlines()
+    start = lines.index("| rule | stated in | used by |")
+    names = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        cells = re.split(r"(?<!\\)\|", line)[1:-1]
+        assert len(cells) == 3, f"shared-rules row {line!r} has {len(cells)} cells"
+        names += [name for cell in cells[1:] for name in re.findall(r"`([^`]+)`", cell)]
+    return names
+
+
+def test_readme_shared_rules_name_existing_code():
+    # a dotted name resolves from a package module or a class named by
+    # its first part; a bare name is an attribute of some module or class
+    import wiretap_commit
+
+    modules = [importlib.import_module(f"wiretap_commit.{info.name}")
+               for info in pkgutil.iter_modules(wiretap_commit.__path__)]
+    classes = [cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
+               if cls.__module__ == module.__name__]
+
+    def resolves(owner, path):
+        for part in path:
+            if not hasattr(owner, part):
+                return False
+            owner = getattr(owner, part)
+        return True
+
+    names = _shared_rule_names()
+    assert len(names) > 20
+    missing = []
+    for name in names:
+        head, *rest = name.split(".")
+        owners = ([m for m in modules if m.__name__.rpartition(".")[2] == head]
+                  + [cls for cls in classes if cls.__name__ == head])
+        if not rest:
+            owners, rest = modules + classes, [head]
+        if not any(resolves(owner, rest) for owner in owners):
+            missing.append(name)
+    assert not missing, f"README shared-rules table names missing code: {missing}"
