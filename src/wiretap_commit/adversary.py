@@ -49,7 +49,6 @@ from .protocol import (
     _in_band,
 )
 from .rng import (
-    INDEX_LIMIT,
     byte_bits,
     doubles,
     make_rng,
@@ -63,19 +62,18 @@ ENUM_LIMIT = 20           # exhaustive search over {0,1}^n
 # Exact concealment: work W per call (_concealment_check).  One party at n = 9,
 # l_G = 3 took 91-106 ms and traced 5.8 MiB on a 2-core x86-64 host.
 EXACT_WORK_LIMIT = 1 << 29
-# Exact concealment: kernel entries per sub-block of G seeds, and words
-# per block of the one seed pass.  At n = 6, l_G = 1 and 2, all views, a
-# call pair took 27.9, 23.2, 18.6, 19.7 and 23.7 ms (median of 20
-# interleaved rounds on a 2-core x86-64 host) at 2^12 to 2^16, with a
-# traced peak of 0.24, 0.38, 0.70, 1.34 and 2.61 MiB at l_G = 1.  Below
-# 2^14 the per-block overhead shows; above it nothing is gained for more
-# memory.
-EXACT_BLOCK = 1 << 14
-TRIAL_LIMIT = INDEX_LIMIT  # trial seeds per Monte Carlo estimate
+# Bytes of the largest temporary of every blocked loop: a loop takes as
+# many entries per block as fit.  glibc returns a freed block above 128 KiB
+# to the OS, so the next one faults back in: at n = 6, l_G = 1 and 2, all
+# views, an exact call pair ran in 14.1 ms with no minor faults at 2^14
+# float64 entries per sub-block, and in 18.5 ms with 3592 faults at 2^15
+# (2-core x86-64 host).
+BLOCK_BYTES = 1 << 17
+# Trial seeds per Monte Carlo estimate: binding keeps about 42 B of records
+# per trial (traced at 2^16 trials, n = 12, l_G = 4), 0.7 GB at the limit.
+TRIAL_LIMIT = 1 << 24
 MC_BLOCK = 1 << 10        # Monte Carlo: trials per array Philox pass
-SCAN_BLOCK = 1 << 17      # Monte Carlo: (trial, word) entries per tile of a word scan
 WORD_LIMIT = 1 << 20      # soundness: raw channel words per trial (2n)
-WORD_BLOCK = 1 << 16      # soundness: raw words per block of trials (32 KiB of flags per threshold)
 # Capacity grid: steps per axis, steps^2 rows.  At the limit one CLI run,
 # start-up included, took 1.6 s and peaked at 144 MB RSS for a 16 MB CSV
 # (2-core x86-64 host).
@@ -142,7 +140,7 @@ def _report_context(params: ProtocolParams) -> dict:
 
 def _check_trials(trials: int, seeds_per_trial: int = 1):
     """An estimate runs at least one trial and draws trial seeds 0 to
-    trials * seeds_per_trial - 1, each below TRIAL_LIMIT."""
+    trials * seeds_per_trial - 1, at most TRIAL_LIMIT of them."""
     if trials < 1:
         raise DomainError("trials must be >= 1")
     if trials * seeds_per_trial > TRIAL_LIMIT:
@@ -178,16 +176,16 @@ def _soundness_worker(points, seeds) -> np.ndarray:
     of the words.  Points with the same p share a
     threshold, so each segment of flags between their consecutive
     prefixes is counted once and a point's count is the running sum up
-    to its prefix.  A block holds at most MC_BLOCK trials and WORD_BLOCK
-    words; a trial's words depend on its index alone, so the blocking
-    changes no indicator.
+    to its prefix.  A block holds at most MC_BLOCK trials and BLOCK_BYTES
+    flags per threshold, one byte each; a trial's words depend on its
+    index alone, so the blocking changes no indicator.
     """
     span = 2 * max(n for n, _, _ in points)
     bands = {}  # flip threshold -> [(prefix, point)] in prefix order
     for k, (n, p, _) in sorted(enumerate(points), key=lambda item: item[1][0]):
         below = math.ceil(p * 2.0 ** 53) << 11  # p < 1/2: fits in 64 bits
         bands.setdefault(below, []).append((n, k))
-    block = max(1, min(len(seeds), MC_BLOCK, WORD_BLOCK // span))
+    block = max(1, min(len(seeds), MC_BLOCK, BLOCK_BYTES // (span // 2)))
     chunk = block * (MC_BLOCK // block)  # trials per keys() call, whole blocks
     thresholds = [np.array(below, dtype=np.uint64) for below in bands]  # 0-d: no scalar boxing
     flips = np.empty((len(bands), block, span // 2), dtype=bool)
@@ -302,14 +300,15 @@ def enumerate_confusables(session: SessionState, params: ProtocolParams) -> Conf
     return ConfusableSet(n=params.n, members=members, eta_hat=eta_hat)
 
 
-def _tiles(rows: int, cols: int):
-    """(row slice, column slice) pairs covering a rows x cols scan in
-    tiles of at most SCAN_BLOCK entries, at least one row each, and the
-    columns of each band of rows in increasing order.  Tiles are a power
-    of two wide unless they span all columns, so a power-of-two cols
-    gives tiles at multiples of their width."""
-    width = max(1, min(cols, 1 << (SCAN_BLOCK.bit_length() - 1)))
-    height = max(1, SCAN_BLOCK // width)
+def _tiles(rows: int, cols: int, itemsize: int):
+    """(row slice, column slice) pairs covering a rows x cols scan of
+    itemsize-byte entries in tiles of at most BLOCK_BYTES but one entry and
+    one row at least, and the columns of each band of rows in increasing
+    order.  Tiles are a power of two wide unless they span all columns, so
+    a power-of-two cols gives tiles at multiples of their width."""
+    entries = max(1, BLOCK_BYTES // itemsize)
+    width = min(cols, 1 << (entries.bit_length() - 1))
+    height = entries // width
     for r0 in range(0, rows, height):
         for c0 in range(0, cols, width):
             yield slice(r0, r0 + height), slice(c0, c0 + width)
@@ -609,10 +608,10 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS) -> dict:
       pivots set, the pivots being the leading bits of K's elements 2^j.
     * Blocks.  G seeds with the same dim(K) share every shape, so they
       run stacked.  One pass over the seeds serves every view: it finds
-      K and the coset leaders for blocks of EXACT_BLOCK / 2^n seeds, and
-      each view evaluates a block in sub-blocks of at most EXACT_BLOCK
-      kernel entries (EXACT_BLOCK / (2^n |w|) seeds, w the view's
-      columns per leader).  The per-seed sums are kept by seed index and
+      K and the coset leaders for blocks of BLOCK_BYTES / (8 2^n) seeds
+      (8-byte indices), and each view evaluates a block in sub-blocks of
+      BLOCK_BYTES / (8 2^n |w|) seeds (float64 entries), w the view's
+      columns per leader.  The per-seed sums are kept by seed index and
       added in seed order, so neither the blocking nor the other views
       requested change a report.  Only the table of every seed's hash
       values, 2^(n + l_G - 1) x 2^n bytes, grows with the seed count.
@@ -657,13 +656,13 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS) -> dict:
     mi_seed = {law: np.zeros(g_hash.shape[0]) for law in laws}
     max_posterior = dict.fromkeys(laws, 0.0)
     pad_rows = {}  # dim K -> the scaled rows, built when first needed
-    for dim, seeds, kernel, leaders in _seed_blocks(g_hash, max(1, EXACT_BLOCK // big_n)):
+    for dim, seeds, kernel, leaders in _seed_blocks(g_hash, max(1, BLOCK_BYTES // 8 // big_n)):
         if dim not in pad_rows:
             pad_rows[dim] = _pad_rows(dim) * x_weight
         # each row stands for 2^rank Ext seeds, and cosets * |K| = 2^n views
         weight = np.full((1 << dim, 1), float(big_n << (n - dim)))
         for law in laws:
-            step = max(1, EXACT_BLOCK // (big_n * row_tables[law].shape[1]))
+            step = max(1, BLOCK_BYTES // 8 // (big_n * row_tables[law].shape[1]))
             for i in range(0, seeds.size, step):
                 sub = slice(i, i + step)
                 d = kernel[sub, :, None] ^ leaders[sub, None, :]
@@ -728,21 +727,21 @@ def _map_guess(n: int, hash_bits: int, anchors: list, weights, cols: np.ndarray,
     hash under trial t's G of the word whose only set index bit is k,
     h_x the hash of x, both below 2^hash_bits.
 
-    One masked argmin scans all 2^n words in tiles of at most SCAN_BLOCK
-    entries.  Word w's key packs (h(w) XOR h(x)) above its distances to
-    the anchors, one field of n.bit_length() bits each.  Setting index
-    bit k of a word XORs the hash field with cols[:, k] and moves each
-    distance by +1 or -1, with no borrow between fields, so a tile's keys
-    come from word 0's key by one doubling pass.  Every candidate's key
-    lies below 2^s, s the width of the distance fields, and below every
-    other word's, so for one anchor the key is the masked cost itself.
-    The joint view maps each key, clipped to 2^s, to the rank of its
-    float cost in a table by the distance fields, with inf at 2^s.
-    Equal costs share a rank, so the argmin and its ties are the
-    cost's.  Keys are the narrowest unsigned type that holds
-    hash_bits + s bits and one spare bit, which holds the clip 2^s and
-    every rank (at most 2^s + 1 distinct costs): uint8, uint16 or
-    uint32.  They fit 32 bits: n <= ENUM_LIMIT, so hash_bits + s <= 30.
+    One masked argmin scans all 2^n words in tiles of at most BLOCK_BYTES
+    of keys (_tiles).  Word w's key packs (h(w) XOR h(x)) above its
+    distances to the anchors, one field of n.bit_length() bits each.
+    Setting index bit k of a word XORs the hash field with cols[:, k] and
+    moves each distance by +1 or -1, with no borrow between fields, so a
+    tile's keys come from word 0's key by one doubling pass.  Every
+    candidate's key lies below 2^s, s the width of the distance fields,
+    and below every other word's, so for one anchor the key is the masked
+    cost itself.  The joint view maps each key, clipped to 2^s, to the
+    rank of its float cost in a table by the distance fields, with inf at
+    2^s.  Equal costs share a rank, so the argmin and its ties are the
+    cost's.  Keys are the narrowest unsigned type that holds hash_bits + s
+    bits and one spare bit, which holds the clip 2^s and every rank (at
+    most 2^s + 1 distinct costs): uint8, uint16 or uint32.  They fit 32
+    bits: n <= ENUM_LIMIT, so hash_bits + s <= 30.
     """
     width = n.bit_length()
     shift = width * len(anchors)
@@ -764,7 +763,7 @@ def _map_guess(n: int, hash_bits: int, anchors: list, weights, cols: np.ndarray,
         rank = np.unique(cost, return_inverse=True)[1].astype(key_type)
     best = np.full(key0.size, np.iinfo(key_type).max, dtype=key_type)
     guess = np.zeros(key0.size, dtype=np.uint64)
-    for rows, words in _tiles(key0.size, 1 << n):
+    for rows, words in _tiles(key0.size, 1 << n, np.dtype(key_type).itemsize):
         high = ((words.start >> index_bits) & np.uint64(1)) == 1
         key = np.empty((best[rows].size, words.stop - words.start), dtype=key_type)
         key[:, 0] = key0[rows] + step[rows][:, high].sum(axis=1).astype(key_type)

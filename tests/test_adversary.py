@@ -14,12 +14,12 @@ import pytest
 
 from wiretap_commit import adversary
 from wiretap_commit.adversary import (
+    BLOCK_BYTES,
     ENUM_LIMIT,
     EXACT_WORK_LIMIT,
     MC_BLOCK,
     TRIAL_LIMIT,
     VIEWS,
-    WORD_BLOCK,
     WORD_LIMIT,
     _all_seed_tables,
     _binding_worker,
@@ -1081,7 +1081,8 @@ class TestSeedBlocks:
             assert seen.all()
 
     def test_reports_do_not_depend_on_the_block_size(self, monkeypatch):
-        # one seed per block up to every seed of a dim K in one block
+        # one seed per block (8 bytes: one float64 kernel entry) up to
+        # every seed of a dim K in one block (2^24 entries)
         params = explicit_params(5, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
                                  challenge_bits=3, commit_bits=1,
                                  coupling="custom", coupling_r=0.05)
@@ -1092,8 +1093,8 @@ class TestSeedBlocks:
                     for key, r in concealment_exact(params, channel).items()}
 
         default = run()
-        for block in (1, 1 << 24):
-            monkeypatch.setattr(adversary, "EXACT_BLOCK", block)
+        for block in (8, 8 << 24):
+            monkeypatch.setattr(adversary, "BLOCK_BYTES", block)
             assert run() == default
 
     @pytest.mark.parametrize("n,lg,p", [pytest.param(n, lg, 0.2, id=f"{n}-{lg}")
@@ -1565,8 +1566,9 @@ def test_soundness_worker_matches_each_point_alone(fork_small_calls, reference, 
 @pytest.mark.parametrize("reference", _SOUNDNESS_REFERENCES, ids=["rekeyed", "per-trial"])
 @pytest.mark.parametrize("offset", [None, -1, 0, 1])
 def test_soundness_worker_blocks_of_trials(fork_small_calls, reference, offset):
-    # a block holds WORD_BLOCK // 2000 trials of the widest point; None is one trial
-    block = WORD_BLOCK // 2000
+    # a block holds BLOCK_BYTES // 1000 trials of the widest point, one
+    # byte of flags per symbol; None is one trial
+    block = BLOCK_BYTES // 1000
     trials = 1 if offset is None else block + offset
     points = ((1000, 0.1, 0.04), (250, 0.2, 0.03), (1000, 0.1, 0.01))
     _check_at_one_and_two_workers(_soundness_worker, reference, points,
@@ -1578,16 +1580,16 @@ def test_soundness_worker_one_trial_per_block(monkeypatch, fork_small_calls):
     seeds = trial_seeds(9173, 23)
     expected = [reference(_SOUNDNESS_POINTS, seeds) for reference in _SOUNDNESS_REFERENCES]
     assert np.array_equal(*expected)
-    monkeypatch.setattr(adversary, "WORD_BLOCK", 1)
+    monkeypatch.setattr(adversary, "BLOCK_BYTES", 1)  # below one trial's flags
     for threads in (1, 2):
         got = map_trials(_soundness_worker, _SOUNDNESS_POINTS, seeds, threads)
         assert np.array_equal(got, expected[0])
 
 
 def test_soundness_worker_memory_stays_at_one_block():
-    # the soundness sweep's points: one trial's words and one block of
-    # flip flags (about 31 KiB each) plus the keys of at most MC_BLOCK
-    # trials, not a copy per trial
+    # the soundness sweep's points: one trial's words (31 KiB) and one
+    # block of flip flags (65 trials of 2000, 127 KiB) plus the keys of at
+    # most MC_BLOCK trials, not a copy per trial
     points = tuple((n, 0.1, 0.04) for n in (250, 500, 1000, 2000))
     peak = _traced_peak(_soundness_worker, points, trial_seeds(42, 4000))
     assert peak <= 1 << 20, peak
@@ -1769,13 +1771,16 @@ def test_concealment_worker_blocks_of_trials(fork_small_calls, view, trials):
 @pytest.mark.parametrize("scan,block", [(1, 1), (8, 5), (200, 7), (1 << 10, 3)])
 @pytest.mark.parametrize("view", VIEWS)
 def test_concealment_worker_tiles_change_nothing(monkeypatch, view, scan, block):
-    # tiles narrower than 2^n split each trial's scan; wider ones stack trials
+    # tiles narrower than 2^n split each trial's scan; wider ones stack
+    # trials.  scan is in bytes of keys: one byte a key for Bob's and Eve's
+    # views at n = 6, l_G = 2, two for the joint view's, where 1 byte still
+    # makes a tile of one key and 8, 200 and 2^10 bytes hold 4, 100 and 2^9
     seeds = trial_seeds(23, 11)
     for pad in (False, True):
         payload = _secrecy_payload(6, 2, "independent", None, view, pad)
         expected = _per_trial_concealment_mc_worker(payload, seeds)
         with monkeypatch.context() as m:
-            m.setattr(adversary, "SCAN_BLOCK", scan)
+            m.setattr(adversary, "BLOCK_BYTES", scan)
             m.setattr(adversary, "MC_BLOCK", block)
             assert np.array_equal(_concealment_mc_worker(payload, seeds), expected)
 

@@ -809,3 +809,28 @@ def test_import_builds_no_parser():
     assert _fresh_interpreter(
         "-c", "import wiretap_commit.cli as c; print(c._parser.cache_info().currsize)",
     ) == "0\n"
+
+
+@pytest.mark.parametrize("command,name,challenge_bits", [
+    ("concealment", "concealment_exact.json", 1),
+    ("concealment", "concealment_exact.json", 2),
+    ("secrecy", "secrecy_mc.json", None),
+    ("sweep", "soundness_sweep.json", None),
+], ids=["concealment-lg1", "concealment-lg2", "secrecy", "sweep"])
+def test_demo_outputs_do_not_depend_on_the_block_bytes(
+        tmp_path, capsys, monkeypatch, command, name, challenge_bits):
+    # per-seed sums are added in seed order and scan tiles keep the first
+    # of equal keys, so stdout is the same at blocks of 1 KiB, the default
+    # and 16 MiB, the forked workers included
+    with open(os.path.join(_DEMO_CONFIGS, name)) as fh:
+        doc = json.load(fh)
+    if challenge_bits is not None:
+        doc["params"]["challenge_bits"] = challenge_bits
+    cfg = tmp_path / name
+    cfg.write_text(json.dumps(doc))
+    outputs = []
+    for block_bytes in (1 << 10, adversary.BLOCK_BYTES, 1 << 24):
+        monkeypatch.setattr(adversary, "BLOCK_BYTES", block_bytes)
+        assert main([command, "--config", str(cfg), "--threads", "2"]) == EXIT_OK
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] and outputs.count(outputs[0]) == 3

@@ -347,7 +347,7 @@ class TestExperimentConfig:
             ExperimentConfig.from_dict(bad).validate()
 
     def test_validation_happens_before_work(self):
-        doc = soundness_doc(trials=10 ** 9)  # absurd, but validate() is cheap
+        doc = soundness_doc(trials=adversary.TRIAL_LIMIT)  # absurd, but validate() is cheap
         cfg = ExperimentConfig.from_dict(doc)
         cfg.validate()  # must not run any trials
 

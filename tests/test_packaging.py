@@ -51,11 +51,12 @@ def _readme_limits():
 
 
 def _adversary_limits():
-    """The *_LIMIT and *_BLOCK names adversary.py assigns at top level."""
+    """The *_LIMIT, *_BLOCK and *_BYTES names adversary.py assigns at top
+    level."""
     tree = ast.parse((ROOT / "src" / "wiretap_commit" / "adversary.py").read_text())
     return {target.id for node in tree.body if isinstance(node, ast.Assign)
             for target in node.targets
-            if isinstance(target, ast.Name) and target.id.endswith(("_LIMIT", "_BLOCK"))}
+            if isinstance(target, ast.Name) and target.id.endswith(("_LIMIT", "_BLOCK", "_BYTES"))}
 
 
 def test_readme_limits_table_matches_the_code():
