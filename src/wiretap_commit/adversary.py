@@ -60,7 +60,7 @@ from .rng import (
 
 ENUM_LIMIT = 20           # exhaustive search over {0,1}^n
 # Exact concealment: work W per call (_concealment_check).  One party at n = 9,
-# l_G = 3 took 91-106 ms and traced 5.8 MiB on a 2-core x86-64 host.
+# l_G = 3 took 78-80 ms and traced 5.6 MiB on a 2-core x86-64 host.
 EXACT_WORK_LIMIT = 1 << 29
 # Bytes of the largest temporary of every blocked loop: a loop takes as
 # many entries per block as fit.  glibc returns a freed block above 128 KiB
@@ -544,31 +544,15 @@ def _pad_rows(dim: int) -> np.ndarray:
     return 1.0 - 2.0 * (np.bitwise_count(a[:, None] & i[None, :]) & 1)
 
 
-def _seed_blocks(g_hash: np.ndarray, block: int):
-    """Blocks of at most `block` G seeds with the same dim K, K = ker G,
-    from the table of every seed's hash values: yields (dim, seeds, K,
-    leaders), one row of words per seed, K sorted and the coset leaders
-    in the order of their cosets' hash values.
-
-    Sorted K's elements 2^j form an echelon basis of K, so their leading
-    bits (the pivots) are distinct, and the least word of each coset
-    y XOR K is its one word with no pivot set."""
-    big_n = g_hash.shape[1]
-    words = np.arange(big_n, dtype=np.min_scalar_type(big_n - 1))
-    kernel_sizes = np.concatenate([np.count_nonzero(g_hash[i:i + block] == 0, axis=1)
-                                   for i in range(0, g_hash.shape[0], block)])
-    for dim in range(big_n.bit_length()):
-        group = np.flatnonzero(kernel_sizes == 1 << dim)
-        for start in range(0, group.size, block):
-            seeds = group[start:start + block]
-            values = g_hash[seeds]
-            kernel = np.nonzero(values == 0)[1].astype(words.dtype).reshape(seeds.size, -1)
-            basis = kernel[:, 1 << np.arange(dim)]
-            pivots = np.bitwise_or.reduce(1 << (np.frexp(basis)[1] - 1), axis=1)
-            leaders = words[np.nonzero((words & pivots[:, None]) == 0)[1]]
-            leaders = leaders.reshape(seeds.size, -1)
-            order = np.argsort(np.take_along_axis(values, leaders, axis=1), axis=1)
-            yield dim, seeds, kernel, np.take_along_axis(leaders, order, axis=1)
+def _cosets(values: np.ndarray, dim: int):
+    """K = ker G and the coset leaders of G, for each row of hash values
+    of G seeds with dim K = dim, from one stable sort of the words by
+    hash value: each coset of K is a run of |K| words with one hash
+    value, the runs in hash-value order and each in increasing word
+    order.  So K, of hash value 0, is the first run, sorted, and each
+    run starts with its coset's least word."""
+    order = np.argsort(values, axis=1, kind="stable")
+    return order[:, :1 << dim], order[:, ::1 << dim]
 
 
 def concealment_exact(params: ProtocolParams, channel, views=VIEWS) -> dict:
@@ -604,12 +588,10 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS) -> dict:
       posterior ratio are constant on each K-orbit of views, and one
       representative per orbit stands for |K| columns: the coset
       leaders min(y XOR K), and for the joint view (leader, every z).
-      The leaders need no search: they are the words with none of the
-      pivots set, the pivots being the leading bits of K's elements 2^j.
-    * Blocks.  G seeds with the same dim(K) share every shape, so they
-      run stacked.  One pass over the seeds serves every view: it finds
-      K and the coset leaders for blocks of BLOCK_BYTES / (8 2^n) seeds
-      (8-byte indices), and each view evaluates a block in sub-blocks of
+      One stable sort of a seed's words by hash value gives K and the
+      leaders at once (_cosets).
+    * Blocks.  G seeds with the same dim(K) share every shape, so each
+      view evaluates them stacked, in sub-blocks of
       BLOCK_BYTES / (8 2^n |w|) seeds (float64 entries), w the view's
       columns per leader.  The per-seed sums are kept by seed index and
       added in seed order, so neither the blocking nor the other views
@@ -643,36 +625,42 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS) -> dict:
     law_of = {"bob": ((1.0 - p, 0.0, 0.0, p), False),
               "eve": ((1.0 - q, 0.0, 0.0, q), False),
               "joint": (channel.noise_pair_pmf(), True)}
-    laws = tuple(dict.fromkeys(law_of[v] for v in views))
 
     g_hash = _all_seed_tables(n, lg)
     x_weight = 1.0 / big_n
     seed_weight = 1.0 / (g_hash.shape[0] * big_n)  # G seeds times Ext seeds
-    # per law R[x XOR y, j], the kernel entry of x and column (y, w_j)
-    row_tables = {law: _kernel_rows(_noise_table(n, law[0]),
-                                    words if law[1] else words[:1])
-                  for law in laws}
-    sd_seed = {law: np.zeros(g_hash.shape[0]) for law in laws}
-    mi_seed = {law: np.zeros(g_hash.shape[0]) for law in laws}
-    max_posterior = dict.fromkeys(laws, 0.0)
-    pad_rows = {}  # dim K -> the scaled rows, built when first needed
-    for dim, seeds, kernel, leaders in _seed_blocks(g_hash, max(1, BLOCK_BYTES // 8 // big_n)):
-        if dim not in pad_rows:
-            pad_rows[dim] = _pad_rows(dim) * x_weight
-        # each row stands for 2^rank Ext seeds, and cosets * |K| = 2^n views
-        weight = np.full((1 << dim, 1), float(big_n << (n - dim)))
-        for law in laws:
-            step = max(1, BLOCK_BYTES // 8 // (big_n * row_tables[law].shape[1]))
-            for i in range(0, seeds.size, step):
-                sub = slice(i, i + step)
-                d = kernel[sub, :, None] ^ leaders[sub, None, :]
-                k_rep = row_tables[law].take(d, axis=0).reshape(*d.shape[:2], -1)
+    # the reports in the order of the views, filled in law by law
+    reports = dict.fromkeys(f"{metric}_{v}" for v in views for metric in ("sd", "mi"))
+    context = _report_context(params)
+    for law in dict.fromkeys(law_of[v] for v in views):
+        pmf, over_w = law
+        # R[x XOR y, j], the kernel entry of x and column (y, w_j)
+        rows = _kernel_rows(_noise_table(n, pmf), words if over_w else words[:1])
+        step = max(1, BLOCK_BYTES // 8 // (big_n * rows.shape[1]))
+        kernel_sizes = np.concatenate([np.count_nonzero(g_hash[i:i + step] == 0, axis=1)
+                                       for i in range(0, g_hash.shape[0], step)])
+        sd_seed = np.zeros(g_hash.shape[0])
+        mi_seed = np.zeros(g_hash.shape[0])
+        max_posterior = 0.0
+        for dim in range(n + 1):
+            group = np.flatnonzero(kernel_sizes == 1 << dim)
+            if group.size == 0:
+                continue
+            pad_rows = _pad_rows(dim) * x_weight
+            # each row stands for 2^rank Ext seeds, and cosets * |K| = 2^n views
+            weight = np.full((1 << dim, 1), float(big_n << (n - dim)))
+            for i in range(0, group.size, step):
+                seeds = group[i:i + step]
+                kernel, leaders = _cosets(g_hash[seeds], dim)
+                d = kernel[:, :, None] ^ leaders[:, None, :]
+                k_rep = rows.take(d, axis=0).reshape(*d.shape[:2], -1)
+                del kernel, leaders, d  # 8-byte indices, one per entry of one party's k_rep
                 colsum = k_rep.sum(axis=1)
                 # worst-case posterior of x given the pad-free view
                 ratio = np.divide(k_rep.max(axis=1), colsum,
                                   out=np.zeros_like(colsum), where=colsum > 0.0)
-                max_posterior[law] = max(max_posterior[law], float(ratio.max()))
-                d_mat = pad_rows[dim] @ k_rep
+                max_posterior = max(max_posterior, float(ratio.max()))
+                d_mat = pad_rows @ k_rep
                 del k_rep  # at most four sub-block-sized arrays live at a time
                 s_vec = (colsum * x_weight)[:, None, :]
                 m0 = s_vec + d_mat
@@ -680,31 +668,30 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS) -> dict:
                 # one dot product of row sums and weights per seed (a
                 # matrix-vector product would add them in another order)
                 np.abs(d_mat, out=d_mat)
-                sd_seed[law][seeds[sub]] = (d_mat.sum(axis=-1)[:, None, :] @ weight)[:, 0, 0]
+                sd_seed[seeds] = (d_mat.sum(axis=-1)[:, None, :] @ weight)[:, 0, 0]
                 del d_mat
                 for m in (m0, m1):
                     m *= 0.5
                     np.maximum(m, 0.0, out=m)  # np.clip(m, 0.0, None)'s own ufunc
-                mi_seed[law][seeds[sub]] = (_mi_rows(m0, m1)[:, None, :] @ weight)[:, 0, 0]
+                mi_seed[seeds] = (_mi_rows(m0, m1)[:, None, :] @ weight)[:, 0, 0]
 
-    reports = {}
-    context = _report_context(params)
-    for v in views:
-        law = law_of[v]
-        k_hat = -math.log2(max_posterior[law]) if max_posterior[law] > 0 else math.inf
+        k_hat = -math.log2(max_posterior) if max_posterior > 0 else math.inf
         ref = min(1.0, 2.0 * lhl_bound(k_hat, 1))
         # a running sum in seed order, whatever the blocks were
-        sd = seed_weight * float(np.cumsum(sd_seed[law])[-1])
-        mi = seed_weight * float(np.cumsum(mi_seed[law])[-1])
-        detail = {"k_hat": k_hat}
-        reports[f"sd_{v}"] = SecurityReport(
-            metric=f"concealment_sd_{v}", estimate=sd, exact=True,
-            reference_bound=ref, details=detail, **context,
-        )
-        reports[f"mi_{v}"] = SecurityReport(
-            metric=f"concealment_mi_{v}", estimate=mi, exact=True,
-            reference_bound=None, details=detail, **context,
-        )
+        sd = seed_weight * float(np.cumsum(sd_seed)[-1])
+        mi = seed_weight * float(np.cumsum(mi_seed)[-1])
+        for v in views:
+            if law_of[v] != law:
+                continue
+            detail = {"k_hat": k_hat}
+            reports[f"sd_{v}"] = SecurityReport(
+                metric=f"concealment_sd_{v}", estimate=sd, exact=True,
+                reference_bound=ref, details=detail, **context,
+            )
+            reports[f"mi_{v}"] = SecurityReport(
+                metric=f"concealment_mi_{v}", estimate=mi, exact=True,
+                reference_bound=None, details=detail, **context,
+            )
     return reports
 
 

@@ -25,12 +25,12 @@ from wiretap_commit.adversary import (
     _binding_worker,
     _concealment_check,
     _concealment_mc_worker,
+    _cosets,
     _cs_table,
     _kernel_rows,
     _mi_rows,
     _noise_table,
     _pad_rows,
-    _seed_blocks,
     _soundness_worker,
     binding_attack,
     concealment_exact,
@@ -1064,20 +1064,25 @@ class TestSeedBlocks:
         assert set(np.unique(rows).tolist()) <= {-1.0, 1.0}
         np.testing.assert_array_equal(rows @ rows.T, (1 << dim) * np.eye(1 << dim))
 
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_pivot_leaders_are_the_coset_minima(self, n):
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_sorted_leaders_are_the_coset_minima(self, n):
         # in the order of np.unique's first occurrences, i.e. of hash value
         for lg in range(1, n + 1):
             g_hash = _all_seed_hashes(n, lg)
+            kernel_sizes = np.count_nonzero(g_hash == 0, axis=1)
             seen = np.zeros(g_hash.shape[0], dtype=bool)
-            for dim, seeds, kernel, leaders in _seed_blocks(g_hash, 7):
-                assert kernel.shape == (seeds.size, 1 << dim)
-                assert leaders.shape == (seeds.size, 1 << (n - dim))
-                for values, k, lead in zip(g_hash[seeds], kernel, leaders):
-                    np.testing.assert_array_equal(k, np.flatnonzero(values == 0))
-                    np.testing.assert_array_equal(
-                        lead, np.unique(values, return_index=True)[1])
-                seen[seeds] = True
+            for dim in range(n + 1):
+                group = np.flatnonzero(kernel_sizes == 1 << dim)
+                for start in range(0, group.size, 7):
+                    seeds = group[start:start + 7]
+                    kernel, leaders = _cosets(g_hash[seeds], dim)
+                    assert kernel.shape == (seeds.size, 1 << dim)
+                    assert leaders.shape == (seeds.size, 1 << (n - dim))
+                    for values, k, lead in zip(g_hash[seeds], kernel, leaders):
+                        np.testing.assert_array_equal(k, np.flatnonzero(values == 0))
+                        np.testing.assert_array_equal(
+                            lead, np.unique(values, return_index=True)[1])
+                    seen[seeds] = True
             assert seen.all()
 
     def test_reports_do_not_depend_on_the_block_size(self, monkeypatch):

@@ -346,10 +346,13 @@ class TestExperimentConfig:
         with pytest.raises(RateError):
             ExperimentConfig.from_dict(bad).validate()
 
-    def test_validation_happens_before_work(self):
+    def test_validation_happens_before_work(self, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("validate() ran a trial")
+
+        monkeypatch.setattr(adversary, "map_trials", no_trials)
         doc = soundness_doc(trials=adversary.TRIAL_LIMIT)  # absurd, but validate() is cheap
-        cfg = ExperimentConfig.from_dict(doc)
-        cfg.validate()  # must not run any trials
+        ExperimentConfig.from_dict(doc).validate()
 
 
 class TestRunExperiment:
