@@ -95,14 +95,10 @@ def _flips(ch: WiretapChannel, u: np.ndarray):
     return nb.astype(np.uint8), ne.astype(np.uint8)
 
 
-def _noise_pair(ch: WiretapChannel, n: int, rng: np.random.Generator):
-    """Draw n iid flip pairs from 2n uniforms of rng (see _flips)."""
-    return _flips(ch, rng.random((n, 2)))
-
-
 def transmit(ch: WiretapChannel, x: BitVector, rng: np.random.Generator):
-    """One block transmission: returns (y, z) as seen by Bob and Eve."""
-    nb, ne = _noise_pair(ch, len(x), rng)
+    """One block transmission: returns (y, z) as seen by Bob and Eve,
+    the flip pairs drawn from 2n uniforms of rng (see _flips)."""
+    nb, ne = _flips(ch, rng.random((len(x), 2)))
     return BitVector(x.bits ^ nb), BitVector(x.bits ^ ne)
 
 

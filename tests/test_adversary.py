@@ -25,7 +25,6 @@ from wiretap_commit.adversary import (
     _binding_worker,
     _concealment_check,
     _concealment_mc_worker,
-    _cosets,
     _cs_table,
     _kernel_rows,
     _mi_rows,
@@ -1064,8 +1063,31 @@ class TestSeedBlocks:
         assert set(np.unique(rows).tolist()) <= {-1.0, 1.0}
         np.testing.assert_array_equal(rows @ rows.T, (1 << dim) * np.eye(1 << dim))
 
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_pad_rows_slice_to_every_smaller_order(self, n):
+        # concealment_exact builds P_n once and reads P_d off it per dim K
+        rows = _pad_rows(n)
+        for dim in range(n + 1):
+            np.testing.assert_array_equal(rows[::1 << (n - dim), :1 << dim], _pad_rows(dim))
+
+    def test_pad_rows_built_once_per_call(self, monkeypatch):
+        # two view laws (p != q) and dims K 6 to 9 share one P_9
+        calls = []
+
+        def counted(dim):
+            calls.append(dim)
+            return _pad_rows(dim)
+
+        monkeypatch.setattr(adversary, "_pad_rows", counted)
+        params = explicit_params(9, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
+                                 challenge_bits=3, commit_bits=1)
+        concealment_exact(params, make_channel(0.2, 0.3), views=("bob", "eve"))
+        assert calls == [9]
+
     @pytest.mark.parametrize("n", range(1, 8))
     def test_sorted_leaders_are_the_coset_minima(self, n):
+        # the stable sort by hash value, read as (coset, element of K), is
+        # the standard array: K first, then each leader XOR K, the leaders
         # in the order of np.unique's first occurrences, i.e. of hash value
         for lg in range(1, n + 1):
             g_hash = _all_seed_hashes(n, lg)
@@ -1075,9 +1097,13 @@ class TestSeedBlocks:
                 group = np.flatnonzero(kernel_sizes == 1 << dim)
                 for start in range(0, group.size, 7):
                     seeds = group[start:start + 7]
-                    kernel, leaders = _cosets(g_hash[seeds], dim)
+                    order = np.argsort(g_hash[seeds], axis=1, kind="stable")
+                    kernel, leaders = order[:, :1 << dim], order[:, ::1 << dim]
                     assert kernel.shape == (seeds.size, 1 << dim)
                     assert leaders.shape == (seeds.size, 1 << (n - dim))
+                    np.testing.assert_array_equal(
+                        order.reshape(seeds.size, 1 << (n - dim), 1 << dim),
+                        leaders[:, :, None] ^ kernel[:, None, :])
                     for values, k, lead in zip(g_hash[seeds], kernel, leaders):
                         np.testing.assert_array_equal(k, np.flatnonzero(values == 0))
                         np.testing.assert_array_equal(

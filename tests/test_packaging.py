@@ -8,6 +8,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import numpy as np
@@ -112,15 +113,21 @@ def _shared_rule_names():
     return names
 
 
-def test_readme_shared_rules_name_existing_code():
-    # a dotted name resolves from a package module or a class named by
-    # its first part; a bare name is an attribute of some module or class
+def _package_owners():
+    """The package's modules and the classes defined in them."""
     import wiretap_commit
 
     modules = [importlib.import_module(f"wiretap_commit.{info.name}")
                for info in pkgutil.iter_modules(wiretap_commit.__path__)]
     classes = [cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
                if cls.__module__ == module.__name__]
+    return modules, classes
+
+
+def test_readme_shared_rules_name_existing_code():
+    # a dotted name resolves from a package module or a class named by
+    # its first part; a bare name is an attribute of some module or class
+    modules, classes = _package_owners()
 
     def resolves(owner, path):
         for part in path:
@@ -141,3 +148,34 @@ def test_readme_shared_rules_name_existing_code():
         if not any(resolves(owner, rest) for owner in owners):
             missing.append(name)
     assert not missing, f"README shared-rules table names missing code: {missing}"
+
+
+def _private_names_in_docs():
+    """Every _private identifier in the comments and string literals of
+    the package's sources and in README.md, with where it was read."""
+    private = re.compile(r"(?<!\w)_[A-Za-z]\w*")
+    found = {}
+    for path in sorted((ROOT / "src" / "wiretap_commit").glob("*.py")):
+        with path.open("rb") as source:
+            for token in tokenize.tokenize(source.readline):
+                if token.type in (tokenize.COMMENT, tokenize.STRING):
+                    for name in private.findall(token.string):
+                        found.setdefault(name, f"{path.name}:{token.start[0]}")
+    for name in private.findall((ROOT / "README.md").read_text()):
+        found.setdefault(name, "README.md")
+    return found
+
+
+def test_docs_name_existing_private_code():
+    # a helper that is deleted or renamed must not linger in the prose:
+    # each name is an attribute of a package module, of a class in one,
+    # or of a module one imports (os._exit)
+    modules, classes = _package_owners()
+    imported = [value for module in modules for value in vars(module).values()
+                if inspect.ismodule(value)]
+    owners = modules + classes + imported
+    found = _private_names_in_docs()
+    assert len(found) > 10
+    missing = {name: where for name, where in found.items()
+               if not any(hasattr(owner, name) for owner in owners)}
+    assert not missing, f"comments, docstrings or README name missing code: {missing}"
