@@ -764,6 +764,13 @@ def _map_guess(n: int, hash_bits: int, anchors: list, weights, cols: np.ndarray,
     return guess
 
 
+def _log_odds(e: float) -> float:
+    """log2((1 - e)/e), by a difference of logs where (1 - e)/e overflows
+    (a subnormal e), so the joint view's cost weights stay finite."""
+    odds = (1.0 - e) / e
+    return math.log2(odds) if odds < math.inf else math.log2(1.0 - e) - math.log2(e)
+
+
 def _concealment_mc_worker(payload, seeds) -> np.ndarray:
     """Per-trial (c, distinguisher statistic) on raw arrays.
 
@@ -783,8 +790,7 @@ def _concealment_mc_worker(payload, seeds) -> np.ndarray:
     """
     params, channel, view, uniform_pad = payload
     n, hash_bits = params.n, params.challenge_bits
-    wp = math.log2((1.0 - params.pq.p) / params.pq.p)
-    wq = math.log2((1.0 - params.pq.q) / params.pq.q)
+    wp, wq = _log_odds(params.pq.p), _log_odds(params.pq.q)
     little_endian = np.uint64(1) << np.arange(n, dtype=np.uint64)
     counts = (1, *_commit_words(params))
     out = np.empty((len(seeds), 2), dtype=np.uint8)

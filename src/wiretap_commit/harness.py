@@ -29,7 +29,6 @@ from .adversary import (
     soundness_reports,
 )
 from .bits import BitVector
-from .channel import make_channel
 from .config import REQUIRED, agree, read_block
 from .errors import ConfigError, ScaleError
 from .measures import capacity_grid
@@ -219,15 +218,14 @@ class ExperimentConfig(SimpleNamespace):
         return params_from_config(self.params)
 
     def build_channel(self, params):
-        """The channel the params describe.
+        """The channel the params describe, params.channel.
 
         The params carry the whole channel (p, q, coupling, r).  A
         channel block (CHANNEL_FIELDS) may repeat any of that channel's
         fields, r = p q of an independent channel included, but a field
         that differs from it raises ConfigError (config.agree).
         """
-        channel = make_channel(params.pq.p, params.pq.q, params.coupling,
-                               r=params.coupling_r)
+        channel = params.channel
         agree(read_block(self.channel or {}, "channel", CHANNEL_FIELDS), "channel",
               {key: getattr(channel, key) for key, *_ in CHANNEL_FIELDS})
         return channel

@@ -41,10 +41,7 @@ class HashSpec:
 
     def __post_init__(self):
         n, l = self.input_bits, self.output_bits
-        if n < 1 or l < 1 or l > n:
-            raise DimensionError(
-                f"need 1 <= output_bits <= input_bits, got n={n}, l={l}"
-            )
+        _dimension_check(n, l)
         if len(self.seed) != n + l - 1:
             raise DimensionError(
                 f"seed length {len(self.seed)} != n + l - 1 = {n + l - 1}"
@@ -57,8 +54,10 @@ class HashSpec:
     @classmethod
     def from_config(cls, cfg: dict, where: str = "hash") -> "HashSpec":
         """Inverse of to_config: the block `where` read against
-        HASH_FIELDS (config.read_block), with a seed that must be hex."""
+        HASH_FIELDS (config.read_block), with a seed that must be hex
+        and dimensions that are checked before the seed is read."""
         f = read_block(cfg, where, HASH_FIELDS)
+        _dimension_check(f["n"], f["l"])
         return cls(f["n"], f["l"], BitVector.from_hex(f["seed"], f["n"] + f["l"] - 1))
 
 
@@ -66,10 +65,15 @@ class HashSpec:
 HASH_FIELDS = (("n", int, REQUIRED), ("l", int, REQUIRED), ("seed", str, REQUIRED))
 
 
+def _dimension_check(n: int, l: int):
+    """An (n -> l) hash needs 1 <= l <= n."""
+    if n < 1 or l < 1 or l > n:
+        raise DimensionError(f"need 1 <= output_bits <= input_bits, got n={n}, l={l}")
+
+
 def sample_hash(rng: np.random.Generator, n: int, l: int) -> HashSpec:
     """Uniform member of the (n -> l) Toeplitz family."""
-    if l < 1 or l > n:
-        raise DimensionError(f"need 1 <= l <= n, got n={n}, l={l}")
+    _dimension_check(n, l)
     return HashSpec(n, l, BitVector.random(rng, n + l - 1))
 
 
@@ -83,20 +87,7 @@ def hash_evaluate(h: HashSpec, x: BitVector) -> BitVector:
     FloatingPointError is raised if the transform's rounding residual
     says otherwise.
 
-    Cost: O((n+l) log(n+l)) time and O(n+l) memory.  Per call, median
-    of 7 interleaved timeit runs on a 2-core x86 host, numpy 2.4, against
-    the power-of-two padding this replaced (lengths 4096, 4096, 16384,
-    16384):
-
-        (n, l)        length   before   after
-        (2000, 100)     2160    77 us    50 us
-        (2000, 737)     2880    79 us    61 us
-        (8000, 400)     8640   529 us   238 us
-        (8000, 2951)   11250   533 us   324 us
-
-    The n = 8000 rows vary about 1.7x between runs on that host: there
-    numpy's rfft of a 2-row array at those lengths took 1.3-3x the time
-    of two 1-row calls.
+    Cost: O((n+l) log(n+l)) time and O(n+l) memory.
     """
     n = h.input_bits
     if len(x) != n:
@@ -174,12 +165,7 @@ def hash_all_inputs(h: HashSpec) -> np.ndarray:
     n, l = h.input_bits, h.output_bits
     if n > 24:
         raise DimensionError(f"exhaustive hashing limited to n <= 24, got {n}")
-    return _packed_table(h.seed.bits, n, l)
-
-
-def _packed_table(seed: np.ndarray, n: int, l: int) -> np.ndarray:
-    """hash_all_inputs on a raw uint8 seed of n + l - 1 bits, unchecked."""
-    return _linear_table(_toeplitz_columns(seed, n, l))
+    return _linear_table(_toeplitz_columns(h.seed.bits, n, l))
 
 
 def _toeplitz_columns(seeds: np.ndarray, n: int, l: int) -> np.ndarray:

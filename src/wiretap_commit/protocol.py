@@ -26,7 +26,8 @@ rng.philox_words, so both follow one draw contract.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -40,6 +41,21 @@ from .measures import CrossoverPair, capacity_one_private, capacity_two_private
 from .rng import byte_bits, doubles
 
 PRIVACY_MODES = ("one", "two")
+
+
+def _length_check(n: int, commit_bits: int, challenge_bits: int):
+    """n >= 1, and each hash output length lies in [1, n]."""
+    if n < 1:
+        raise RateError(f"n must be >= 1, got {n}")
+    if commit_bits < 1:
+        raise RateError(f"commit_bits must be >= 1, got {commit_bits}")
+    if challenge_bits < 1:
+        raise RateError(f"challenge_bits must be >= 1, got {challenge_bits}")
+    if commit_bits > n or challenge_bits > n:
+        raise DimensionError(
+            f"hash output lengths must not exceed n = {n}, got "
+            f"commit_bits = {commit_bits}, challenge_bits = {challenge_bits}"
+        )
 
 
 def _mode_check(privacy: str, coupling: str):
@@ -57,7 +73,9 @@ class ProtocolParams:
     Instances from derive_params satisfy the achievability constraints
     (positive rate, beta2 > beta1 > 0).  The explicit constructor below
     bypasses the rate formula for adversarial or edge-case studies and
-    marks the instance accordingly.
+    marks the instance accordingly.  `channel` is the one channel the
+    params describe, built from (p, q, coupling, coupling_r), so a custom
+    coupling must state its r.
     """
 
     n: int
@@ -72,29 +90,18 @@ class ProtocolParams:
     coupling: str = "independent"
     coupling_r: Optional[float] = None
     achievable: bool = True
+    channel: WiretapChannel = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _mode_check(self.privacy, self.coupling)
-        if self.n < 1:
-            raise RateError(f"n must be >= 1, got {self.n}")
-        if self.commit_bits < 1:
-            raise RateError(f"commit_bits must be >= 1, got {self.commit_bits}")
-        if self.challenge_bits < 1:
-            raise RateError(f"challenge_bits must be >= 1, got {self.challenge_bits}")
-        if self.commit_bits > self.n or self.challenge_bits > self.n:
-            raise DimensionError(
-                f"hash output lengths must not exceed n = {self.n}, got "
-                f"commit_bits = {self.commit_bits}, "
-                f"challenge_bits = {self.challenge_bits}"
-            )
+        _length_check(self.n, self.commit_bits, self.challenge_bits)
         if not self.alpha1 > 0:  # also refuses NaN
             raise RateError(f"alpha1 must be > 0, got {self.alpha1}")
         if self.alpha1 > 1:  # at 1 the band already holds every distance
             raise RateError(f"alpha1 must be <= 1, got {self.alpha1}")
-        # the channel is the one judge of the coupling and its r; a custom
-        # coupling may leave r to the channel object (see _check_channel)
-        if self.coupling != "custom" or self.coupling_r is not None:
-            make_channel(self.pq.p, self.pq.q, self.coupling, self.coupling_r)
+        # the params' own channel, which judges the coupling and its r
+        object.__setattr__(self, "channel", make_channel(self.pq.p, self.pq.q, self.coupling,
+                                                         self.coupling_r))
 
     def to_config(self) -> dict:
         values = (self.n, self.pq.p, self.pq.q, self.privacy, self.alpha1, self.beta1,
@@ -129,6 +136,8 @@ def derive_params(n: int, pq: CrossoverPair, privacy: str, alpha1: float,
     if the rate or either length underflows, or beta2 <= beta1.
     """
     _mode_check(privacy, coupling)
+    if n > sys.float_info.max:  # floor(n*R) below multiplies n as a float
+        raise RateError(f"n = {n} is past the largest float, so floor(n*R) has no value")
     if not (beta1 > 0 and beta2 > 0):  # also refuses NaN
         raise RateError("beta1 and beta2 must be positive")
     if not beta2 > beta1:
@@ -160,8 +169,7 @@ def explicit_params(n: int, pq: CrossoverPair, privacy: str, alpha1: float,
     bands) where no beta2 > beta1 produces the wanted lengths.  Only
     structural invariants are enforced; `achievable` is False.
     """
-    if n < 1:  # before beta1 divides by it
-        raise RateError(f"n must be >= 1, got {n}")
+    _length_check(n, commit_bits, challenge_bits)  # before the lengths are divided by n
     return ProtocolParams(
         n=n, pq=pq, privacy=privacy, alpha1=alpha1,
         beta1=challenge_bits / n, beta2=None,
@@ -228,11 +236,8 @@ class TestResult:
 
 
 def _check_channel(params: ProtocolParams, channel: WiretapChannel):
-    """The channel must be the params' own: p, q, coupling and any set r."""
-    if (not math.isclose(channel.p, params.pq.p) or not math.isclose(channel.q, params.pq.q)
-            or channel.coupling != params.coupling
-            or (params.coupling_r is not None
-                and not math.isclose(channel.r, params.coupling_r, abs_tol=1e-15))):
+    """The channel must be the params' own, params.channel."""
+    if channel != params.channel:
         raise CouplingError(f"channel ({channel.coupling}, p={channel.p}, q={channel.q}, "
                             f"r={channel.r}) does not match the params")
 

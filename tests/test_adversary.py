@@ -44,7 +44,6 @@ from wiretap_commit.channel import make_channel
 from wiretap_commit.errors import CouplingError, DomainError, ScaleError
 from wiretap_commit.hashing import (
     HashSpec,
-    _packed_table,
     hash_all_inputs,
     hash_evaluate,
     lhl_bound,
@@ -1515,7 +1514,7 @@ def _per_trial_concealment_mc_worker(payload, seeds):
         pad_bit = c ^ ((x_int & ext_mask).bit_count() & 1)
         if uniform_pad:
             pad_bit = c ^ int(rng.integers(0, 2))
-        table = _packed_table(g_seed, n, params.challenge_bits)
+        table = hash_all_inputs(HashSpec(n, params.challenge_bits, BitVector(g_seed)))
         candidates = np.flatnonzero(table == table[x_int])
         y_int = x_int ^ int(nb @ big_endian)
         z_int = x_int ^ int(ne @ big_endian)
@@ -1869,3 +1868,37 @@ def test_trial_seed_limit_checked_before_any_trial(monkeypatch):
         binding_attack(session, small, channel, trials=TRIAL_LIMIT + 1)
     with pytest.raises(ScaleError, match="trial seeds"):
         concealment_monte_carlo(small, channel, trials=TRIAL_LIMIT // 2 + 1, seed=0)
+
+
+@pytest.mark.parametrize("entry", ["commit_phase", "estimate_soundness", "binding_attack",
+                                   "concealment_exact", "concealment_monte_carlo"])
+def test_a_channel_off_the_params_by_a_rounding_error_is_refused(entry):
+    # the channel must be params.channel itself: one within math.isclose of
+    # the params once passed, and commit_phase drew Bob's flips at its p
+    # while bob_test's band read the params' p
+    params, _, session = small_session(n=6, lg=2, mc=1, seed=3)
+    near = make_channel(0.25 * (1 + 1e-12), 0.25)
+    calls = {
+        "commit_phase": lambda: commit_phase(params, BitVector.zeros(1), near, make_rng(0)),
+        "estimate_soundness": lambda: estimate_soundness(params, near, trials=10, seed=0),
+        "binding_attack": lambda: binding_attack(session, params, near, trials=10, seed=0),
+        "concealment_exact": lambda: concealment_exact(params, near),
+        "concealment_monte_carlo": lambda: concealment_monte_carlo(params, near, trials=10,
+                                                                   seed=0),
+    }
+    with pytest.raises(CouplingError):
+        calls[entry]()
+
+
+def test_joint_view_at_a_subnormal_crossover_reads_as_at_1e_300():
+    # (1 - p)/p overflows at p = 5e-324, and the joint view's cost table was
+    # inf * 0 = NaN there: the advantage read 0.032 against 1.0 at 1e-300.
+    # No flip fires below 2^-53, so both runs draw the same sessions
+    records = []
+    for e in (5e-324, 1e-300):
+        params = explicit_params(6, CrossoverPair(e, e), "one", alpha1=0.2,
+                                 challenge_bits=2, commit_bits=1)
+        report = concealment_monte_carlo(params, make_channel(e, e), trials=2000, seed=3,
+                                         view="joint")
+        records.append({**report.to_record(), "p": None, "q": None})
+    assert records[0] == records[1] and records[0]["estimate"] == 1.0

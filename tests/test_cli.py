@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from wiretap_commit import adversary, cli, harness
+from wiretap_commit import adversary, cli, harness, parallel
 from wiretap_commit.adversary import GRID_LIMIT, TRIAL_LIMIT, WORD_LIMIT
 from wiretap_commit.bits import BitVector
 from wiretap_commit.channel import make_channel
@@ -178,10 +178,16 @@ def _transcript() -> dict:
      f"params.challenge_bits = {2 ** 70} conflicts with the params, which give 10"),
     (lambda doc: doc["params"].update(commit_bits=0),
      "params.commit_bits = 0 conflicts with the params"),
+    # once an OverflowError in floor(n * R), exit 1
+    (lambda doc: doc["params"].update(n=10 ** 400), "past the largest float"),
+    # once "hex length 13 bytes does not match -9 bits": the seed was read first
+    (lambda doc: doc["G"].update(n=-3, l=-5),
+     "need 1 <= output_bits <= input_bits, got n=-3, l=-5"),
 ], ids=["missing-G-l", "non-hex-Ext-seed", "non-hex-g_bar", "unknown-top-level-field",
         "unknown-params-field", "unknown-G-field", "unknown-Ext-field", "missing-Q",
         "derived-rate-past-capacity", "derived-challenge-bits-negative",
-        "derived-challenge-bits-huge", "derived-commit-bits-zero"])
+        "derived-challenge-bits-huge", "derived-commit-bits-zero", "n-past-every-float",
+        "G-dimensions-before-its-seed"])
 def test_malformed_transcript_is_a_config_error(tmp_path, capsys, edit, message):
     doc = _transcript()
     edit(doc)
@@ -226,7 +232,10 @@ def test_explicit_transcript_with_a_conflicting_field_is_a_config_error(
     ("independent", 0.5, "independent coupling takes no r parameter"),
     ("custom", 5.0, "r=5.0 outside Frechet bounds"),
     ("degraded", -1.0, "degraded coupling takes no r parameter"),
-], ids=["unknown", "independent-with-r", "custom-r-out-of-bounds", "degraded-with-r"])
+    # once replayed with exit 0, though a config refused the same params
+    ("custom", None, "custom coupling requires r"),
+], ids=["unknown", "independent-with-r", "custom-r-out-of-bounds", "degraded-with-r",
+        "custom-without-r"])
 def test_transcript_with_invalid_coupling_is_a_config_error(tmp_path, capsys, coupling,
                                                             r, message):
     doc = _transcript()
@@ -630,14 +639,27 @@ _NAN = float("nan")
     ("concealment", dict(_CONCEALMENT, trials=0), "trials must be >= 1"),
     ("soundness", _soundness_doc(params=dict(_PARAMS, commit_bits=5)),
      "params.commit_bits = 5 conflicts with the params"),
+    ("soundness", _soundness_doc(params=dict(_PARAMS, n=10 ** 400)),
+     "past the largest float"),
+    ("binding", dict(_BINDING, params=dict(_BINDING["params"], challenge_bits=10 ** 400)),
+     "must not exceed n = 12"),
+    ("secrecy", dict(_SECRECY, params=dict(_SECRECY["params"], commit_bits=10 ** 400)),
+     "must not exceed n = 12"),
+    ("sweep", {"version": 1, "kind": "sweep", "seed": 3, "trials": 20,
+               "sweep": {"variable": "params.n", "values": [200, 10 ** 400],
+                         "experiment": _soundness_doc()}},
+     "past the largest float"),
 ], ids=["nan-alpha1", "nan-beta1", "nan-beta2", "grid-bound-past-float",
         "explicit-n-zero", "unknown-grid-field", "nested-sweep-over-params",
-        "alpha1-past-one", "exact-concealment-no-trials", "derived-commit-bits-written"])
+        "alpha1-past-one", "exact-concealment-no-trials", "derived-commit-bits-written",
+        "derived-n-past-every-float", "explicit-challenge-bits-huge",
+        "explicit-commit-bits-huge", "sweep-n-past-every-float"])
 def test_config_error_exits_before_any_work(tmp_path, capsys, monkeypatch, command,
                                             doc, message):
     # json.load reads NaN; once alpha1 = NaN ran with exit 0, the NaN betas and
     # n = 0 exited 1, and the grid and the nested sweep ignored the field;
-    # alpha1 = 1e308 ran every trial, then exited 1 with an OverflowError
+    # alpha1 = 1e308 ran every trial, then exited 1 with an OverflowError, and
+    # so did floor(n * R) and l / n on an integer 10**400, before any trial
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the config was rejected")
 
@@ -706,6 +728,42 @@ def test_no_single_field_mutation_of_a_demo_config_is_an_internal_error(
         assert sorted(accepted, key=repr) == sorted(
             [("alpha1", 1), ("alpha1", 0.5), ("rate", None), ("commit_bits", None),
              ("challenge_bits", None), ("achievable", True)], key=repr)
+
+
+# each integer field a demo config reads, by key path; a path into a block
+# the config lacks is skipped
+_INTEGER_PATHS = (("seed",), ("trials",), ("threads",), ("params", "n"),
+                  ("params", "challenge_bits"), ("params", "commit_bits"), ("grid", "steps"),
+                  ("sweep", "values"), ("sweep", "experiment", "params", "n"))
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(_DEMO_CONFIGS)))
+def test_huge_integers_never_reach_an_internal_error(tmp_path, capsys, monkeypatch, name):
+    # 10**400 is past every float and every limit; a sweep's values become
+    # [10**400].  floor(n * R) and l / n once raised OverflowError on it
+    with open(os.path.join(_DEMO_CONFIGS, name)) as fh:
+        base = json.load(fh)
+    if "trials" in base:
+        base["trials"] = min(base["trials"], 50)
+    command = {v: k for k, v in KIND_BY_COMMAND.items()}[base["kind"]]
+    monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)  # one worker however many threads
+    cfg = tmp_path / name
+    cases, failures = 0, []
+    for path in _INTEGER_PATHS:
+        doc = json.loads(json.dumps(base))
+        node = doc
+        for key in path[:-1]:
+            node = node.get(key, {})
+        if len(path) > 1 and path[-1] not in node:
+            continue
+        node[path[-1]] = [10 ** 400] if path[-1] == "values" else 10 ** 400
+        cfg.write_text(json.dumps(doc))
+        code = main([command, "--config", str(cfg)])
+        err = capsys.readouterr().err
+        cases += 1
+        if code not in (EXIT_OK, EXIT_BAD_CONFIG) or "internal error" in err:
+            failures.append((path, code, err))
+    assert cases >= 4 and not failures
 
 
 @pytest.mark.parametrize("doc", [

@@ -1,13 +1,16 @@
 """Experiment dispatch, result-table round trips, and config validation."""
 
+import importlib
 import json
 import math
 import os
+import pkgutil
 
 import numpy as np
 import pytest
 
 import csv_reference
+import wiretap_commit
 from wiretap_commit import adversary, harness
 from wiretap_commit.channel import degradation_check, make_channel
 from wiretap_commit.cli import EXIT_BAD_CONFIG, main
@@ -615,3 +618,22 @@ def test_each_sweep_point_is_built_once(tmp_path, monkeypatch, doc, ns):
     path.write_text(json.dumps(doc))
     assert main(["sweep", "--config", str(path), "--threads", "1"]) == 0
     assert calls == ns
+
+
+def test_a_planned_estimate_builds_its_channel_once(monkeypatch):
+    # the params build their channel and build_channel returns it; the
+    # harness once built a second one of its own
+    calls = []
+    original = make_channel
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    modules = [wiretap_commit] + [importlib.import_module(f"wiretap_commit.{info.name}")
+                                  for info in pkgutil.iter_modules(wiretap_commit.__path__)]
+    for module in modules:
+        if hasattr(module, "make_channel"):
+            monkeypatch.setattr(module, "make_channel", counted)
+    ExperimentConfig.from_dict(_demo("soundness.json")).validate()
+    assert calls == [(0.1, 0.2, "independent", None)]

@@ -119,6 +119,7 @@ class TestDeriveParams:
         ("degraded", -1.0, "takes no r parameter"),
         ("degraded", None, "needs q >= p"),
         ("custom", 5.0, "outside Frechet bounds"),
+        ("custom", None, "custom coupling requires r"),
     ])
     def test_invalid_coupling_rejected(self, coupling, r, message):
         # p = 0.3 > q = 0.2, so the degraded coupling is infeasible too
@@ -127,14 +128,14 @@ class TestDeriveParams:
                             challenge_bits=1, commit_bits=1,
                             coupling=coupling, coupling_r=r)
 
-    @pytest.mark.parametrize("coupling,r", [("independent", None), ("custom", None),
-                                            ("custom", 0.05), ("custom", 0.2)])
+    @pytest.mark.parametrize("coupling,r", [("independent", None), ("custom", 0.05),
+                                            ("custom", 0.2)])
     def test_valid_coupling_accepted(self, coupling, r):
-        # a custom coupling may leave r to its channel object
         params = explicit_params(10, CrossoverPair(0.3, 0.2), "one", alpha1=0.1,
                                  challenge_bits=1, commit_bits=1,
                                  coupling=coupling, coupling_r=r)
         assert (params.coupling, params.coupling_r) == (coupling, r)
+        assert params.channel == make_channel(0.3, 0.2, coupling, r=r)
 
 
 def reference_session(seed=0, n=200, p=0.1):
