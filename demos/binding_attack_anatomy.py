@@ -19,7 +19,6 @@ from wiretap_commit import (
     commit_phase,
     enumerate_confusables,
     explicit_params,
-    make_channel,
     make_rng,
 )
 
@@ -27,18 +26,17 @@ from wiretap_commit import (
 def build_session(lg, seed):
     params = explicit_params(16, CrossoverPair(0.25, 0.25), "one",
                              alpha1=0.125, challenge_bits=lg, commit_bits=4)
-    channel = make_channel(0.25, 0.25, "independent")
     rng = make_rng(np.random.SeedSequence([seed, 0xD390]))
     c = BitVector.random(rng, params.commit_bits)
-    return params, channel, commit_phase(params, c, channel, rng)
+    return params, commit_phase(params, c, params.channel, rng)
 
 
 def main():
     seed = 7
     for lg in (8, 12):
-        params, channel, session = build_session(lg, seed)
+        params, session = build_session(lg, seed)
         cs = enumerate_confusables(session, params)
-        rep = binding_attack(session, params, channel, trials=800, seed=seed)
+        rep = binding_attack(session, params, trials=800, seed=seed)
         d = rep.details
         flag = "ok" if d["beta1_exceeds_2eta"] else "VIOLATED"
         print(f"challenge bits l_g = {lg}")
@@ -50,9 +48,9 @@ def main():
               f"(beta' = {d['beta_prime']:.3f})")
         print()
 
-    params, channel, session = build_session(8, seed)
-    alone = binding_attack(session, params, channel, mode="alone", trials=800, seed=seed)
-    joint = binding_attack(session, params, channel, mode="with_eve", trials=800, seed=seed)
+    params, session = build_session(8, seed)
+    alone = binding_attack(session, params, mode="alone", trials=800, seed=seed)
+    joint = binding_attack(session, params, mode="with_eve", trials=800, seed=seed)
     same = np.array_equal(alone.details["success_indicators"],
                           joint.details["success_indicators"])
     print(f"alone vs with_eve, independent noise, paired seeds: "

@@ -16,16 +16,14 @@ from wiretap_commit import (
     concealment_exact,
     concealment_monte_carlo,
     explicit_params,
-    make_channel,
 )
 
 
 def main():
     params = explicit_params(6, CrossoverPair(0.25, 0.25), "two",
                              alpha1=0.2, challenge_bits=1, commit_bits=1)
-    channel = make_channel(0.25, 0.25, "independent")
 
-    reports = concealment_exact(params, channel)
+    reports = concealment_exact(params)
     print("exact enumeration at n=6, p=q=0.25, one challenge bit, one pad bit")
     print(f"{'view':>6} {'SD(c=0,c=1)':>12} {'I(C;view)':>10} "
           f"{'k_hat':>7} {'2*LHL':>8}")
@@ -40,12 +38,12 @@ def main():
 
     print("uniform pad (null model), sampled MAP-distinguisher advantage:")
     for view in ("bob", "eve", "joint"):
-        null = concealment_monte_carlo(params, channel, trials=3000, seed=99,
-                                       view=view, uniform_pad=True)
+        null = concealment_monte_carlo(params, trials=3000, seed=99, view=view,
+                                       uniform_pad=True)
         print(f"{view:>6} {null.estimate:>8.4f} [{null.ci_lo:.4f}, {null.ci_hi:.4f}]")
     print()
 
-    mc = concealment_monte_carlo(params, channel, trials=3000, seed=99, view="bob")
+    mc = concealment_monte_carlo(params, trials=3000, seed=99, view="bob")
     print(f"sampled MAP-distinguisher advantage on Bob's view: "
           f"{mc.estimate:.4f} [{mc.ci_lo:.4f}, {mc.ci_hi:.4f}]")
     print(f"it lower-bounds the exact distance {reports['sd_bob'].estimate:.4f}.")

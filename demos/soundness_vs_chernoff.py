@@ -11,20 +11,18 @@ from wiretap_commit import (
     CrossoverPair,
     derive_params,
     estimate_soundness,
-    make_channel,
 )
 
 
 def main():
     p, alpha1 = 0.1, 0.04
-    channel = make_channel(p, p, "independent")
     trials = 4000
     print(f"p = {p}, alpha1 = {alpha1}, {trials} trials per row")
     print(f"{'n':>6} {'rejects':>8} {'rate':>9} {'wilson 95%':>19} {'hoeffding':>10}")
     for n in (250, 500, 1000, 2000, 4000):
         params = derive_params(n, CrossoverPair(p, p), "one",
                                alpha1=alpha1, beta1=0.05, beta2=0.1)
-        rep = estimate_soundness(params, channel, trials=trials, seed=n)
+        rep = estimate_soundness(params, trials=trials, seed=n)
         print(f"{n:>6} {rep.details['rejections']:>8} {rep.estimate:>9.5f} "
               f"[{rep.ci_lo:.5f}, {rep.ci_hi:.5f}] {rep.reference_bound:>10.2e}")
     print()

@@ -43,7 +43,7 @@ from .parallel import map_trials
 from .protocol import (
     ProtocolParams,
     SessionState,
-    _check_channel,
+    _check_hashes,
     _commit_draws,
     _commit_words,
     _in_band,
@@ -209,31 +209,30 @@ def _soundness_worker(points, seeds) -> np.ndarray:
     return out
 
 
-def _soundness_check(params: ProtocolParams, channel, trials: int):
-    """The preconditions of a soundness estimate: the trial count, the 2n
-    raw words a trial reads, and the params' own channel."""
+def _soundness_check(params: ProtocolParams, trials: int):
+    """The preconditions of a soundness estimate: the trial count and the
+    2n raw words a trial reads."""
     _check_trials(trials)
     if 2 * params.n > WORD_LIMIT:
         raise ScaleError(f"a soundness trial reads 2n raw words, at most {WORD_LIMIT} "
                          f"(n <= {WORD_LIMIT // 2}); got n = {params.n}")
-    _check_channel(params, channel)
 
 
 def soundness_reports(points, seed: int, threads: int = 1) -> list:
-    """One estimate_soundness report per (params, channel, trials) point,
-    all on seed, from one map_trials call.
+    """One estimate_soundness report per (params, trials) point, all on
+    seed, from one map_trials call.
 
     The call runs max(trials) trials and each point reads its first
     trials rows, the indicators a call of its own would give.
     """
-    for params, channel, trials in points:
-        _soundness_check(params, channel, trials)
-    payload = tuple((params.n, params.pq.p, params.alpha1) for params, _, _ in points)
+    for params, trials in points:
+        _soundness_check(params, trials)
+    payload = tuple((params.n, params.pq.p, params.alpha1) for params, _ in points)
     rejects = map_trials(_soundness_worker, payload,
-                         trial_seeds(seed, max(t for *_, t in points)), threads,
+                         trial_seeds(seed, max(t for _, t in points)), threads,
                          2 * max(n for n, _, _ in payload))
     reports = []
-    for (params, _, trials), column in zip(points, rejects.T):
+    for (params, trials), column in zip(points, rejects.T):
         k = int(column[:trials].sum())
         lo, hi = wilson_interval(k, trials)
         reports.append(SecurityReport(
@@ -249,14 +248,14 @@ def soundness_reports(points, seed: int, threads: int = 1) -> list:
     return reports
 
 
-def estimate_soundness(params: ProtocolParams, channel, trials: int,
-                       seed: int, threads: int = 1) -> SecurityReport:
+def estimate_soundness(params: ProtocolParams, trials: int, seed: int,
+                       threads: int = 1) -> SecurityReport:
     """Empirical honest-rejection rate with Wilson 95% interval.
 
     Reference bound: the two-sided Hoeffding tail 2 exp(-2 n alpha1^2)
     on the flip count leaving the band.
     """
-    return soundness_reports([(params, channel, trials)], seed, threads)[0]
+    return soundness_reports([(params, trials)], seed, threads)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +289,7 @@ def enumerate_confusables(session: SessionState, params: ProtocolParams) -> Conf
     """Exhaustive confusable set for the session's realized y."""
     _check_enum_scale(params.n)
     t = session.transcript
+    _check_hashes(params, t.challenge, t.extractor)
     hashes = hash_all_inputs(t.challenge)
     target = np.uint32(t.challenge_value.to_int())
     d = np.bitwise_count(np.arange(1 << params.n, dtype=np.uint32)
@@ -323,15 +323,14 @@ def _big_endian(bits: np.ndarray) -> np.ndarray:
 BINDING_MODES = ("alone", "with_eve")
 
 
-def _binding_check(params: ProtocolParams, channel, mode: str, trials: int):
+def _binding_check(params: ProtocolParams, mode: str, trials: int):
     """The preconditions of a binding attack: the trial count, the
-    exhaustive scale, the mode, and the params' own channel."""
+    exhaustive scale and the mode."""
     _check_trials(trials)
     _check_enum_scale(params.n)
     if mode not in BINDING_MODES:
         raise DomainError(f"unknown binding mode {mode!r}; expected one of "
                           f"{list(BINDING_MODES)}")
-    _check_channel(params, channel)
 
 
 def _binding_worker(payload, seeds) -> np.ndarray:
@@ -347,12 +346,12 @@ def _binding_worker(payload, seeds) -> np.ndarray:
     seeds.keys().  The drawn y's syndrome s = G(y) XOR g_bar then reads
     (success, |A|) from the per-syndrome tables of binding_attack.
     """
-    params, channel, x_int, ne_bits, hashes, g_bar, success, size, mode = payload
+    params, x_int, ne_bits, hashes, g_bar, success, size, mode = payload
     n = params.n
     if mode == "alone":
-        thresh = np.full(n, channel.p)
+        thresh = np.full(n, params.channel.p)
     else:
-        given0, given1 = channel.bob_given_eve()
+        given0, given1 = params.channel.bob_given_eve()
         thresh = np.where(ne_bits == 1, given1, given0)
     out = np.empty((len(seeds), 2), dtype=np.int64)
     for b0 in range(0, len(seeds), MC_BLOCK):
@@ -364,7 +363,7 @@ def _binding_worker(payload, seeds) -> np.ndarray:
     return out
 
 
-def binding_attack(session: SessionState, params: ProtocolParams, channel,
+def binding_attack(session: SessionState, params: ProtocolParams,
                    mode: str = "alone", trials: int = 1000, seed: int = 0,
                    threads: int = 1) -> SecurityReport:
     """Success rate of the hash-collision binding attack on one commit.
@@ -384,8 +383,9 @@ def binding_attack(session: SessionState, params: ProtocolParams, channel,
     it is Ext(y) XOR Ext(u).  So a trial's (success, |A|) is (Ext not
     constant on U(s), |U(s)|), tabulated per s by one pass over 2^n words.
     """
-    _binding_check(params, channel, mode, trials)
+    _binding_check(params, mode, trials)
     t = session.transcript
+    _check_hashes(params, t.challenge, t.extractor)
     x = session.alice_view.x
     ne_bits = session.eve_view.z.bits ^ x.bits
     hashes = hash_all_inputs(t.challenge)
@@ -399,7 +399,7 @@ def binding_attack(session: SessionState, params: ProtocolParams, channel,
     first[syndromes] = ext
     success = np.zeros(size.size, dtype=bool)
     success[syndromes[ext != first[syndromes]]] = True
-    payload = (params, channel, x.to_int(), ne_bits, hashes,
+    payload = (params, x.to_int(), ne_bits, hashes,
                np.uint32(t.challenge_value.to_int()), success, size, mode)
     stats = map_trials(_binding_worker, payload, trial_seeds(seed, trials), threads, n)
     successes = int(stats[:, 0].sum())
@@ -436,14 +436,12 @@ def binding_attack(session: SessionState, params: ProtocolParams, channel,
 VIEWS = ("bob", "eve", "joint")
 
 
-def _concealment_check(params: ProtocolParams, channel, views, method: str,
-                       trials: int = 1):
+def _concealment_check(params: ProtocolParams, views, method: str, trials: int = 1):
     """The preconditions of a concealment estimate of the given views by
     method "exact" (concealment_exact) or "monte-carlo"
     (concealment_monte_carlo, trials each): views names known views, at
-    least one, each once; the method's scale limits; the trial count,
-    which the exact table prints though it draws no trial seed; and the
-    params' own channel.
+    least one, each once; the method's scale limits; and the trial count,
+    which the exact table prints though it draws no trial seed.
 
     The exact method's one limit: W = 2^(n+l_G-1) 4^n, times 2^n with the
     joint view, at most EXACT_WORK_LIMIT.  W bounds the pad-row products'
@@ -476,7 +474,6 @@ def _concealment_check(params: ProtocolParams, channel, views, method: str,
         _check_trials(trials, seeds_per_trial=2)  # a training and a test sample
     else:
         raise DomainError(f"unknown method {method!r}")
-    _check_channel(params, channel)
 
 
 def _noise_table(n: int, pmf) -> np.ndarray:
@@ -544,7 +541,7 @@ def _pad_rows(dim: int) -> np.ndarray:
     return rows
 
 
-def concealment_exact(params: ProtocolParams, channel, views=VIEWS) -> dict:
+def concealment_exact(params: ProtocolParams, views=VIEWS) -> dict:
     """Exact leakage of the commit bit into each requested view.
 
     Reports per view the statistical distance between the conditional
@@ -605,7 +602,7 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS) -> dict:
     one evaluation: one R, and one set of per-seed sums and maxima.
     """
     views = tuple(views)
-    _concealment_check(params, channel, views, "exact")
+    _concealment_check(params, views, "exact")
     n, lg = params.n, params.challenge_bits
     big_n = 1 << n
     words = np.arange(big_n, dtype=np.min_scalar_type(big_n - 1))
@@ -615,7 +612,7 @@ def concealment_exact(params: ProtocolParams, channel, views=VIEWS) -> dict:
     # one law (Bob's and Eve's when p == q) share one evaluation
     law_of = {"bob": ((1.0 - p, 0.0, 0.0, p), False),
               "eve": ((1.0 - q, 0.0, 0.0, q), False),
-              "joint": (channel.noise_pair_pmf(), True)}
+              "joint": (params.channel.noise_pair_pmf(), True)}
 
     g_hash = _all_seed_tables(n, lg)
     # dim K per seed, once per call; a chunk's bool temporary is BLOCK_BYTES
@@ -788,7 +785,7 @@ def _concealment_mc_worker(payload, seeds) -> np.ndarray:
     has one output bit, the parity of the word ANDed with the extractor
     seed read little-endian.
     """
-    params, channel, view, uniform_pad = payload
+    params, view, uniform_pad = payload
     n, hash_bits = params.n, params.challenge_bits
     wp, wq = _log_odds(params.pq.p), _log_odds(params.pq.q)
     little_endian = np.uint64(1) << np.arange(n, dtype=np.uint64)
@@ -799,7 +796,7 @@ def _concealment_mc_worker(payload, seeds) -> np.ndarray:
         keys = np.stack([block.keys(*path) for path in _TRIAL_STREAMS])
         own, *party = philox_words(keys, counts)
         c = byte_bits(own, 0, 1)[0][:, 0]
-        x, nb, ne, g_seed, e_seed = _commit_draws(params, channel, *party)
+        x, nb, ne, g_seed, e_seed = _commit_draws(params, *party)
         x_int = _big_endian(x)
         ext_mask = e_seed @ little_endian
         pad_bit = c ^ (np.bitwise_count(x_int & ext_mask) & 1).astype(np.uint8)
@@ -831,9 +828,8 @@ def _entropy_miller_madow(counts: np.ndarray, total: int) -> float:
     return h + (pos.size - 1) / (2.0 * total * math.log(2.0))
 
 
-def concealment_monte_carlo(params: ProtocolParams, channel, trials: int,
-                            seed: int, view: str = "bob",
-                            uniform_pad: bool = False,
+def concealment_monte_carlo(params: ProtocolParams, trials: int, seed: int,
+                            view: str = "bob", uniform_pad: bool = False,
                             threads: int = 1) -> SecurityReport:
     """Sampled lower bound on concealment leakage for one view.
 
@@ -846,8 +842,8 @@ def concealment_monte_carlo(params: ProtocolParams, channel, trials: int,
     Details carry a plug-in mutual-information estimate over (commit
     bit, distinguisher statistic) with the Miller-Madow correction.
     """
-    _concealment_check(params, channel, (view,), "monte-carlo", trials)
-    payload = (params, channel, view, uniform_pad)
+    _concealment_check(params, (view,), "monte-carlo", trials)
+    payload = (params, view, uniform_pad)
     samples = map_trials(_concealment_mc_worker, payload,
                          trial_seeds(seed, 2 * trials), threads, 1 << params.n)
     train, test = samples[:trials], samples[trials:]

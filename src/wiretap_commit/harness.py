@@ -196,8 +196,8 @@ class ExperimentConfig(SimpleNamespace):
 
     from_dict only reads the fields (config.read_block) and checks the
     version, the kind and the kinds that read each field; validate()
-    checks every precondition of the run, building the params and
-    channel objects, which run every module-level check, so invalid
+    checks every precondition of the run, building the params (and with
+    them params.channel), which run every module-level check, so invalid
     configs fail before any simulation work starts.
     """
 
@@ -238,11 +238,11 @@ class ExperimentConfig(SimpleNamespace):
     def _plan(self):
         """Check every precondition and build what the run needs, once.
 
-        An estimate's plan is its (params, channel), a capacity grid's
-        the checked run_capacity_grid arguments, and a sweep's its
-        variable and one (value, config, plan) triple per point.  A
-        sweep builds every point's config, checks that all share one
-        kind, and only then plans each point.
+        An estimate's plan is its params, a capacity grid's the checked
+        run_capacity_grid arguments, and a sweep's its variable and one
+        (value, config, plan) triple per point.  A sweep builds every
+        point's config, checks that all share one kind, and only then
+        plans each point.
         """
         if self.format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.format!r}")
@@ -262,15 +262,15 @@ class ExperimentConfig(SimpleNamespace):
                                   f"got {kinds}")
             return variable, [(v, sub, sub._plan()) for v, sub in points]
         params = self.build_params()
-        channel = self.build_channel(params)
+        self.build_channel(params)  # the channel block against params.channel
         # the estimator's own checks, which it runs again on entry
         if self.kind == "soundness":
-            _soundness_check(params, channel, self.trials)
+            _soundness_check(params, self.trials)
         elif self.kind == "binding":
-            _binding_check(params, channel, self.mode, self.trials)
+            _binding_check(params, self.mode, self.trials)
         else:
-            _concealment_check(params, channel, self._views(), self.method, self.trials)
-        return params, channel
+            _concealment_check(params, self._views(), self.method, self.trials)
+        return params
 
     def _views(self):
         return ("eve",) if self.kind == "secrecy" else tuple(self.views)
@@ -372,27 +372,27 @@ def _run(config: ExperimentConfig, plan) -> ResultTable:
     if kind == "sweep":
         return _run_sweep(config, *plan)
 
-    params, channel = plan
+    params = plan
     meta = {"kind": kind, "seed": config.seed, "trials": config.trials}
     if kind == "soundness":
-        reports = estimate_soundness(params, channel, config.trials, config.seed,
+        reports = estimate_soundness(params, config.trials, config.seed,
                                      threads=config.threads)
     elif kind == "binding":
         # the commit session gets its own seed root so its stream never
         # collides with the per-trial redraw streams spawned from seed
         commit_rng = make_rng(np.random.SeedSequence([config.seed, 0x5E5510]))
         c = BitVector.random(commit_rng, params.commit_bits)
-        session = commit_phase(params, c, channel, commit_rng)
-        reports = binding_attack(session, params, channel, mode=config.mode,
+        session = commit_phase(params, c, params.channel, commit_rng)
+        reports = binding_attack(session, params, mode=config.mode,
                                  trials=config.trials, seed=config.seed,
                                  threads=config.threads)
         meta["mode"] = config.mode
     else:
         meta["method"] = config.method
         if config.method == "exact":
-            reports = concealment_exact(params, channel, views=config._views())
+            reports = concealment_exact(params, views=config._views())
         else:
-            reports = [concealment_monte_carlo(params, channel, config.trials, config.seed,
+            reports = [concealment_monte_carlo(params, config.trials, config.seed,
                                                view=v, threads=config.threads)
                        for v in config._views()]
     return _report_table(reports, meta)
@@ -411,7 +411,7 @@ def _run_sweep(config: ExperimentConfig, variable, points) -> ResultTable:
             groups.setdefault(sub.seed, []).append((i, sub, plan))
     tables = {}
     for seed, members in groups.items():
-        specs = [(*plan, sub.trials) for _, sub, plan in members]
+        specs = [(plan, sub.trials) for _, sub, plan in members]
         threads = max(sub.threads for _, sub, _ in members)
         for (i, _, _), report in zip(members, soundness_reports(specs, seed, threads)):
             tables[i] = _report_table(report)

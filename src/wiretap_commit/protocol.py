@@ -235,11 +235,15 @@ class TestResult:
     failed_condition: Optional[int] = None
 
 
-def _check_channel(params: ProtocolParams, channel: WiretapChannel):
-    """The channel must be the params' own, params.channel."""
-    if channel != params.channel:
-        raise CouplingError(f"channel ({channel.coupling}, p={channel.p}, q={channel.q}, "
-                            f"r={channel.r}) does not match the params")
+def _check_hashes(params: ProtocolParams, challenge: HashSpec, extractor: HashSpec,
+                  error=DimensionError):
+    """A session's hashes fit its params: G maps n -> challenge_bits and
+    Ext n -> commit_bits; error (ConfigError for a document) otherwise."""
+    for name, spec, out_bits in (("G", challenge, params.challenge_bits),
+                                 ("Ext", extractor, params.commit_bits)):
+        if (spec.input_bits, spec.output_bits) != (params.n, out_bits):
+            raise error(f"transcript {name} maps {spec.input_bits} -> {spec.output_bits} "
+                        f"bits, but the params need {params.n} -> {out_bits}")
 
 
 def _commit_words(params: ProtocolParams) -> tuple:
@@ -253,7 +257,7 @@ def _commit_words(params: ProtocolParams) -> tuple:
     return -(-alice // 2), -(-bob // 2), 2 * n
 
 
-def _commit_draws(params: ProtocolParams, channel: WiretapChannel, alice, bob, noise):
+def _commit_draws(params: ProtocolParams, alice, bob, noise):
     """Every random draw of the commit phase, from the parties' raw words.
 
     alice, bob and noise are the first _commit_words(params) raw Philox
@@ -272,7 +276,7 @@ def _commit_draws(params: ProtocolParams, channel: WiretapChannel, alice, bob, n
     e_seed, _ = byte_bits(alice, start, n + params.commit_bits - 1)    # C4
     g_seed, _ = byte_bits(bob, 0, n + params.challenge_bits - 1)       # C2
     u = doubles(noise).reshape(*noise.shape[:-1], n, 2)
-    nb, ne = _flips(channel, u)
+    nb, ne = _flips(params.channel, u)
     return x, nb, ne, g_seed, e_seed
 
 
@@ -286,7 +290,8 @@ def commit_phase(params: ProtocolParams, c: BitVector,
     Each child hands its first raw words to _commit_draws, so rng must
     wrap a 64-bit bit generator (Philox, as make_rng builds, or PCG64,
     SFC64), whose Generator draws follow the word rules of rng; a
-    32-bit MT19937 raises TypeError.
+    32-bit MT19937 raises TypeError.  channel must be params.channel, or
+    CouplingError is raised.
     """
     if len(c) != params.commit_bits:
         raise DimensionError(
@@ -294,10 +299,12 @@ def commit_phase(params: ProtocolParams, c: BitVector,
         )
     if isinstance(rng.bit_generator, np.random.MT19937):
         raise TypeError("commit_phase reads 64-bit raw words; MT19937 draws 32 bits at a time")
-    _check_channel(params, channel)
+    if channel != params.channel:
+        raise CouplingError(f"channel ({channel.coupling}, p={channel.p}, q={channel.q}, "
+                            f"r={channel.r}) does not match the params")
     words = [stream.random_raw(count) for stream, count
              in zip(rng.bit_generator.spawn(3), _commit_words(params))]
-    x_bits, nb, ne, g_seed, e_seed = _commit_draws(params, channel, *words)
+    x_bits, nb, ne, g_seed, e_seed = _commit_draws(params, *words)
     g_bar, ext = _toeplitz_bits(x_bits, g_seed, e_seed)    # C3, and Ext(x) for C4
     x = BitVector(x_bits)
     y, z = BitVector(x_bits ^ nb), BitVector(x_bits ^ ne)
@@ -342,6 +349,8 @@ def bob_test(bob_view: BobView, transcript: Transcript,
     """
     x, c = claim.x_tilde.bits, claim.c_tilde.bits
     challenge, extractor = transcript.challenge, transcript.extractor
+    if len(bob_view.y) != params.n:
+        raise DimensionError(f"Bob's block has {len(bob_view.y)} bits, the params n = {params.n}")
     if len(x) != len(bob_view.y):
         raise DimensionError("claimed x length does not match the block length")
     if len(c) != len(transcript.pad):
@@ -361,8 +370,7 @@ def bob_test(bob_view: BobView, transcript: Transcript,
     return TestResult(accepted=True)
 
 
-def honest_run(params: ProtocolParams, channel: WiretapChannel,
-               rng: np.random.Generator):
+def honest_run(params: ProtocolParams, rng: np.random.Generator):
     """Full honest commit + reveal; returns (accepted, session).
 
     An honest reveal claim is (c, x), so conditions (ii) and (iii) hold
@@ -370,7 +378,7 @@ def honest_run(params: ProtocolParams, channel: WiretapChannel,
     d_H(x, y) out of the distance band.
     """
     c = BitVector.random(rng, params.commit_bits)
-    session = commit_phase(params, c, channel, rng)
+    session = commit_phase(params, c, params.channel, rng)
     claim = RevealClaim(c_tilde=session.alice_view.c, x_tilde=session.alice_view.x)
     result = bob_test(session.bob_view, session.transcript, claim, params)
     return result.accepted, session
@@ -427,20 +435,13 @@ def session_from_config(doc: dict):
     at least y plus the stored secrets x and c.  The document and its
     params, G and Ext blocks are read against their field tables
     (config.read_block), and the hash dimensions must match the params
-    (G: n -> challenge_bits, Ext: n -> commit_bits), or ConfigError is
-    raised.
+    (_check_hashes), or ConfigError is raised.
     """
     f = read_block(doc, "transcript", TRANSCRIPT_FIELDS)
     params = params_from_config(f["params"])
     challenge = HashSpec.from_config(f["G"], "G")
     extractor = HashSpec.from_config(f["Ext"], "Ext")
-    for name, spec, out_bits in (("G", challenge, params.challenge_bits),
-                                 ("Ext", extractor, params.commit_bits)):
-        if (spec.input_bits, spec.output_bits) != (params.n, out_bits):
-            raise ConfigError(
-                f"transcript {name} maps {spec.input_bits} -> {spec.output_bits} bits, "
-                f"but the params need {params.n} -> {out_bits}"
-            )
+    _check_hashes(params, challenge, extractor, ConfigError)
     transcript = Transcript(
         challenge=challenge,
         challenge_value=BitVector.from_hex(f["g_bar"], challenge.output_bits),

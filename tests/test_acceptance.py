@@ -145,8 +145,7 @@ def test_criterion_5_soundness():
     with _Criterion(5, "honest rejection rate below 1% at n=2000", 5.0):
         params = derive_params(2000, CrossoverPair(0.1, 0.2), "one",
                                alpha1=0.04, beta1=0.05, beta2=0.1)
-        channel = make_channel(0.1, 0.2, "independent")
-        report = estimate_soundness(params, channel, trials=10_000, seed=20245)
+        report = estimate_soundness(params, trials=10_000, seed=20245)
         assert report.reference_bound == pytest.approx(
             2 * math.exp(-6.4), rel=1e-12)
         assert report.estimate < 0.01
@@ -155,24 +154,23 @@ def test_criterion_5_soundness():
 def _binding_session(lg: int, seed: int):
     params = explicit_params(16, CrossoverPair(0.25, 0.25), "one",
                              alpha1=0.125, challenge_bits=lg, commit_bits=4)
-    channel = make_channel(0.25, 0.25, "independent")
     rng = make_rng(np.random.SeedSequence([seed, 0xB1D]))
     c = BitVector.random(rng, params.commit_bits)
-    return params, channel, commit_phase(params, c, channel, rng)
+    return params, commit_phase(params, c, params.channel, rng)
 
 
 def test_criterion_6_binding():
     with _Criterion(6, "binding success within the confusable-set ceiling", 120.0):
         seed = 20246
-        params8, channel8, session8 = _binding_session(8, seed)
-        report8 = binding_attack(session8, params8, channel8, trials=1000, seed=seed)
+        params8, session8 = _binding_session(8, seed)
+        report8 = binding_attack(session8, params8, trials=1000, seed=seed)
         mean_ceiling = report8.details["mean_ceiling"]
         lo95, _ = wilson_interval(int(round(report8.estimate * 1000)), 1000)
         assert lo95 <= mean_ceiling + 1e-12
         # paired seeds, longer challenge: the same master seed makes the
         # l=12 challenge seed extend the l=8 one, so success never grows
-        params12, channel12, session12 = _binding_session(12, seed)
-        report12 = binding_attack(session12, params12, channel12, trials=1000, seed=seed)
+        params12, session12 = _binding_session(12, seed)
+        report12 = binding_attack(session12, params12, trials=1000, seed=seed)
         s8 = report8.details["success_indicators"]
         s12 = report12.details["success_indicators"]
         assert np.all(s12 <= s8)
@@ -183,8 +181,7 @@ def test_criterion_7_concealment_and_secrecy_exact():
     with _Criterion(7, "exact concealment under twice the LHL bound at n=6", 60.0):
         params = explicit_params(6, CrossoverPair(0.25, 0.25), "two",
                                  alpha1=0.2, challenge_bits=1, commit_bits=1)
-        channel = make_channel(0.25, 0.25, "independent")
-        reports = concealment_exact(params, channel)
+        reports = concealment_exact(params)
         for view in ("bob", "eve", "joint"):
             rep = reports[f"sd_{view}"]
             k_hat = rep.details["k_hat"]
@@ -195,11 +192,9 @@ def test_criterion_7_concealment_and_secrecy_exact():
 def test_criterion_8_collusion_irrelevance_for_binding():
     with _Criterion(8, "Eve collusion never changes a binding trial", 120.0):
         seed = 20248
-        params, channel, session = _binding_session(8, seed)
-        alone = binding_attack(session, params, channel, mode="alone",
-                               trials=1000, seed=seed)
-        with_eve = binding_attack(session, params, channel, mode="with_eve",
-                                  trials=1000, seed=seed)
+        params, session = _binding_session(8, seed)
+        alone = binding_attack(session, params, mode="alone", trials=1000, seed=seed)
+        with_eve = binding_attack(session, params, mode="with_eve", trials=1000, seed=seed)
         assert np.array_equal(alone.details["success_indicators"],
                               with_eve.details["success_indicators"])
 

@@ -8,6 +8,7 @@ import itertools
 import math
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ from wiretap_commit.adversary import (
 )
 from wiretap_commit.bits import BitVector
 from wiretap_commit.channel import make_channel
-from wiretap_commit.errors import CouplingError, DomainError, ScaleError
+from wiretap_commit.errors import CouplingError, DimensionError, DomainError, ScaleError
 from wiretap_commit.hashing import (
     HashSpec,
     hash_all_inputs,
@@ -69,10 +70,24 @@ def small_session(n=16, p=0.25, alpha1=0.125, lg=8, mc=4, seed=7,
     params = explicit_params(n, CrossoverPair(p, q), "one", alpha1=alpha1,
                              challenge_bits=lg, commit_bits=mc,
                              coupling=coupling, coupling_r=r)
-    channel = make_channel(p, q, coupling, r=r)
     rng = make_rng(np.random.SeedSequence([seed, 0xC0117]))
     c = BitVector.random(rng, mc)
-    return params, channel, commit_phase(params, c, channel, rng)
+    return params, commit_phase(params, c, params.channel, rng)
+
+
+# the worker payloads, whose layout the tests state here alone
+BINDING_FIELDS = ("params", "x_int", "ne_bits", "hashes", "g_bar", "success", "size", "mode")
+
+
+def _binding_fields(payload):
+    """The payload binding_attack hands _binding_worker, field by name."""
+    assert len(payload) == len(BINDING_FIELDS)
+    return SimpleNamespace(**dict(zip(BINDING_FIELDS, payload)))
+
+
+def _mc_payload(params, view, uniform_pad):
+    """The payload concealment_monte_carlo hands _concealment_mc_worker."""
+    return params, view, uniform_pad
 
 
 class TestWilson:
@@ -94,58 +109,43 @@ class TestSoundness:
         # gets its own freshly derived (identical) children
         params = derive_params(300, CrossoverPair(0.1, 0.15), "one",
                                alpha1=0.035, beta1=0.05, beta2=0.1)
-        channel = make_channel(0.1, 0.15)
         fast = _soundness_worker(((params.n, params.pq.p, params.alpha1),),
                                  trial_seeds(99, 60))[:, 0]
-        slow = np.array([0 if honest_run(params, channel, make_rng(s))[0] else 1
+        slow = np.array([0 if honest_run(params, make_rng(s))[0] else 1
                          for s in trial_seeds(99, 60)], dtype=np.uint8)
         assert np.array_equal(fast, slow)
 
     def test_wide_band_never_rejects(self):
         params = derive_params(500, CrossoverPair(0.1, 0.1), "one",
                                alpha1=0.45, beta1=0.05, beta2=0.1)
-        channel = make_channel(0.1, 0.1)
-        report = estimate_soundness(params, channel, trials=400, seed=1)
+        report = estimate_soundness(params, trials=400, seed=1)
         assert report.estimate == 0.0
 
     def test_empty_band_always_rejects(self):
         params = explicit_params(1, CrossoverPair(0.1, 0.1), "one",
                                  alpha1=0.05, challenge_bits=1, commit_bits=1)
-        channel = make_channel(0.1, 0.1)
-        report = estimate_soundness(params, channel, trials=50, seed=2)
+        report = estimate_soundness(params, trials=50, seed=2)
         assert report.estimate == 1.0
 
     def test_reference_is_hoeffding(self):
         params = derive_params(2000, CrossoverPair(0.1, 0.1), "one",
                                alpha1=0.04, beta1=0.05, beta2=0.1)
-        channel = make_channel(0.1, 0.1)
-        report = estimate_soundness(params, channel, trials=10, seed=3)
+        report = estimate_soundness(params, trials=10, seed=3)
         assert report.reference_bound == pytest.approx(
             2 * math.exp(-2 * 2000 * 0.04 ** 2), abs=1e-15)
 
     def test_reproducible(self):
         params = derive_params(200, CrossoverPair(0.2, 0.2), "one",
                                alpha1=0.05, beta1=0.05, beta2=0.1)
-        channel = make_channel(0.2, 0.2)
-        r1 = estimate_soundness(params, channel, trials=200, seed=5)
-        r2 = estimate_soundness(params, channel, trials=200, seed=5)
+        r1 = estimate_soundness(params, trials=200, seed=5)
+        r2 = estimate_soundness(params, trials=200, seed=5)
         assert r1 == r2
-
-    def test_channel_must_match_params(self):
-        params = derive_params(200, CrossoverPair(0.2, 0.2), "one",
-                               alpha1=0.05, beta1=0.05, beta2=0.1)
-        with pytest.raises(CouplingError):
-            estimate_soundness(params, make_channel(0.2, 0.25), trials=10, seed=0)
-        with pytest.raises(CouplingError):
-            estimate_soundness(params, make_channel(0.2, 0.2, "custom", r=0.2),
-                               trials=10, seed=0)
 
     def test_threads_do_not_change_results(self, fork_small_calls):
         params = derive_params(200, CrossoverPair(0.2, 0.2), "one",
                                alpha1=0.05, beta1=0.05, beta2=0.1)
-        channel = make_channel(0.2, 0.2)
-        r1 = estimate_soundness(params, channel, trials=120, seed=6, threads=1)
-        r2 = estimate_soundness(params, channel, trials=120, seed=6, threads=3)
+        r1 = estimate_soundness(params, trials=120, seed=6, threads=1)
+        r2 = estimate_soundness(params, trials=120, seed=6, threads=3)
         assert r1.estimate == r2.estimate and r1.ci_lo == r2.ci_lo
 
     def test_points_of_one_call_equal_their_own_estimates(self, fork_small_calls):
@@ -155,7 +155,7 @@ class TestSoundness:
                                      (500, 0.3, 0.02, 300), (200, 0.2, 0.05, 1)):
             params = derive_params(n, CrossoverPair(p, p), "one",
                                    alpha1=alpha1, beta1=0.05, beta2=0.1)
-            points.append((params, make_channel(p, p), trials))
+            points.append((params, trials))
         for threads in (1, 2):
             assert soundness_reports(points, seed=8, threads=threads) == [
                 estimate_soundness(*point, seed=8) for point in points]
@@ -165,19 +165,18 @@ class TestSoundness:
             raise AssertionError("map_trials ran past the word limit")
 
         monkeypatch.setattr(adversary, "map_trials", no_trials)
-        channel = make_channel(0.1, 0.1)
         small = derive_params(200, CrossoverPair(0.1, 0.1), "one",
                               alpha1=0.05, beta1=0.05, beta2=0.1)
         big = dataclasses.replace(small, n=WORD_LIMIT // 2 + 1)
         with pytest.raises(ScaleError, match="2n raw words"):
-            estimate_soundness(big, channel, trials=1, seed=0)
+            estimate_soundness(big, trials=1, seed=0)
         with pytest.raises(ScaleError, match="2n raw words"):
-            soundness_reports([(small, channel, 5), (big, channel, 5)], seed=0)
+            soundness_reports([(small, 5), (big, 5)], seed=0)
 
 
 class TestConfusables:
     def test_self_membership_when_in_band(self):
-        params, channel, session = small_session(seed=11)
+        params, session = small_session(seed=11)
         x_int = session.alice_view.x.to_int()
         cs = enumerate_confusables(session, params)
         d = session.alice_view.x.hamming_distance(session.bob_view.y)
@@ -186,7 +185,7 @@ class TestConfusables:
         assert (x_int in cs.members.tolist()) == in_band
 
     def test_members_pass_first_two_reveal_conditions(self):
-        params, channel, session = small_session(seed=12)
+        params, session = small_session(seed=12)
         cs = enumerate_confusables(session, params)
         t = session.transcript
         for xv in [BitVector.from_int(int(m), cs.n) for m in cs.members[:30]]:
@@ -196,7 +195,7 @@ class TestConfusables:
     def test_full_band_halving(self):
         # band covering every distance, one challenge bit: about half of
         # the remaining words hash-match; binomial 3-sigma window
-        params, channel, session = small_session(
+        params, session = small_session(
             n=8, p=0.25, alpha1=1.0, lg=1, mc=1, seed=13)
         cs = enumerate_confusables(session, params)
         mean, sigma = 1 + 255 / 2, math.sqrt(255 * 0.25)
@@ -204,13 +203,13 @@ class TestConfusables:
         assert cs.eta_hat == pytest.approx(math.log2(cs.size) / 8)
 
     def test_empty_band(self):
-        params, channel, session = small_session(
+        params, session = small_session(
             n=8, p=0.1, alpha1=0.01, lg=1, mc=1, seed=14)
         cs = enumerate_confusables(session, params)
         assert cs.size == 0 and cs.eta_hat == 0.0
 
     def test_scale_error(self):
-        params, channel, session = small_session(n=21, p=0.25, lg=4, mc=2, seed=15)
+        params, session = small_session(n=21, p=0.25, lg=4, mc=2, seed=15)
         with pytest.raises(ScaleError):
             enumerate_confusables(session, params)
 
@@ -224,21 +223,21 @@ def _all_word_scan(session):
     ext_all = hash_all_inputs(t.extractor)
 
     def worker(payload, seeds):
-        params, channel, x_int, ne_bits, _, _, _, _, thresh_mode = payload
-        n, alpha1 = params.n, params.alpha1
-        p, q, r = channel.p, channel.q, channel.r
+        f = _binding_fields(payload)
+        n, alpha1 = f.params.n, f.params.alpha1
+        p, q, r = f.params.channel.p, f.params.channel.q, f.params.channel.r
         lo, hi = n * (p - alpha1), n * (p + alpha1)
-        if thresh_mode == "alone":
+        if f.mode == "alone":
             thresh = np.full(n, p)
         else:
-            thresh = np.where(ne_bits == 1, r / q, (p - r) / (1.0 - q))
+            thresh = np.where(f.ne_bits == 1, r / q, (p - r) / (1.0 - q))
         weights = (1 << np.arange(n - 1, -1, -1)).astype(np.uint64)
         all_words = np.arange(1 << n, dtype=np.uint32)
         out = np.empty((len(seeds), 2), dtype=np.int64)
         for i, s in enumerate(seeds):
             rng = make_rng(s)
             nb = (rng.random(n) < thresh).astype(np.uint64)
-            y_int = np.uint32(x_int) ^ np.uint32((nb * weights).sum())
+            y_int = np.uint32(f.x_int) ^ np.uint32((nb * weights).sum())
             d = np.bitwise_count(all_words ^ y_int)
             members = np.nonzero(hash_match & (d >= lo) & (d <= hi))[0]
             distinct = np.unique(ext_all[members]).size
@@ -259,12 +258,12 @@ class TestBindingAttack:
     def test_matches_all_word_scan(self, monkeypatch, mode, coupling, r):
         # a few members per trial and one commit bit, so some sets of two
         # or more members share one extractor value and some do not
-        params, channel, session = small_session(
+        params, session = small_session(
             n=12, p=0.25, q=0.3, alpha1=0.15, lg=8, mc=1, seed=29,
             coupling=coupling, r=r)
-        fast = binding_attack(session, params, channel, mode=mode, trials=300, seed=29)
+        fast = binding_attack(session, params, mode=mode, trials=300, seed=29)
         monkeypatch.setattr(adversary, "_binding_worker", _all_word_scan(session))
-        slow = binding_attack(session, params, channel, mode=mode, trials=300, seed=29)
+        slow = binding_attack(session, params, mode=mode, trials=300, seed=29)
         for key in ("success_indicators", "confusable_sizes"):
             assert np.array_equal(fast.details[key], slow.details[key])
         wins = fast.details["success_indicators"]
@@ -273,8 +272,8 @@ class TestBindingAttack:
 
     def test_injective_hash_defeats_attack(self):
         # identity challenge (l_g = n) leaves no colliding pair
-        params, channel, session = small_session(n=12, p=0.25, alpha1=0.3,
-                                                 lg=12, mc=3, seed=21)
+        params, session = small_session(n=12, p=0.25, alpha1=0.3,
+                                        lg=12, mc=3, seed=21)
         n = params.n
         ident = HashSpec(n, n, BitVector([1 if i == n - 1 else 0
                                           for i in range(2 * n - 1)]))
@@ -286,7 +285,7 @@ class TestBindingAttack:
             alice_view=dataclasses.replace(session.alice_view, transcript=t),
             bob_view=dataclasses.replace(session.bob_view, transcript=t),
             eve_view=dataclasses.replace(session.eve_view, transcript=t))
-        report = binding_attack(session, params, channel, trials=200, seed=21)
+        report = binding_attack(session, params, trials=200, seed=21)
         assert report.estimate == 0.0
 
     def test_longer_challenge_never_helps_alice(self):
@@ -294,17 +293,17 @@ class TestBindingAttack:
         # shorter one, so the confusable set can only shrink
         results = {}
         for lg in (3, 4):
-            params, channel, session = small_session(
+            params, session = small_session(
                 n=12, p=0.25, alpha1=0.25, lg=lg, mc=3, seed=22)
-            rep = binding_attack(session, params, channel, trials=300, seed=22)
+            rep = binding_attack(session, params, trials=300, seed=22)
             results[lg] = rep.details["success_indicators"]
         assert np.all(results[4] <= results[3])
 
     def test_collusion_irrelevant_on_independent_coupling(self):
-        params, channel, session = small_session(seed=23)
-        alone = binding_attack(session, params, channel, mode="alone",
+        params, session = small_session(seed=23)
+        alone = binding_attack(session, params, mode="alone",
                                trials=300, seed=23)
-        with_eve = binding_attack(session, params, channel, mode="with_eve",
+        with_eve = binding_attack(session, params, mode="with_eve",
                                   trials=300, seed=23)
         assert np.array_equal(alone.details["success_indicators"],
                               with_eve.details["success_indicators"])
@@ -313,16 +312,16 @@ class TestBindingAttack:
 
     def test_success_requires_two_distinct_commit_values(self):
         # one-member confusable sets can never produce two claims
-        params, channel, session = small_session(n=10, p=0.1, alpha1=0.02,
-                                                 lg=10, mc=2, seed=24)
-        report = binding_attack(session, params, channel, trials=100, seed=24)
+        params, session = small_session(n=10, p=0.1, alpha1=0.02,
+                                        lg=10, mc=2, seed=24)
+        report = binding_attack(session, params, trials=100, seed=24)
         sizes = report.details["confusable_sizes"]
         wins = report.details["success_indicators"]
         assert np.all(wins[sizes < 2] == 0)
 
     def test_reference_bound_fields(self):
-        params, channel, session = small_session(seed=25)
-        report = binding_attack(session, params, channel, trials=100, seed=25)
+        params, session = small_session(seed=25)
+        report = binding_attack(session, params, trials=100, seed=25)
         eta = report.details["eta_hat"]
         assert report.details["beta_prime"] == pytest.approx(params.beta1 - 2 * eta)
         assert report.reference_bound == pytest.approx(
@@ -330,32 +329,24 @@ class TestBindingAttack:
         assert report.details["beta1_exceeds_2eta"] == (params.beta1 > 2 * eta)
 
     def test_mode_validation(self):
-        params, channel, session = small_session(seed=26)
+        params, session = small_session(seed=26)
         with pytest.raises(DomainError):
-            binding_attack(session, params, channel, mode="sideways", trials=10, seed=0)
+            binding_attack(session, params, mode="sideways", trials=10, seed=0)
 
     def test_reproducible_and_pool_invariant(self, fork_small_calls):
-        params, channel, session = small_session(n=12, p=0.25, alpha1=0.25,
-                                                 lg=4, mc=2, seed=28)
-        r1 = binding_attack(session, params, channel, trials=60, seed=28, threads=1)
-        r2 = binding_attack(session, params, channel, trials=60, seed=28, threads=2)
+        params, session = small_session(n=12, p=0.25, alpha1=0.25,
+                                        lg=4, mc=2, seed=28)
+        r1 = binding_attack(session, params, trials=60, seed=28, threads=1)
+        r2 = binding_attack(session, params, trials=60, seed=28, threads=2)
         assert r1.estimate == r2.estimate
         assert np.array_equal(r1.details["success_indicators"],
                               r2.details["success_indicators"])
 
     def test_scale_error(self):
-        params, channel, session = small_session(n=21, p=0.25, lg=4, mc=2, seed=27)
+        params, session = small_session(n=21, p=0.25, lg=4, mc=2, seed=27)
         with pytest.raises(ScaleError):
-            binding_attack(session, params, channel, trials=10, seed=0)
+            binding_attack(session, params, trials=10, seed=0)
 
-    @pytest.mark.parametrize("other", [
-        make_channel(0.25, 0.3),               # another q
-        make_channel(0.25, 0.25, "custom", r=0.0),  # another coupling
-    ])
-    def test_channel_must_match_params(self, other):
-        params, channel, session = small_session(seed=30)
-        with pytest.raises(CouplingError):
-            binding_attack(session, params, other, trials=10, seed=0)
 
 
 # --------------------------------------------------------------------------
@@ -474,7 +465,7 @@ def _reference_mi_term(m0, m1):
     return total
 
 
-def _reference_concealment_exact(params, channel):
+def _reference_concealment_exact(params):
     """The exact-concealment kernel with the full loop over every coset
     {x : G(x) = gamma} of every G seed.  Returns view -> (sd, mi, bound)."""
     n, lg = params.n, params.challenge_bits
@@ -484,7 +475,7 @@ def _reference_concealment_exact(params, channel):
     kernels = {
         "bob": _bsc_kernel(n, params.pq.p),
         "eve": _bsc_kernel(n, params.pq.q),
-        "joint": _pair_kernel(n, channel.noise_pair_pmf()),
+        "joint": _pair_kernel(n, params.channel.noise_pair_pmf()),
     }
     x_weight = 1.0 / (1 << n)
     seed_weight = 1.0 / (g_hash.shape[0] * e_bit.shape[0])
@@ -515,7 +506,7 @@ def _reference_concealment_exact(params, channel):
     return out
 
 
-def _reference_kernel_coset_concealment_exact(params, channel):
+def _reference_kernel_coset_concealment_exact(params):
     """The exact-concealment kernel over ker G alone, every Ext seed and
     every view column, weighted by the coset count 2^rank(G).  Returns
     view -> (sd, mi, bound)."""
@@ -526,7 +517,7 @@ def _reference_kernel_coset_concealment_exact(params, channel):
     kernels = {
         "bob": _bsc_kernel(n, params.pq.p),
         "eve": _bsc_kernel(n, params.pq.q),
-        "joint": _pair_kernel(n, channel.noise_pair_pmf()),
+        "joint": _pair_kernel(n, params.channel.noise_pair_pmf()),
     }
     x_weight = 1.0 / (1 << n)
     seed_weight = 1.0 / (g_hash.shape[0] * e_bit.shape[0])
@@ -561,7 +552,7 @@ def _reference_kernel_coset_concealment_exact(params, channel):
     return out
 
 
-def _reference_orbit_concealment_exact(params, channel, views=VIEWS):
+def _reference_orbit_concealment_exact(params, views=VIEWS):
     """The orbit loop of concealment_exact over kernel tables of every
     word pair (every (y, z) for the joint view).  Returns
     view -> (sd, mi, bound, k_hat)."""
@@ -572,7 +563,7 @@ def _reference_orbit_concealment_exact(params, channel, views=VIEWS):
     kernels = {
         "bob": lambda: _bsc_kernel(n, params.pq.p),
         "eve": lambda: _bsc_kernel(n, params.pq.q),
-        "joint": lambda: _pair_kernel(n, channel.noise_pair_pmf()),
+        "joint": lambda: _pair_kernel(n, params.channel.noise_pair_pmf()),
     }
     kernels = {v: kernels[v]().reshape(big_n, big_n, -1) for v in views}
     x_weight = 1.0 / big_n
@@ -644,7 +635,7 @@ def _masked_divide_mi_rows(m0, m1):
     return total
 
 
-def _reference_pad_row_concealment_exact(params, channel, views=VIEWS):
+def _reference_pad_row_concealment_exact(params, views=VIEWS):
     """concealment_exact as one loop over the G seeds, with the distinct
     pad rows on K and the coset leaders found by np.unique per seed.
     Returns view -> (sd, mi, bound, k_hat)."""
@@ -656,7 +647,7 @@ def _reference_pad_row_concealment_exact(params, channel, views=VIEWS):
 
     p, q = params.pq.p, params.pq.q
     pmfs = {"bob": (1.0 - p, 0.0, 0.0, p), "eve": (1.0 - q, 0.0, 0.0, q),
-            "joint": channel.noise_pair_pmf()}
+            "joint": params.channel.noise_pair_pmf()}
     tables = {v: _noise_table(n, pmfs[v]) for v in views}
     w_words = {v: np.arange(big_n if v == "joint" else 1) for v in views}
 
@@ -846,10 +837,9 @@ class TestNoiseKernel:
         # at n = 9, which takes about 7 s a case)
         params = explicit_params(n, CrossoverPair(p, 0.3), "one", alpha1=0.3,
                                  challenge_bits=lg, commit_bits=1)
-        channel = make_channel(p, 0.3)
         views = ("bob", "eve")
-        reports = concealment_exact(params, channel, views=views)
-        reference = _reference_orbit_concealment_exact(params, channel, views)
+        reports = concealment_exact(params, views=views)
+        reference = _reference_orbit_concealment_exact(params, views)
         for v in views:
             assert (reports[f"sd_{v}"].estimate, reports[f"mi_{v}"].estimate,
                     reports[f"sd_{v}"].reference_bound,
@@ -866,9 +856,8 @@ class TestConcealmentExact:
         params = explicit_params(n, CrossoverPair(p, q), "one", alpha1=0.3,
                                  challenge_bits=lg, commit_bits=1,
                                  coupling=coupling, coupling_r=r)
-        channel = make_channel(p, q, coupling, r=r)
-        oracle = brute_force_view_distributions(n, lg, p, q, channel.r)
-        reports = concealment_exact(params, channel)
+        oracle = brute_force_view_distributions(n, lg, p, q, params.channel.r)
+        reports = concealment_exact(params)
         for v in ("bob", "eve", "joint"):
             sd = dict_sd(oracle[v][0], oracle[v][1])
             mi = dict_mi(oracle[v][0], oracle[v][1])
@@ -887,9 +876,8 @@ class TestConcealmentExact:
         params = explicit_params(n, CrossoverPair(p, q), "one", alpha1=0.3,
                                  challenge_bits=lg, commit_bits=1,
                                  coupling=coupling, coupling_r=r)
-        channel = make_channel(p, q, coupling, r=r)
-        reports = concealment_exact(params, channel)
-        reference = _reference_concealment_exact(params, channel)
+        reports = concealment_exact(params)
+        reference = _reference_concealment_exact(params)
         for v in VIEWS:
             sd, mi, bound = reference[v]
             assert abs(reports[f"sd_{v}"].estimate - sd) <= 1e-12
@@ -904,9 +892,8 @@ class TestConcealmentExact:
         params = explicit_params(n, CrossoverPair(p, q), "one", alpha1=0.3,
                                  challenge_bits=lg, commit_bits=1,
                                  coupling="custom", coupling_r=r)
-        channel = make_channel(p, q, "custom", r=r)
-        reports = concealment_exact(params, channel)
-        reference = _reference_kernel_coset_concealment_exact(params, channel)
+        reports = concealment_exact(params)
+        reference = _reference_kernel_coset_concealment_exact(params)
         for v in VIEWS:
             sd, mi, bound = reference[v]
             assert abs(reports[f"sd_{v}"].estimate - sd) <= 1e-12
@@ -946,8 +933,7 @@ class TestConcealmentExact:
     def test_sd_within_lhl_reference(self):
         params = explicit_params(5, CrossoverPair(0.2, 0.3), "one", alpha1=0.2,
                                  challenge_bits=1, commit_bits=1)
-        channel = make_channel(0.2, 0.3)
-        reports = concealment_exact(params, channel)
+        reports = concealment_exact(params)
         for v in ("bob", "eve", "joint"):
             rep = reports[f"sd_{v}"]
             assert rep.estimate <= rep.reference_bound + 1e-12
@@ -955,8 +941,7 @@ class TestConcealmentExact:
     def test_chain_rule_eve_vs_joint(self):
         params = explicit_params(4, CrossoverPair(0.2, 0.25), "one", alpha1=0.2,
                                  challenge_bits=1, commit_bits=1)
-        channel = make_channel(0.2, 0.25)
-        reports = concealment_exact(params, channel)
+        reports = concealment_exact(params)
         assert reports["mi_eve"].estimate <= reports["mi_joint"].estimate + 1e-12
 
     def test_block_length_strictly_tightens_bob_sd(self):
@@ -966,38 +951,24 @@ class TestConcealmentExact:
             params = explicit_params(n, CrossoverPair(0.25, 0.25), "one",
                                      alpha1=0.2, challenge_bits=n // 4,
                                      commit_bits=1)
-            channel = make_channel(0.25, 0.25)
-            reports = concealment_exact(params, channel, views=("bob",))
+            reports = concealment_exact(params, views=("bob",))
             values[n] = reports["sd_bob"].estimate
         assert values[8] < values[4]
 
     def test_scale_guards(self):
-        channel = make_channel(0.25, 0.25)
         big = explicit_params(7, CrossoverPair(0.25, 0.25), "one", alpha1=0.2,
                               challenge_bits=3, commit_bits=1)
         with pytest.raises(ScaleError):
-            concealment_exact(big, channel)  # the joint view's W = 2^30
+            concealment_exact(big)  # the joint view's W = 2^30
         wide = explicit_params(6, CrossoverPair(0.25, 0.25), "one", alpha1=0.2,
                                challenge_bits=2, commit_bits=2)
         with pytest.raises(ScaleError):
-            concealment_exact(wide, channel)  # needs one pad bit
-
-    @pytest.mark.parametrize("other", [
-        make_channel(0.25, 0.35),                    # other p and q
-        make_channel(0.2, 0.3, "custom", r=0.0),     # other coupling
-        make_channel(0.2, 0.3, "custom", r=0.1),     # other r
-    ])
-    def test_channel_must_match_params(self, other):
-        params = explicit_params(4, CrossoverPair(0.2, 0.3), "one", alpha1=0.2,
-                                 challenge_bits=1, commit_bits=1,
-                                 coupling="custom", coupling_r=0.05)
-        with pytest.raises(CouplingError):
-            concealment_exact(params, other)
+            concealment_exact(wide)  # needs one pad bit
 
     def test_exact_reports_are_flagged(self):
         params = explicit_params(4, CrossoverPair(0.25, 0.25), "one", alpha1=0.2,
                                  challenge_bits=1, commit_bits=1)
-        reports = concealment_exact(params, make_channel(0.25, 0.25), views=("eve",))
+        reports = concealment_exact(params, views=("eve",))
         assert reports["sd_eve"].exact and reports["sd_eve"].trials == 0
 
 
@@ -1020,9 +991,8 @@ class TestSeedBlocks:
             params = explicit_params(n, CrossoverPair(p, 0.3), "one", alpha1=0.3,
                                      challenge_bits=lg, commit_bits=1,
                                      coupling=coupling, coupling_r=r)
-            channel = make_channel(p, 0.3, coupling, r=r)
-            reports = concealment_exact(params, channel, views=views)
-            reference = _reference_pad_row_concealment_exact(params, channel, views)
+            reports = concealment_exact(params, views=views)
+            reference = _reference_pad_row_concealment_exact(params, views)
             # every per-seed product and sum runs in the loop's order, so
             # the reports are equal, not merely within 1e-12
             for v in views:
@@ -1080,7 +1050,7 @@ class TestSeedBlocks:
         monkeypatch.setattr(adversary, "_pad_rows", counted)
         params = explicit_params(9, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
                                  challenge_bits=3, commit_bits=1)
-        concealment_exact(params, make_channel(0.2, 0.3), views=("bob", "eve"))
+        concealment_exact(params, views=("bob", "eve"))
         assert calls == [9]
 
     @pytest.mark.parametrize("n", range(1, 8))
@@ -1116,11 +1086,10 @@ class TestSeedBlocks:
         params = explicit_params(5, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
                                  challenge_bits=3, commit_bits=1,
                                  coupling="custom", coupling_r=0.05)
-        channel = make_channel(0.2, 0.3, "custom", r=0.05)
 
         def run():
             return {key: (r.estimate, r.reference_bound, r.details["k_hat"])
-                    for key, r in concealment_exact(params, channel).items()}
+                    for key, r in concealment_exact(params).items()}
 
         default = run()
         for block in (8, 8 << 24):
@@ -1136,11 +1105,10 @@ class TestSeedBlocks:
         params = explicit_params(n, CrossoverPair(p, 0.3), "one", alpha1=0.3,
                                  challenge_bits=lg, commit_bits=1,
                                  coupling="custom", coupling_r=0.05)
-        channel = make_channel(p, 0.3, "custom", r=0.05)
 
         def run(views):
             return {key: (r.estimate, r.reference_bound, r.details["k_hat"])
-                    for key, r in concealment_exact(params, channel, views=views).items()}
+                    for key, r in concealment_exact(params, views=views).items()}
 
         every = run(VIEWS)
         for size in range(1, len(VIEWS) + 1):
@@ -1161,10 +1129,9 @@ class TestSeedBlocks:
         budget = 8 << 20
         params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
                                  challenge_bits=lg, commit_bits=1)
-        channel = make_channel(0.2, 0.3)
         tracemalloc.start()
         try:
-            concealment_exact(params, channel, views=views)
+            concealment_exact(params, views=views)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1175,7 +1142,7 @@ class TestSeedBlocks:
         params = explicit_params(4, CrossoverPair(0.25, 0.25), "one", alpha1=0.2,
                                  challenge_bits=1, commit_bits=1)
         with pytest.raises(DomainError):
-            concealment_exact(params, make_channel(0.25, 0.25), views=views)
+            concealment_exact(params, views=views)
 
 
 class TestExactWorkLimit:
@@ -1184,7 +1151,6 @@ class TestExactWorkLimit:
     n <= 6, n + l_G <= 14)."""
 
     def test_accepts_the_old_limits_and_the_new_frontier(self):
-        channel = make_channel(0.2, 0.3)
         accepted = set()
         for n in range(1, 13):
             for lg in range(1, n + 1):
@@ -1192,7 +1158,7 @@ class TestExactWorkLimit:
                                          challenge_bits=lg, commit_bits=1)
                 for views in (("bob", "eve"), ("bob",), ("joint",), VIEWS):
                     try:
-                        _concealment_check(params, channel, views, "exact")
+                        _concealment_check(params, views, "exact")
                     except ScaleError:
                         continue
                     accepted.add((n, lg, "joint" in views))
@@ -1213,7 +1179,7 @@ class TestExactWorkLimit:
         params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.3,
                                  challenge_bits=lg, commit_bits=1)
         with pytest.raises(ScaleError, match=r"needs W = 2\^3\d multiply-adds"):
-            concealment_exact(params, make_channel(0.2, 0.3), views=views)
+            concealment_exact(params, views=views)
 
 
 # cases and tolerance fixed before any value was looked at
@@ -1227,7 +1193,7 @@ def _exact_sd_mi(n, lg, p, q, coupling):
     """view -> (SD, MI) of concealment_exact over every view."""
     params = explicit_params(n, CrossoverPair(p, q), "one", alpha1=0.3,
                              challenge_bits=lg, commit_bits=1, coupling=coupling)
-    reports = concealment_exact(params, make_channel(p, q, coupling))
+    reports = concealment_exact(params)
     return {v: (reports[f"sd_{v}"].estimate, reports[f"mi_{v}"].estimate) for v in VIEWS}
 
 
@@ -1268,7 +1234,7 @@ def _reference_map_guess(n, hashes, target, anchors, weights):
 
 def _reference_concealment_mc_worker(payload, seeds):
     """The secrecy worker as one full commit_phase session per trial."""
-    params, channel, view, uniform_pad = payload
+    params, view, uniform_pad = payload
     n = params.n
     wp = math.log2((1.0 - params.pq.p) / params.pq.p)
     wq = math.log2((1.0 - params.pq.q) / params.pq.q)
@@ -1276,7 +1242,7 @@ def _reference_concealment_mc_worker(payload, seeds):
     for i, s in enumerate(seeds):
         rng = make_rng(s)
         c = BitVector.random(rng, 1)
-        session = commit_phase(params, c, channel, rng)
+        session = commit_phase(params, c, params.channel, rng)
         t = session.transcript
         pad_bit = t.pad[0]
         if uniform_pad:
@@ -1298,10 +1264,9 @@ def _reference_concealment_mc_worker(payload, seeds):
 def test_concealment_worker_matches_commit_phase_sessions(n, lg, uniform_pad):
     params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.1,
                              challenge_bits=lg, commit_bits=1)
-    channel = make_channel(0.2, 0.3)
     seeds = trial_seeds(1000 * n + lg, 40)
     for view in VIEWS:
-        payload = (params, channel, view, uniform_pad)
+        payload = _mc_payload(params, view, uniform_pad)
         assert np.array_equal(_concealment_mc_worker(payload, seeds),
                               _reference_concealment_mc_worker(payload, seeds))
 
@@ -1322,10 +1287,9 @@ def test_concealment_worker_at_the_key_width_boundaries(n, lg, views, key_bits):
     assert lg + n.bit_length() * (2 if views == ("joint",) else 1) + 1 == key_bits
     params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.1,
                              challenge_bits=lg, commit_bits=1)
-    channel = make_channel(0.2, 0.3)
     seeds = trial_seeds(100 * n + lg, 24)
     for view in views:
-        payload = (params, channel, view, False)
+        payload = _mc_payload(params, view, False)
         assert np.array_equal(_concealment_mc_worker(payload, seeds),
                               _reference_concealment_mc_worker(payload, seeds))
 
@@ -1334,10 +1298,9 @@ class TestConcealmentMonteCarlo:
     def setup_method(self):
         self.params = explicit_params(6, CrossoverPair(0.25, 0.25), "two",
                                       alpha1=0.2, challenge_bits=1, commit_bits=1)
-        self.channel = make_channel(0.25, 0.25)
 
     def test_uniform_pad_advantage_is_noise(self):
-        rep = concealment_monte_carlo(self.params, self.channel, trials=2000,
+        rep = concealment_monte_carlo(self.params, trials=2000,
                                       seed=31, view="bob", uniform_pad=True)
         assert abs(rep.estimate) <= 3.0 / math.sqrt(2000)
 
@@ -1346,9 +1309,8 @@ class TestConcealmentMonteCarlo:
     def test_advantage_lower_bounds_exact_sd(self, view, p, q):
         params = explicit_params(6, CrossoverPair(p, q), "two", alpha1=0.2,
                                  challenge_bits=1, commit_bits=1)
-        channel = make_channel(p, q)
-        exact = concealment_exact(params, channel, views=(view,))[f"sd_{view}"].estimate
-        rep = concealment_monte_carlo(params, channel, trials=2000, seed=32, view=view)
+        exact = concealment_exact(params, views=(view,))[f"sd_{view}"].estimate
+        rep = concealment_monte_carlo(params, trials=2000, seed=32, view=view)
         assert rep.ci_lo <= exact
 
     def test_correlated_coupling_comparison(self):
@@ -1358,37 +1320,31 @@ class TestConcealmentMonteCarlo:
                                          alpha1=0.2, challenge_bits=1,
                                          commit_bits=1, coupling="custom",
                                          coupling_r=0.25)
-        coupled_channel = make_channel(0.25, 0.25, "custom", r=0.25)
-        adv_coupled = concealment_monte_carlo(coupled_params, coupled_channel,
+        adv_coupled = concealment_monte_carlo(coupled_params,
                                               trials=2000, seed=33, view="joint")
-        adv_indep = concealment_monte_carlo(self.params, self.channel,
+        adv_indep = concealment_monte_carlo(self.params,
                                             trials=2000, seed=33, view="joint")
         sigma = 1.0 / math.sqrt(2000)
         assert adv_coupled.estimate >= adv_indep.estimate - 3 * sigma
 
     def test_mi_estimate_present(self):
-        rep = concealment_monte_carlo(self.params, self.channel, trials=500,
+        rep = concealment_monte_carlo(self.params, trials=500,
                                       seed=34, view="eve")
         assert "mi_plugin_miller_madow" in rep.details
 
     def test_reproducible(self):
-        r1 = concealment_monte_carlo(self.params, self.channel, trials=300,
+        r1 = concealment_monte_carlo(self.params, trials=300,
                                      seed=35, view="bob")
-        r2 = concealment_monte_carlo(self.params, self.channel, trials=300,
+        r2 = concealment_monte_carlo(self.params, trials=300,
                                      seed=35, view="bob")
         assert r1.estimate == r2.estimate and r1.to_record() == r2.to_record()
-
-    def test_channel_must_match_params(self):
-        with pytest.raises(CouplingError):
-            concealment_monte_carlo(self.params, make_channel(0.2, 0.25),
-                                    trials=10, seed=0)
 
     def test_scale_guard_requires_hidden_challenge(self):
         # n = 22 > ENUM_LIMIT: the MAP guess would scan 2^22 words per trial
         big = explicit_params(22, CrossoverPair(0.25, 0.25), "one", alpha1=0.2,
                               challenge_bits=2, commit_bits=1)
         with pytest.raises(ScaleError):
-            concealment_monte_carlo(big, make_channel(0.25, 0.25), trials=10,
+            concealment_monte_carlo(big, trials=10,
                                     seed=0, view="bob")
 
 
@@ -1411,16 +1367,15 @@ def _generator_noise_pair(ch, n: int, rng: np.random.Generator):
     return nb.astype(np.uint8), ne.astype(np.uint8)
 
 
-def _generator_commit_draws(params, channel, streams):
+def _generator_commit_draws(params, streams):
     """Every random draw of the commit phase, as uint8 arrays.
 
     Returns (x, nb, ne, g_seed, e_seed): Alice's word, Bob's and Eve's
     noise, and the challenge and extractor seeds.  streams are the three
     party generators, a session generator's spawn(3): Alice's (x, then
     the extractor seed), Bob's (the challenge seed) and the channel's
-    (the noise pair).  This fixes the stream contract of commit_phase;
-    callers that work on arrays call it directly after checking the
-    channel once.
+    (the noise pair, drawn on params.channel).  This fixes the stream
+    contract of commit_phase.
     """
     n = params.n
     alice_rng, bob_rng, channel_rng = streams
@@ -1429,7 +1384,7 @@ def _generator_commit_draws(params, channel, streams):
         return stream.integers(0, 2, size=size, dtype=np.uint8)
 
     x = uniform_bits(alice_rng, n)                                 # C1
-    nb, ne = _generator_noise_pair(channel, n, channel_rng)
+    nb, ne = _generator_noise_pair(params.channel, n, channel_rng)
     g_seed = uniform_bits(bob_rng, n + params.challenge_bits - 1)  # C2
     e_seed = uniform_bits(alice_rng, n + params.commit_bits - 1)   # C4
     return x, nb, ne, g_seed, e_seed
@@ -1472,21 +1427,21 @@ def _per_trial_binding_worker(session):
     candidate_ext = hash_all_inputs(t.extractor)[candidates]
 
     def worker(payload, seeds):
-        params, channel, x_int, ne_bits, _, _, _, _, thresh_mode = payload
-        n, alpha1 = params.n, params.alpha1
-        p, q, r = channel.p, channel.q, channel.r
+        f = _binding_fields(payload)
+        n, alpha1 = f.params.n, f.params.alpha1
+        p, q, r = f.params.channel.p, f.params.channel.q, f.params.channel.r
         lo, hi = n * (p - alpha1), n * (p + alpha1)
-        if thresh_mode == "alone":
+        if f.mode == "alone":
             thresh = np.full(n, p)
         else:
             cond1 = r / q              # P(N_B=1 | N_E=1)
             cond0 = (p - r) / (1.0 - q)  # P(N_B=1 | N_E=0)
-            thresh = np.where(ne_bits == 1, cond1, cond0)
+            thresh = np.where(f.ne_bits == 1, cond1, cond0)
         weights = (1 << np.arange(n - 1, -1, -1)).astype(np.uint64)
         out = np.empty((len(seeds), 2), dtype=np.int64)
         for i in range(len(seeds)):
             nb = (make_rng(seeds[i]).random(n) < thresh).astype(np.uint64)
-            y_int = np.uint32(x_int) ^ np.uint32((nb * weights).sum())
+            y_int = np.uint32(f.x_int) ^ np.uint32((nb * weights).sum())
             d = np.bitwise_count(candidates ^ y_int)
             member_ext = candidate_ext[(d >= lo) & (d <= hi)]
             out[i, 0] = 1 if (member_ext != member_ext[:1]).any() else 0
@@ -1499,7 +1454,7 @@ def _per_trial_binding_worker(session):
 def _per_trial_concealment_mc_worker(payload, seeds):
     """The secrecy worker with a SeedSequence, Philox and Generator per
     trial and three more per trial from Generator.spawn(3)."""
-    params, channel, view, uniform_pad = payload
+    params, view, uniform_pad = payload
     n = params.n
     wp = math.log2((1.0 - params.pq.p) / params.pq.p)
     wq = math.log2((1.0 - params.pq.q) / params.pq.q)
@@ -1508,7 +1463,7 @@ def _per_trial_concealment_mc_worker(payload, seeds):
     for i in range(len(seeds)):
         rng = make_rng(seeds[i])
         c = int(rng.integers(0, 2, size=1, dtype=np.uint8)[0])
-        x, nb, ne, g_seed, e_seed = _generator_commit_draws(params, channel, rng.spawn(3))
+        x, nb, ne, g_seed, e_seed = _generator_commit_draws(params, rng.spawn(3))
         x_int = int(x @ big_endian)
         ext_mask = int(e_seed @ big_endian[::-1])
         pad_bit = c ^ ((x_int & ext_mask).bit_count() & 1)
@@ -1531,9 +1486,9 @@ def _per_trial_concealment_mc_worker(payload, seeds):
     return out
 
 
-def _reference_commit_phase(params, c, channel, rng):
+def _reference_commit_phase(params, c, rng):
     """commit_phase on the per-stream Generator draws."""
-    x_bits, nb, ne, g_seed, e_seed = _generator_commit_draws(params, channel, rng.spawn(3))
+    x_bits, nb, ne, g_seed, e_seed = _generator_commit_draws(params, rng.spawn(3))
     x = BitVector(x_bits)
     challenge = HashSpec(params.n, params.challenge_bits, BitVector(g_seed))
     extractor = HashSpec(params.n, params.commit_bits, BitVector(e_seed))
@@ -1552,15 +1507,14 @@ def test_commit_phase_draws_what_the_party_generators_draw(n, lg, mc, coupling, 
     params = explicit_params(n, CrossoverPair(0.1, 0.2), "one", alpha1=0.04,
                              challenge_bits=lg, commit_bits=mc,
                              coupling=coupling, coupling_r=r)
-    channel = make_channel(0.1, 0.2, coupling, r=r)
     for seed in (0, 9173, 2**64 - 1):
         c = BitVector.random(make_rng(seed), mc)
-        session = commit_phase(params, c, channel, make_rng(seed))
+        session = commit_phase(params, c, params.channel, make_rng(seed))
         t = session.transcript
         got = {"x": session.alice_view.x, "y": session.bob_view.y,
                "z": session.eve_view.z, "G": t.challenge, "g_bar": t.challenge_value,
                "Ext": t.extractor, "Q": t.pad}
-        assert got == _reference_commit_phase(params, c, channel, make_rng(seed))
+        assert got == _reference_commit_phase(params, c, make_rng(seed))
 
 
 def _check_at_one_and_two_workers(worker, reference, payload, seeds):
@@ -1636,24 +1590,24 @@ def test_soundness_worker_memory_is_flat_in_the_trial_count():
     assert large - small <= 4 * 30_000, (small, large)
 
 
-def _captured_payload(monkeypatch, params, channel, session, mode="alone"):
+def _captured_payload(monkeypatch, params, session, mode="alone"):
     """The payload binding_attack hands its worker for the session's commit."""
     payloads = []
     with monkeypatch.context() as m:
         m.setattr(adversary, "map_trials",
                   lambda worker, payload, seeds, *args: payloads.append(payload)
                   or worker(payload, seeds))
-        binding_attack(session, params, channel, mode=mode, trials=1, seed=0)
+        binding_attack(session, params, mode=mode, trials=1, seed=0)
     return payloads[0]
 
 
 def _binding_payload(monkeypatch, n, lg, mode, coupling, r, seed=29):
     """The payload binding_attack hands its worker for one commit, and
     the per-trial reference worker of that commit."""
-    params, channel, session = small_session(
+    params, session = small_session(
         n=n, p=0.25, q=0.3, alpha1=0.15, lg=lg, mc=min(n, 3), seed=seed,
         coupling=coupling, r=r)
-    return (_captured_payload(monkeypatch, params, channel, session, mode),
+    return (_captured_payload(monkeypatch, params, session, mode),
             _per_trial_binding_worker(session))
 
 
@@ -1702,10 +1656,9 @@ def test_binding_worker_tiles_change_nothing(monkeypatch, block):
 ])
 def test_binding_tables_match_a_scan_for_every_y(monkeypatch, n, lg, weight, seed):
     # the tables depend on neither the mode nor the coupling
-    params, channel, session = small_session(n=n, p=weight / n, alpha1=0.01, lg=lg,
-                                             mc=1, seed=seed)
-    _, _, _, _, hashes, g_bar, success, size, _ = _captured_payload(
-        monkeypatch, params, channel, session)
+    params, session = small_session(n=n, p=weight / n, alpha1=0.01, lg=lg,
+                                    mc=1, seed=seed)
+    f = _binding_fields(_captured_payload(monkeypatch, params, session))
     t = session.transcript
     candidates = np.flatnonzero(hash_all_inputs(t.challenge) == t.challenge_value.to_int())
     ext_all = hash_all_inputs(t.extractor)
@@ -1715,9 +1668,9 @@ def test_binding_tables_match_a_scan_for_every_y(monkeypatch, n, lg, weight, see
         d = np.bitwise_count(candidates ^ y)
         member_ext = ext_all[candidates[(d >= lo) & (d <= hi)]]
         expected[y] = np.unique(member_ext).size >= 2, member_ext.size
-    s = hashes ^ g_bar
-    assert np.array_equal(success[s], expected[:, 0])
-    assert np.array_equal(size[s], expected[:, 1])
+    s = f.hashes ^ f.g_bar
+    assert np.array_equal(f.success[s], expected[:, 0])
+    assert np.array_equal(f.size[s], expected[:, 1])
     several = expected[:, 1] >= 2
     assert expected[:, 0].any() and not expected[several, 0].all()
 
@@ -1726,16 +1679,16 @@ def test_binding_tables_match_a_scan_for_every_y(monkeypatch, n, lg, weight, see
                                         ("custom", 0.05)])
 def test_binding_with_eve_averaged_over_eve_equals_alone(monkeypatch, coupling, r):
     # law of total probability over Eve's flips ne, with Bob's flips nb
-    # drawn at the worker's own thresholds: channel.p alone, and
-    # channel.bob_given_eve() given ne
+    # drawn at the worker's own thresholds: params.channel.p alone, and
+    # params.channel.bob_given_eve() given ne
     n = 10
-    params, channel, session = small_session(n=n, p=0.25, q=0.3, alpha1=0.15, lg=8, mc=1,
-                                             seed=29, coupling=coupling, r=r)
-    _, _, x_int, _, hashes, g_bar, success, _, _ = _captured_payload(
-        monkeypatch, params, channel, session, "with_eve")
+    params, session = small_session(n=n, p=0.25, q=0.3, alpha1=0.15, lg=8, mc=1,
+                                    seed=29, coupling=coupling, r=r)
+    f = _binding_fields(_captured_payload(monkeypatch, params, session, "with_eve"))
+    channel = params.channel
     words = np.arange(1 << n)
     bits = (words[:, None] >> np.arange(n - 1, -1, -1)) & 1  # big-endian, as the worker
-    wins = success[hashes[x_int ^ words] ^ g_bar].astype(float)  # indexed by nb
+    wins = f.success[f.hashes[f.x_int ^ words] ^ f.g_bar].astype(float)  # indexed by nb
     alone = np.prod(np.where(bits == 1, channel.p, 1 - channel.p), axis=1) @ wins
     eve = np.prod(np.where(bits == 1, channel.q, 1 - channel.q), axis=1)
     given0, given1 = channel.bob_given_eve()
@@ -1759,8 +1712,7 @@ def _secrecy_payload(n, lg, coupling, r, view, uniform_pad):
     params = explicit_params(n, CrossoverPair(0.2, 0.3), "one", alpha1=0.1,
                              challenge_bits=lg, commit_bits=1,
                              coupling=coupling, coupling_r=r)
-    channel = make_channel(0.2, 0.3, coupling, r=r)
-    return params, channel, view, uniform_pad
+    return _mc_payload(params, view, uniform_pad)
 
 
 _VARIANTS = [(view, pad) for view in VIEWS for pad in (False, True)]
@@ -1862,31 +1814,39 @@ def test_trial_seed_limit_checked_before_any_trial(monkeypatch):
     params = derive_params(200, CrossoverPair(0.2, 0.2), "one",
                            alpha1=0.05, beta1=0.05, beta2=0.1)
     with pytest.raises(ScaleError, match="trial seeds"):
-        estimate_soundness(params, make_channel(0.2, 0.2), trials=TRIAL_LIMIT + 1, seed=0)
-    small, channel, session = small_session(n=8, lg=2, mc=1)
+        estimate_soundness(params, trials=TRIAL_LIMIT + 1, seed=0)
+    small, session = small_session(n=8, lg=2, mc=1)
     with pytest.raises(ScaleError, match="trial seeds"):
-        binding_attack(session, small, channel, trials=TRIAL_LIMIT + 1)
+        binding_attack(session, small, trials=TRIAL_LIMIT + 1)
     with pytest.raises(ScaleError, match="trial seeds"):
-        concealment_monte_carlo(small, channel, trials=TRIAL_LIMIT // 2 + 1, seed=0)
+        concealment_monte_carlo(small, trials=TRIAL_LIMIT // 2 + 1, seed=0)
 
 
-@pytest.mark.parametrize("entry", ["commit_phase", "estimate_soundness", "binding_attack",
-                                   "concealment_exact", "concealment_monte_carlo"])
-def test_a_channel_off_the_params_by_a_rounding_error_is_refused(entry):
-    # the channel must be params.channel itself: one within math.isclose of
-    # the params once passed, and commit_phase drew Bob's flips at its p
-    # while bob_test's band read the params' p
-    params, _, session = small_session(n=6, lg=2, mc=1, seed=3)
+def test_a_channel_off_the_params_by_a_rounding_error_is_refused():
+    # commit_phase's channel must be params.channel itself: one within
+    # math.isclose of the params once passed, and commit_phase drew Bob's
+    # flips at its p while bob_test's band read the params' p
+    params, _ = small_session(n=6, lg=2, mc=1, seed=3)
     near = make_channel(0.25 * (1 + 1e-12), 0.25)
-    calls = {
-        "commit_phase": lambda: commit_phase(params, BitVector.zeros(1), near, make_rng(0)),
-        "estimate_soundness": lambda: estimate_soundness(params, near, trials=10, seed=0),
-        "binding_attack": lambda: binding_attack(session, params, near, trials=10, seed=0),
-        "concealment_exact": lambda: concealment_exact(params, near),
-        "concealment_monte_carlo": lambda: concealment_monte_carlo(params, near, trials=10,
-                                                                   seed=0),
-    }
     with pytest.raises(CouplingError):
+        commit_phase(params, BitVector.zeros(1), near, make_rng(0))
+
+
+@pytest.mark.parametrize("entry", ["enumerate_confusables", "binding_attack"])
+@pytest.mark.parametrize("lengths", [dict(lg=5), dict(mc=3), dict(lg=5, mc=3), dict(n=10)],
+                         ids=["G", "Ext", "G-and-Ext", "n"])
+def test_a_session_off_its_params_is_refused(entry, lengths):
+    # the hash tables come from the session's transcript, the lengths and
+    # the band from the params: a session at n = 8, l_G = 4, commit_bits = 2
+    # under l_G = 5 and commit_bits = 3 once read a reference_bound of
+    # 0.9695 (1.0 under its own params), and under n = 10 an IndexError
+    _, session = small_session(n=8, lg=4, mc=2, seed=5)
+    params, _ = small_session(**{"n": 8, "lg": 4, "mc": 2, **lengths})
+    calls = {
+        "enumerate_confusables": lambda: enumerate_confusables(session, params),
+        "binding_attack": lambda: binding_attack(session, params, trials=10, seed=0),
+    }
+    with pytest.raises(DimensionError, match="the params need"):
         calls[entry]()
 
 
@@ -1898,7 +1858,7 @@ def test_joint_view_at_a_subnormal_crossover_reads_as_at_1e_300():
     for e in (5e-324, 1e-300):
         params = explicit_params(6, CrossoverPair(e, e), "one", alpha1=0.2,
                                  challenge_bits=2, commit_bits=1)
-        report = concealment_monte_carlo(params, make_channel(e, e), trials=2000, seed=3,
+        report = concealment_monte_carlo(params, trials=2000, seed=3,
                                          view="joint")
         records.append({**report.to_record(), "p": None, "q": None})
     assert records[0] == records[1] and records[0]["estimate"] == 1.0

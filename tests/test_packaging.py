@@ -179,3 +179,18 @@ def test_docs_name_existing_private_code():
     missing = {name: where for name, where in found.items()
                if not any(hasattr(owner, name) for owner in owners)}
     assert not missing, f"comments, docstrings or README name missing code: {missing}"
+
+
+def test_only_commit_phase_takes_a_channel_beside_the_params():
+    # the params own their channel (params.channel), so a channel argument
+    # next to them only adds a way to pass the wrong one; ROADMAP item 14's
+    # remaining step drops commit_phase's too, with bench/jobs.py's call
+    found = []
+    for name in ("protocol", "adversary", "harness"):
+        tree = ast.parse((ROOT / "src" / "wiretap_commit" / f"{name}.py").read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = func.args.posonlyargs + func.args.args + func.args.kwonlyargs
+                if {"params", "channel"} <= {arg.arg for arg in args}:
+                    found.append(f"{name}.{func.name}")
+    assert found == ["protocol.commit_phase"]

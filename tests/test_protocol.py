@@ -348,6 +348,22 @@ class TestBobTest:
             with pytest.raises(DimensionError):
                 bob_test(session.bob_view, bad, claim, params)
 
+    def test_block_length_checked_against_params(self):
+        # the band is judged at params.n: an accepted n = 8 session once
+        # read failed_condition 1 under params with n = 40
+        rest = dict(pq=CrossoverPair(0.25, 0.25), privacy="one", alpha1=0.125,
+                    challenge_bits=2, commit_bits=1)
+        params = explicit_params(8, **rest)
+        for seed in range(50):
+            session = commit_phase(params, BitVector.zeros(1), params.channel, make_rng(seed))
+            claim = RevealClaim(session.alice_view.c, session.alice_view.x)
+            if bob_test(session.bob_view, session.transcript, claim, params).accepted:
+                break
+        else:
+            raise AssertionError("no accepting session found")
+        with pytest.raises(DimensionError, match="params n = 40"):
+            bob_test(session.bob_view, session.transcript, claim, explicit_params(40, **rest))
+
     def test_random_claims_rejected_at_union_bound_rate(self):
         # n=16, l_g=8: a uniform substitute passes only by hash luck
         # inside the band; compare against 1 - 2^-8 - P(band)
@@ -385,8 +401,7 @@ class TestHonestRun:
         # alpha1 >= max(p, 1/2 - p): every plausible distance in band
         params = derive_params(1000, CrossoverPair(0.1, 0.1), "one",
                                alpha1=0.45, beta1=0.05, beta2=0.1)
-        channel = make_channel(0.1, 0.1)
-        accepted = [honest_run(params, channel, make_rng(seed))[0]
+        accepted = [honest_run(params, make_rng(seed))[0]
                     for seed in range(50)]
         assert all(accepted)
 
@@ -394,17 +409,15 @@ class TestHonestRun:
         # n=1, p=0.1, alpha1=0.05: the band [0.05, 0.15] holds no integer
         params = explicit_params(1, CrossoverPair(0.1, 0.1), "one",
                                  alpha1=0.05, challenge_bits=1, commit_bits=1)
-        channel = make_channel(0.1, 0.1)
         for seed in range(10):
-            accepted, _ = honest_run(params, channel, make_rng(seed))
+            accepted, _ = honest_run(params, make_rng(seed))
             assert not accepted
 
     def test_rejection_only_on_band_exit(self):
         params = derive_params(400, CrossoverPair(0.1, 0.1), "one",
                                alpha1=0.03, beta1=0.05, beta2=0.1)
-        channel = make_channel(0.1, 0.1)
         for seed in range(30):
-            accepted, session = honest_run(params, channel, make_rng(seed))
+            accepted, session = honest_run(params, make_rng(seed))
             in_band = list_membership(session.alice_view.x, session.bob_view.y, params)
             assert accepted == in_band
 
