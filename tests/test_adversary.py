@@ -1833,13 +1833,15 @@ def test_a_channel_off_the_params_by_a_rounding_error_is_refused():
 
 
 @pytest.mark.parametrize("entry", ["enumerate_confusables", "binding_attack"])
-@pytest.mark.parametrize("lengths", [dict(lg=5), dict(mc=3), dict(lg=5, mc=3), dict(n=10)],
-                         ids=["G", "Ext", "G-and-Ext", "n"])
+@pytest.mark.parametrize("lengths", [dict(lg=5), dict(mc=3), dict(lg=5, mc=3), dict(n=10),
+                                     dict(n=6)],
+                         ids=["G", "Ext", "G-and-Ext", "n", "shorter-n"])
 def test_a_session_off_its_params_is_refused(entry, lengths):
     # the hash tables come from the session's transcript, the lengths and
     # the band from the params: a session at n = 8, l_G = 4, commit_bits = 2
     # under l_G = 5 and commit_bits = 3 once read a reference_bound of
-    # 0.9695 (1.0 under its own params), and under n = 10 an IndexError
+    # 0.9695 (1.0 under its own params), under n = 10 an IndexError, and
+    # under n = 6 a broadcast ValueError or an IndexError
     _, session = small_session(n=8, lg=4, mc=2, seed=5)
     params, _ = small_session(**{"n": 8, "lg": 4, "mc": 2, **lengths})
     calls = {

@@ -348,21 +348,34 @@ class TestBobTest:
             with pytest.raises(DimensionError):
                 bob_test(session.bob_view, bad, claim, params)
 
-    def test_block_length_checked_against_params(self):
-        # the band is judged at params.n: an accepted n = 8 session once
-        # read failed_condition 1 under params with n = 40
-        rest = dict(pq=CrossoverPair(0.25, 0.25), privacy="one", alpha1=0.125,
-                    challenge_bits=2, commit_bits=1)
-        params = explicit_params(8, **rest)
+    BLOCK_REST = dict(pq=CrossoverPair(0.25, 0.25), privacy="one", alpha1=0.125,
+                      challenge_bits=2, commit_bits=1)
+
+    def find_accepting_n8_session(self):
+        params = explicit_params(8, **self.BLOCK_REST)
         for seed in range(50):
             session = commit_phase(params, BitVector.zeros(1), params.channel, make_rng(seed))
             claim = RevealClaim(session.alice_view.c, session.alice_view.x)
             if bob_test(session.bob_view, session.transcript, claim, params).accepted:
-                break
-        else:
-            raise AssertionError("no accepting session found")
+                return session, claim
+        raise AssertionError("no accepting session found")
+
+    def test_block_length_checked_against_params(self):
+        # the band is judged at params.n: an accepted n = 8 session once
+        # read failed_condition 1 under params with n = 40
+        session, claim = self.find_accepting_n8_session()
         with pytest.raises(DimensionError, match="params n = 40"):
-            bob_test(session.bob_view, session.transcript, claim, explicit_params(40, **rest))
+            bob_test(session.bob_view, session.transcript, claim,
+                     explicit_params(40, **self.BLOCK_REST))
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_block_longer_than_params_n_refused(self, n):
+        # the other side of the same check: an accepted n = 8 session at
+        # distance 1 was once accepted again under params with n = 4 to 7
+        session, claim = self.find_accepting_n8_session()
+        with pytest.raises(DimensionError, match=f"params n = {n}"):
+            bob_test(session.bob_view, session.transcript, claim,
+                     explicit_params(n, **self.BLOCK_REST))
 
     def test_random_claims_rejected_at_union_bound_rate(self):
         # n=16, l_g=8: a uniform substitute passes only by hash luck
